@@ -20,10 +20,10 @@ and the machinery harnesses only exist for k = 1 or m = 1.
 
 Exit codes: 0 all requested checks pass; 1 a verification failure or a
 lower-bound violation; 2 invalid input (including regime refusals); 3 a
-resource cap was hit.  Reports go to stdout, diagnostics to stderr.  JSON
-output (--json) uses exact {"num": ..., "den": ...} fractions, a fixed key
-order, and no floats, so parsing and re-serializing with indent=2 is
-byte-identical.
+resource cap was hit; 4 a computed result failed its own check (a bug).
+Reports go to stdout, diagnostics to stderr.  JSON output (--json) uses
+exact {"num": ..., "den": ...} fractions, a fixed key order, and no floats,
+so parsing and re-serializing with indent=2 is byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +34,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InvalidInput, LemmaViolation, ResourceLimit, UnsupportedRegime
+from .errors import (
+    InternalError,
+    InvalidInput,
+    LemmaViolation,
+    ResourceLimit,
+    UnsupportedRegime,
+)
 from .family import (
     CanonicalParams,
     DensityBreakdown,
@@ -494,6 +500,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

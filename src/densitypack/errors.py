@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: InvalidInput (and its
-subclasses) exit 2, ResourceLimit exits 3, and a LemmaViolation or any
-failed verification exits 1.
+subclasses) exit 2, ResourceLimit exits 3, InternalError exits 4, and a
+LemmaViolation or any failed verification exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +30,13 @@ class UnsupportedRegime(InvalidInput):
 
 class ResourceLimit(DensityPackError):
     """A configured state/window/enumeration cap would be exceeded (exit 3)."""
+
+
+class InternalError(DensityPackError):
+    """A computed result failed its own check: a bug, not bad input (exit 4).
+
+    Raised instead of `assert` so that the check survives `python -O`.
+    """
 
 
 class LemmaViolation(DensityPackError):

@@ -20,11 +20,14 @@ all-zero window reaches and is reached by every state), every state has an
 out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
-Two exact solvers are provided: Karp's recurrence (integer arithmetic,
-vectorized with numpy, used up to 2**16 states) and Howard policy iteration
-over Fraction-valued gains and biases (used above that, or on request).
-Witnesses come from a zero-weight cycle of the reweighted graph
-w' = den*w - num, found among the tight edges of a longest-walk potential.
+One solver path computes it, in int64 numpy arrays throughout: the graph
+is built level by level as window masks with two successor arrays, Howard
+policy iteration proposes a value p/q, and a longest-walk potential for the
+reweighted graph w' = q*w - p certifies it.  The potential converging, and
+satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
+mu >= p/q and is the periodic witness.  Karp's recurrence over the same
+arrays is kept as the reference proposer (method "karp"); its value goes
+through the same certificate, so both methods return identical results.
 
 A third, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -46,7 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit
+from .errors import InternalError, InvalidInput, ResourceLimit
 from .family import DifferenceSet, as_difference_set
 
 __all__ = [
@@ -57,7 +60,6 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "DEFAULT_STATE_CAP",
     "STATE_CAP_ENV",
-    "KARP_STATE_LIMIT",
     "mu_exact",
     "best_periodic_density",
     "check_periodic_avoiding",
@@ -70,7 +72,9 @@ DEFAULT_WINDOW_CAP = 22
 DEFAULT_ENUM_CAP = 26
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
-KARP_STATE_LIMIT = 1 << 16
+# The solvers' int64 magnitudes stay below about n**2 for n states.
+_INT64_STATE_LIMIT = 1 << 30
+_POLICY_ITERATION_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,55 +271,84 @@ def _state_cap(max_states: int | None) -> int:
     return DEFAULT_STATE_CAP
 
 
-def _build_state_graph(M: DifferenceSet, cap: int):
-    """Enumerate avoiding windows of length L = max(M) and their shift edges.
+def _check_state_count(count: int, cap: int) -> None:
+    if count > cap:
+        raise ResourceLimit(
+            f"admissible state count exceeds cap {cap} "
+            f"(set {STATE_CAP_ENV} or max_states to raise it)"
+        )
+    if count > _INT64_STATE_LIMIT:
+        raise ResourceLimit(
+            f"admissible state count exceeds {_INT64_STATE_LIMIT}, "
+            "beyond which the solvers' int64 arithmetic could overflow"
+        )
 
-    Returns (states, index, edges) where edges is a list of (src, dst, bit).
+
+def _build_state_graph(M: DifferenceSet, cap: int):
+    """Avoiding windows of length L = max(M) and their shift edges.
+
+    Returns (states, succ0, succ1): `states` holds the window masks in the
+    lexicographic order of `_iter_avoiding_masks` (so the all-zero window is
+    state 0), appending a 0 moves state i to succ0[i], and appending a 1
+    moves it to succ1[i], or succ1[i] = -1 when that would create a
+    difference in M.  Windows are extended one position per level; level
+    sizes never decrease, so checking each level against the cap stops the
+    build before a level beyond it is extended.
     """
     L = M.max_element
-    states: list[int] = []
-    for mask in _iter_avoiding_masks(M, L, require_zero=False):
-        states.append(mask)
-        if len(states) > cap:
-            raise ResourceLimit(
-                f"admissible state count exceeds cap {cap} "
-                f"(set {STATE_CAP_ENV} or max_states to raise it)"
-            )
-    index = {mask: i for i, mask in enumerate(states)}
-    top = 1 << (L - 1)
+    conflicts = _conflict_masks(M, L)
+    states = np.zeros(1, dtype=np.int64)
+    for t in range(L):
+        with_t = (states & conflicts[t]) == 0
+        # Each window is followed by its extension with position t, if any:
+        # excluding a position sorts first.
+        pairs = np.stack([states, states | (1 << t)], axis=1)
+        states = pairs[np.stack([np.ones_like(with_t), with_t], axis=1)]
+        _check_state_count(len(states), cap)
+
+    order = np.argsort(states)
+    by_value = states[order]
     # Appending position p conflicts with p - d, i.e. bit L - d of the old window.
-    append_conflicts = 0
-    for d in M:
-        append_conflicts |= 1 << (L - d)
-
-    edges: list[tuple[int, int, int]] = []
-    for i, mask in enumerate(states):
-        shifted = mask >> 1
-        edges.append((i, index[shifted], 0))
-        if mask & append_conflicts == 0:
-            edges.append((i, index[shifted | top], 1))
-    return states, index, edges
+    append_conflicts = sum(1 << (L - d) for d in M)
+    shifted = states >> 1
+    succ0 = order[np.searchsorted(by_value, shifted)]
+    succ1 = np.full(len(states), -1, dtype=np.int64)
+    can_append = (states & append_conflicts) == 0
+    succ1[can_append] = order[np.searchsorted(by_value, shifted[can_append] | (1 << (L - 1)))]
+    return states, succ0, succ1
 
 
-def _karp_max_mean(n_states: int, edges, source: int) -> Fraction:
-    """Maximum cycle mean by Karp's recurrence, exact in int64.
+def _in_edges(succ0, succ1):
+    """The edges grouped by destination, for pull-style relaxation.
 
-    F_i(v) = max weight of an i-edge walk source -> v; the answer is
-    max_v min_j (F_n(v) - F_j(v)) / (n - j).  Runs two relaxation sweeps to
-    keep memory at O(V): one to obtain F_n, one re-deriving each F_j while
-    maintaining the running minimum ratio per vertex by cross-multiplication
-    (all quantities fit easily in int64 for n <= 2**16).
+    Returns (src, wgt, starts): src and wgt list each edge's source and
+    weight sorted by destination, and the edges into v start at starts[v].
     """
-    n = n_states
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    wgt = np.fromiter((e[2] for e in edges), dtype=np.int64, count=len(edges))
+    n = len(succ0)
+    ones = np.flatnonzero(succ1 >= 0)
+    src = np.concatenate([np.arange(n), ones])
+    dst = np.concatenate([succ0, succ1[ones]])
+    wgt = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(len(ones), dtype=np.int64)])
     order = np.argsort(dst, kind="stable")
-    src, dst, wgt = src[order], dst[order], wgt[order]
     counts = np.bincount(dst, minlength=n)
-    assert counts.min() > 0  # every avoiding window has a shift predecessor
+    if counts.min() == 0:
+        raise InternalError("a window has no shift predecessor")
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
+    return src[order], wgt[order], starts
+
+
+def _karp_max_mean(succ0, succ1) -> Fraction:
+    """Maximum cycle mean by Karp's recurrence, exact in int64.
+
+    The reference solver.  F_i(v) = max weight of an i-edge walk from the
+    all-zero window (state 0) to v; the answer is
+    max_v min_j (F_n(v) - F_j(v)) / (n - j).  Runs two relaxation sweeps to
+    keep memory at O(V): one to obtain F_n, one re-deriving each F_j while
+    maintaining the running minimum ratio per vertex by cross-multiplication.
+    """
+    n = len(succ0)
+    src, wgt, starts = _in_edges(succ0, succ1)
 
     NEG = np.int64(-(1 << 50))
     NEG_THRESH = NEG // 2
@@ -324,16 +357,17 @@ def _karp_max_mean(n_states: int, edges, source: int) -> Fraction:
         return np.maximum.reduceat(F[src] + wgt, starts)
 
     F = np.full(n, NEG, dtype=np.int64)
-    F[source] = 0
+    F[0] = 0
     for _ in range(n):
         F = relax(F)
     F_final = F
-    assert F_final.min() > NEG_THRESH  # strong connectivity: all reachable
+    if F_final.min() <= NEG_THRESH:
+        raise InternalError("state graph is not strongly connected")
 
     best_num = np.ones(n, dtype=np.int64)
     best_den = np.zeros(n, dtype=np.int64)  # num/den = +infinity until first hit
     G = np.full(n, NEG, dtype=np.int64)
-    G[source] = 0
+    G[0] = 0
     for j in range(n):
         if j > 0:
             G = relax(G)
@@ -343,175 +377,133 @@ def _karp_max_mean(n_states: int, edges, source: int) -> Fraction:
         better = valid & (num * best_den < best_num * den)
         best_num = np.where(better, num, best_num)
         best_den = np.where(better, den, best_den)
-    assert best_den.min() > 0
+    if best_den.min() == 0:
+        raise InternalError("Karp's recurrence left a state without a ratio")
 
-    best = Fraction(int(best_num[0]), int(best_den[0]))
-    for v in range(1, n):
-        cand = Fraction(int(best_num[v]), int(best_den[v]))
-        if cand > best:
-            best = cand
-    return best
+    return max(Fraction(int(a), int(b)) for a, b in zip(best_num, best_den))
 
 
-def _tight_cycle(n_states: int, states, edges, value: Fraction, L: int):
-    """Extract an optimal cycle as a periodic witness.
+def _policy_iteration(succ0, succ1) -> Fraction:
+    """Howard policy iteration for the maximum cycle mean, exact in int64.
 
-    With w' = den*w - num the maximum cycle mean becomes 0, so the
-    longest-walk potential pi (fixpoint of pi <- max(pi, relax(pi)) from 0)
-    is finite, and every optimal cycle consists of tight edges
-    pi[u] + w' = pi[v].  Any cycle of the tight subgraph telescopes to
-    w'-weight 0, i.e. is optimal, so a depth-first search for any cycle
-    suffices.
+    A policy picks one out-edge per state, starting greedily from the
+    weight-1 edge where there is one.  Evaluation works on the policy's
+    functional graph by pointer doubling: every state's walk ends in a cycle
+    whose smallest state is its root, its gain is the cycle's reduced mean
+    p/q, and its bias is the sum of w*q - p along the walk to the root.
+    States with equal gains share q, so biases compare as integers, and
+    gains compare by cross-multiplication.  Improvement is the usual
+    two-stage one (gain first, then bias), switching only on strict
+    improvement and to the first best edge, so it terminates.  Returns the
+    best gain, which `_tight_cycle` then certifies.
     """
-    num, den = value.numerator, value.denominator
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    wgt = np.fromiter((e[2] for e in edges), dtype=np.int64, count=len(edges))
-    order = np.argsort(dst, kind="stable")
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    w2 = wgt * den - num
-    counts = np.bincount(dst, minlength=n_states)
-    starts = np.zeros(n_states, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
+    n = len(succ0)
+    index = np.arange(n)
+    has1 = succ1 >= 0
+    succ1_or_0 = np.where(has1, succ1, succ0)
+    rounds = (n - 1).bit_length()  # 2**rounds >= n covers every walk to a cycle
 
-    pi = np.zeros(n_states, dtype=np.int64)
-    for _ in range(n_states + 1):
+    choice = has1.copy()
+    for _ in range(_POLICY_ITERATION_CAP):
+        succ = np.where(choice, succ1, succ0)
+        weight = choice.astype(np.int64)
+
+        # after `rounds` doublings, land[v] is on v's terminal cycle and
+        # low[u] is the smallest state of u's cycle for every cycle state u
+        land, low = succ, index
+        for _ in range(rounds):
+            low = np.minimum(low, low[land])
+            land = land[land]
+        root = low[land]
+        on_cycle = np.zeros(n, dtype=bool)
+        on_cycle[land] = True
+        length = np.bincount(root[on_cycle], minlength=n)[root]
+        total = np.bincount(root[on_cycle & choice], minlength=n)[root]
+        common = np.gcd(total, length)
+        p, q = total // common, length // common
+
+        is_root = root == index
+        bias = np.where(is_root, 0, weight * q - p)
+        hop = np.where(is_root, index, succ)
+        for _ in range(rounds):
+            bias = bias + bias[hop]
+            hop = hop[hop]
+
+        p0, q0, p1, q1 = p[succ0], q[succ0], p[succ1_or_0], q[succ1_or_0]
+        gain1_higher = has1 & (p1 * q0 > p0 * q1)
+        best_p = np.where(gain1_higher, p1, p0)
+        best_q = np.where(gain1_higher, q1, q0)
+        gain_up = best_p * q > p * best_q
+        val0 = np.where((p0 == p) & (q0 == q), bias[succ0] - p, bias)
+        val1 = np.where(has1 & (p1 == p) & (q1 == q), bias[succ1_or_0] + q - p, bias)
+        bias0_up = val0 > bias
+        bias1_up = val1 > np.maximum(val0, bias)
+        changed = gain_up | bias0_up | bias1_up
+        if not changed.any():
+            return max(Fraction(int(p[r]), int(q[r])) for r in np.flatnonzero(is_root))
+        choice = np.where(gain_up, gain1_higher, np.where(bias0_up | bias1_up, bias1_up, choice))
+    raise InternalError("policy iteration failed to converge")
+
+
+def _tight_cycle(states, succ0, succ1, value: Fraction, L: int) -> list[int]:
+    """Certify that mu(M) = value and return an optimal cycle's appended bits.
+
+    With w' = den*w - num the claim is that the maximum cycle mean becomes
+    0.  The longest-walk potential pi (fixpoint of pi <- max(pi, relax(pi))
+    from 0) converges exactly when no cycle has positive w'-weight, and then
+    pi[u] + w' <= pi[v] on every edge, which is checked explicitly: this
+    proves mu <= value.  Every cycle of tight edges (pi[u] + w' = pi[v])
+    telescopes to w'-weight 0, so the first one a depth-first search meets
+    attains value: that proves mu >= value and is the witness.
+    """
+    n = len(states)
+    num, den = value.numerator, value.denominator
+    src, wgt, starts = _in_edges(succ0, succ1)
+    w2 = wgt * den - num
+
+    pi = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
         nxt = np.maximum(pi, np.maximum.reduceat(pi[src] + w2, starts))
         if np.array_equal(nxt, pi):
             break
         pi = nxt
     else:
-        raise AssertionError("longest-walk potential failed to converge")
+        raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
 
-    tight = pi[src] + w2 == pi[dst]
-    adj: list[list[int]] = [[] for _ in range(n_states)]
-    for e in np.flatnonzero(tight):
-        adj[int(src[e])].append(int(dst[e]))
+    has1 = succ1 >= 0
+    slack0 = pi[succ0] - pi + num
+    slack1 = np.where(has1, pi[succ1] - pi - den + num, 0)
+    if slack0.min() < 0 or slack1.min() < 0:
+        raise InternalError("potential violates an edge")
+    # adjacency in index order: succ0[v] < succ1[v], as a window with its
+    # newest position excluded sorts first
+    tight0 = (slack0 == 0).tolist()
+    tight1 = (has1 & (slack1 == 0)).tolist()
+    s0, s1 = succ0.tolist(), succ1.tolist()
+    adj = [
+        ([s0[v]] if tight0[v] else []) + ([s1[v]] if tight1[v] else []) for v in range(n)
+    ]
 
-    color = bytearray(n_states)  # 0 new, 1 on stack, 2 done
-    pos: dict[int, int] = {}
-    for root in range(n_states):
+    color = bytearray(n)  # 0 new, 1 on the path, 2 done
+    for root in range(n):
         if color[root]:
             continue
-        path: list[int] = []
-        stack: list[tuple[int, int]] = [(root, 0)]
         color[root] = 1
-        pos[root] = 0
-        path.append(root)
-        while stack:
-            v, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, i + 1))
-                u = adj[v][i]
-                if color[u] == 1:
-                    cycle = path[pos[u] :]
-                    bits = []
-                    c = len(cycle)
-                    for t in range(c):
-                        nxt_state = states[cycle[(t + 1) % c]]
-                        bits.append(nxt_state >> (L - 1) & 1)
-                    return cycle, bits
-                if color[u] == 0:
-                    color[u] = 1
-                    pos[u] = len(path)
-                    path.append(u)
-                    stack.append((u, 0))
-            else:
-                color[v] = 2
-                del pos[v]
-                path.pop()
-    raise AssertionError("tight subgraph contained no cycle")
-
-
-def _howard_max_mean(n_states: int, edges) -> tuple[Fraction, list[int]]:
-    """Howard policy iteration for the maximum cycle mean, exact Fractions.
-
-    Returns (value, cycle) where cycle is a vertex list of an optimal cycle.
-    Gains and biases are evaluated on the policy's functional graph; the
-    improvement step is the usual two-stage lexicographic one (gain first,
-    then bias), switching only on strict improvement so termination is
-    guaranteed.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for s, t, w in edges:
-        adj[s].append((t, w))
-
-    # start from the greedy policy: take a weight-1 edge when available
-    policy = [0] * n_states
-    for v in range(n_states):
-        for i, (_, w) in enumerate(adj[v]):
-            if w == 1:
-                policy[v] = i
-                break
-
-    zero = Fraction(0)
-    for _ in range(100_000):
-        succ = [adj[v][policy[v]][0] for v in range(n_states)]
-        wsel = [adj[v][policy[v]][1] for v in range(n_states)]
-        gain: list[Fraction | None] = [None] * n_states
-        bias: list[Fraction | None] = [None] * n_states
-        color = bytearray(n_states)
-        for v0 in range(n_states):
-            if color[v0]:
-                continue
-            path = []
-            v = v0
-            while color[v] == 0:
-                color[v] = 1
-                path.append(v)
-                v = succ[v]
-            if color[v] == 1:
-                at = path.index(v)
-                cycle = path[at:]
-                lam = Fraction(sum(wsel[u] for u in cycle), len(cycle))
-                bias[cycle[0]] = zero
-                gain[cycle[0]] = lam
-                for i in range(len(cycle) - 1, 0, -1):
-                    u = cycle[i]
-                    gain[u] = lam
-                    bias[u] = wsel[u] - lam + bias[succ[u]]
-                head = path[:at]
-            else:
-                head = path
-            for u in reversed(head):
-                gain[u] = gain[succ[u]]
-                bias[u] = wsel[u] - gain[u] + bias[succ[u]]
-            for u in path:
-                color[u] = 2
-
-        changed = False
-        for v in range(n_states):
-            gv = gain[v]
-            best_gain = max(gain[t] for t, _ in adj[v])
-            if best_gain > gv:
-                for i, (t, _) in enumerate(adj[v]):
-                    if gain[t] == best_gain:
-                        policy[v] = i
-                        break
-                changed = True
-                continue
-            cur = bias[v]
-            best_i, best_val = None, cur
-            for i, (t, w) in enumerate(adj[v]):
-                if gain[t] == gv:
-                    val = w - gv + bias[t]
-                    if val > best_val:
-                        best_i, best_val = i, val
-            if best_i is not None:
-                policy[v] = best_i
-                changed = True
-
-        if not changed:
-            v = max(range(n_states), key=lambda u: gain[u])
-            seen = {}
-            walk = []
-            while v not in seen:
-                seen[v] = len(walk)
-                walk.append(v)
-                v = succ[v]
-            cycle = walk[seen[v] :]
-            return gain[cycle[0]], cycle
-    raise AssertionError("policy iteration failed to converge")
+        path, todo = [root], [iter(adj[root])]
+        while todo:
+            u = next(todo[-1], None)
+            if u is None:
+                color[path.pop()] = 2
+                todo.pop()
+            elif color[u] == 1:
+                cycle = path[path.index(u) :]
+                cycle = cycle[1:] + cycle[:1]
+                return [int(states[v]) >> (L - 1) & 1 for v in cycle]
+            elif color[u] == 0:
+                color[u] = 1
+                path.append(u)
+                todo.append(iter(adj[u]))
+    raise InternalError(f"no cycle attains the proposed {value}: mu is below it")
 
 
 def mu_exact(
@@ -523,9 +515,13 @@ def mu_exact(
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
 
-    method is "auto" (Karp up to 2**16 states, policy iteration above),
-    "karp", or "policy".  Raises ResourceLimit when max(M) exceeds
-    `max_window` or the admissible state count exceeds the state cap.
+    method "auto" or "policy" proposes the value by int64 policy iteration;
+    "karp" uses Karp's recurrence, the slower reference solver.  Either way
+    the value is certified and the witness extracted by the same integer
+    potential, so both methods return identical values and witnesses.
+    Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
+    state count exceeds the state cap, and InternalError if a proposed value
+    or witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
@@ -534,27 +530,24 @@ def mu_exact(
     if method not in ("auto", "karp", "policy"):
         raise InvalidInput(f"unknown method {method!r}")
 
-    states, index, edges = _build_state_graph(M, _state_cap(max_states))
-    n = len(states)
-    if method == "auto":
-        method = "karp" if n <= KARP_STATE_LIMIT else "policy"
-
+    states, succ0, succ1 = _build_state_graph(M, _state_cap(max_states))
     if method == "karp":
-        value = _karp_max_mean(n, edges, index[0])
-        cycle, bits = _tight_cycle(n, states, edges, value, L)
+        value = _karp_max_mean(succ0, succ1)
         method_name = "Karp"
     else:
-        value, cycle = _howard_max_mean(n, edges)
-        bits = [states[cycle[(t + 1) % len(cycle)]] >> (L - 1) & 1 for t in range(len(cycle))]
+        value = _policy_iteration(succ0, succ1)
         method_name = "PolicyIteration"
+    bits = _tight_cycle(states, succ0, succ1, value, L)
 
     witness = PeriodicSet(
         period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)
     )
-    assert witness.density() == value
-    assert check_periodic_avoiding(witness, M)
+    if witness.density() != value:
+        raise InternalError(f"witness density {witness.density()} != mu = {value}")
+    if not check_periodic_avoiding(witness, M):
+        raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
     return ExactDensity(
-        value=value, witness=witness, states_explored=n, method=method_name
+        value=value, witness=witness, states_explored=len(states), method=method_name
     )
 
 
@@ -608,7 +601,8 @@ def best_periodic_density(
         raise InvalidInput(
             f"every period up to {max_period} divides some element of {tuple(M)}"
         )
-    assert check_periodic_avoiding(best_set, M)
+    if not check_periodic_avoiding(best_set, M):
+        raise InternalError(f"periodic set {best_set} does not avoid {tuple(M)}")
     return ExactDensity(
         value=best, witness=best_set, states_explored=max_period, method="PeriodicSearch"
     )

@@ -75,7 +75,7 @@ class TestMu:
         code, out, _ = run(capsys, "mu", "--distances", "1,5,6")
         assert code == 0
         assert "mu({1, 5, 6}) = 2/7" in out
-        assert "method      Karp" in out
+        assert "method      PolicyIteration" in out
 
     def test_junk_distances_exit_2(self, capsys):
         code, _, err = run(capsys, "mu", "--distances", "one,two")

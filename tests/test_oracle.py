@@ -1,15 +1,23 @@
 """Window machinery, exhaustive enumeration, and the exact density oracle."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitypack import (
+    InternalError,
     InvalidInput,
     PeriodicSet,
     ResourceLimit,
     Window,
+    as_difference_set,
     best_periodic_density,
     check_periodic_avoiding,
     enumerate_avoiding_windows,
@@ -17,7 +25,8 @@ from densitypack import (
     mu_exact,
     window_avoids,
 )
-from densitypack.oracle import KARP_STATE_LIMIT, STATE_CAP_ENV
+from densitypack import cli, oracle
+from densitypack.oracle import STATE_CAP_ENV
 from helpers import brute_avoiding_masks, brute_best_periodic, brute_max_prefix
 
 GOLDEN_MU = [
@@ -163,13 +172,28 @@ class TestMuExact:
             out = mu_exact(M)
             assert out.witness.density() == out.value
             assert check_periodic_avoiding(out.witness, M)
-            assert out.method == "Karp"
+            assert out.method == "PolicyIteration"
 
     def test_states_explored_counts_avoiding_windows(self):
         for M in [(1, 5, 6), (1, 3, 4), (2, 3, 5, 6, 8)]:
             L = max(M)
             expected = sum(1 for _ in enumerate_avoiding_windows(M, L, False))
             assert mu_exact(M).states_explored == expected
+
+    def test_state_graph_matches_recursive_enumeration(self):
+        rng = random.Random(707)
+        for _ in range(20):
+            M = random_difference_set(rng, max_element=12)
+            L = max(M)
+            states, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+            masks = list(oracle._iter_avoiding_masks(as_difference_set(M), L, False))
+            assert states.tolist() == masks
+            index = {mask: i for i, mask in enumerate(masks)}
+            for i, mask in enumerate(masks):
+                assert succ0[i] == index[mask >> 1]
+                # the appended position must avoid the whole old window
+                ok = window_avoids(Window(L + 1, mask | 1 << L), M)
+                assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
 
     def test_karp_and_policy_agree(self):
         rng = random.Random(404)
@@ -178,13 +202,14 @@ class TestMuExact:
             karp = mu_exact(M, method="karp")
             policy = mu_exact(M, method="policy")
             assert karp.value == policy.value
+            assert karp.witness == policy.witness
             assert karp.method == "Karp" and policy.method == "PolicyIteration"
             assert check_periodic_avoiding(policy.witness, M)
             assert policy.witness.density() == policy.value
 
-    def test_auto_uses_karp_below_the_crossover(self):
-        assert KARP_STATE_LIMIT == 1 << 16
-        assert mu_exact([1, 5, 6], method="auto").method == "Karp"
+    def test_auto_uses_policy_at_every_size(self):
+        assert mu_exact([1], method="auto").method == "PolicyIteration"
+        assert mu_exact([1, 5, 6], method="auto").method == "PolicyIteration"
 
     def test_window_cap(self):
         with pytest.raises(ResourceLimit):
@@ -199,6 +224,11 @@ class TestMuExact:
         with pytest.raises(ResourceLimit):
             mu_exact([1, 5, 6], max_states=4)
 
+    def test_int64_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_INT64_STATE_LIMIT", 17)
+        with pytest.raises(ResourceLimit, match="int64"):
+            mu_exact([1, 5, 6])
+
     def test_state_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv(STATE_CAP_ENV, "4")
         with pytest.raises(ResourceLimit):
@@ -207,6 +237,15 @@ class TestMuExact:
         with pytest.raises(InvalidInput):
             mu_exact([1, 5, 6])
 
+    def test_state_cap_is_checked_on_the_full_count(self, monkeypatch):
+        # {1, 23} has exactly 75025 avoiding windows of length 23.
+        with pytest.raises(ResourceLimit):
+            mu_exact([1, 23], max_window=23, max_states=75024)
+        assert mu_exact([1, 23], max_window=23, max_states=75025).states_explored == 75025
+        monkeypatch.setenv(STATE_CAP_ENV, "75024")
+        with pytest.raises(ResourceLimit):
+            mu_exact([1, 23], max_window=23)
+
     def test_explicit_cap_beats_environment(self, monkeypatch):
         monkeypatch.setenv(STATE_CAP_ENV, "4")
         assert mu_exact([1, 5, 6], max_states=100).value == Fraction(2, 7)
@@ -214,6 +253,59 @@ class TestMuExact:
     def test_scaling_invariance(self):
         base = mu_exact([1, 5, 6]).value
         assert mu_exact([2, 10, 12]).value == base
+
+    def test_cantor_gordon_two_distances(self):
+        # Cantor & Gordon (1973): mu({a, b}) = floor((a + b) / 2) / (a + b)
+        # for coprime a, b.
+        for b in range(2, 17):
+            for a in range(1, b):
+                if math.gcd(a, b) == 1:
+                    expected = Fraction((a + b) // 2, a + b)
+                    assert mu_exact([a, b]).value == expected, (a, b)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
+def test_karp_and_policy_identical_with_avoiding_witness(distances):
+    M = sorted(distances)
+    karp = mu_exact(M, method="karp")
+    policy = mu_exact(M, method="policy")
+    assert (karp.value, karp.witness, karp.states_explored) == (
+        policy.value, policy.witness, policy.states_explored,
+    )
+    period, residues = policy.witness.period, policy.witness.residues
+    assert all((x + d - y) % period for x in residues for y in residues for d in M)
+    assert policy.witness.density() == policy.value
+
+
+class TestCertificate:
+    """The potential check rejects a wrong proposed value from either side."""
+
+    @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(1, 4)])
+    def test_wrong_proposal_is_rejected(self, monkeypatch, capsys, wrong):
+        assert mu_exact([1, 5, 6]).value == Fraction(2, 7)
+        monkeypatch.setattr(oracle, "_policy_iteration", lambda succ0, succ1: wrong)
+        with pytest.raises(InternalError):
+            mu_exact([1, 5, 6])
+        assert cli.main(["mu", "--distances", "1,5,6"]) == 4
+        assert "internal error:" in capsys.readouterr().err
+
+    def test_rejected_under_python_optimize(self):
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from densitypack import cli, oracle\n"
+            "assert False, 'asserts must be disabled'\n"
+            "oracle._policy_iteration = lambda succ0, succ1: Fraction(1, 3)\n"
+            "sys.exit(cli.main(['mu', '--distances', '1,5,6']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "internal error:" in proc.stderr
 
 
 class TestBestPeriodic:
