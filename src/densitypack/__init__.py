@@ -59,7 +59,6 @@ from .mappings import (
     ChainPartition,
     GapDecomposition,
     ImageAssignment,
-    K1View,
     Trajectory,
     build_chain_partition,
     check_k1_machinery,
@@ -69,7 +68,6 @@ from .mappings import (
     k1_image,
     k1_trajectory,
     m1_trajectory,
-    reflect_for_k1,
     translate_witness,
     verify_k1_mapping,
     verify_m1_inequality,
@@ -119,7 +117,6 @@ __all__ = [
     "ChainPartition",
     "GapDecomposition",
     "ImageAssignment",
-    "K1View",
     "Trajectory",
     "build_chain_partition",
     "check_k1_machinery",
@@ -129,7 +126,6 @@ __all__ = [
     "k1_image",
     "k1_trajectory",
     "m1_trajectory",
-    "reflect_for_k1",
     "translate_witness",
     "verify_k1_mapping",
     "verify_m1_inequality",

@@ -50,16 +50,20 @@ from .family import (
     conjectured_density,
     forbidden_differences,
 )
-from .mappings import check_k1_machinery, check_m1_machinery
-from .oracle import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_WINDOW_CAP,
-    ExactDensity,
-    Window,
-    enumerate_avoiding_windows,
-    mu_exact,
-)
+from .mappings import k1_check, m1_check
+from .oracle import DEFAULT_ENUM_CAP, DEFAULT_WINDOW_CAP, ExactDensity, Window, mu_exact
 from .profile import (
+    certificate_check,
+    dichotomy_check,
+    identities_check,
+    main_inequality_check,
+    scan_windows,
+)
+
+# Not called here, but bench/tracer.py wraps these names in this module.
+from .mappings import check_k1_machinery, check_m1_machinery  # noqa: F401
+from .oracle import enumerate_avoiding_windows  # noqa: F401
+from .profile import (  # noqa: F401
     check_counting_identities,
     check_dichotomy,
     check_main_inequality,
@@ -157,16 +161,6 @@ def _raw_family(args) -> tuple[RawParams, CanonicalParams, DensityBreakdown]:
     return raw, canon, conjectured_density(canon)
 
 
-def _raw_differences(raw: RawParams):
-    out = {
-        i * raw.a + j * raw.b
-        for i in range(raw.k + 1)
-        for j in range(raw.m + 1)
-        if i + j > 0
-    }
-    return as_difference_set(sorted(out))
-
-
 def _oracle_report(distances, res: ExactDensity) -> dict:
     return {
         "distances": list(distances),
@@ -207,7 +201,7 @@ def cmd_witness(args) -> int:
             raise InvalidInput("give either --distances or a/b/k/m, not both")
         M = _parse_distances(args.distances)
     elif all(params_given):
-        M = _raw_differences(RawParams(a=args.a, b=args.b, k=args.k, m=args.m))
+        M = forbidden_differences(RawParams(a=args.a, b=args.b, k=args.k, m=args.m))
     else:
         raise InvalidInput("witness needs --distances or all four of --a --b --k --m")
     res = mu_exact(M, max_window=args.max_window, method=args.method)
@@ -229,7 +223,7 @@ def _run_verify(args, raw, canon, br):
             entry["detail"] = detail
         counterexamples.append(entry)
 
-    # The breakdown's construction already asserts the branch-glue identities
+    # The breakdown's construction already checks the branch-glue identities
     # and the r = 0 collapse; reaching this point certifies them.
     checks["identities"] = True
 
@@ -240,44 +234,23 @@ def _run_verify(args, raw, canon, br):
                 f"k = {canon.k}, m = {canon.m}: levels beyond 'identities' check a "
                 "conjectured regime here; pass --conjecture to probe it anyway"
             )
-        M = forbidden_differences(canon)
-        for w in enumerate_avoiding_windows(M, canon.n2, require_zero=True, cap=args.enum_cap):
-            if not check_counting_identities(w, canon):
-                checks["identities"] = False
-                record("identities", w, "a counting identity failed")
-                break
-
-        rep = check_main_inequality(canon, allow_conjecture=True, enum_cap=args.enum_cap)
-        checks["main_inequality"] = rep.passed
-        if not rep.passed:
-            record("main_inequality", rep.counterexample, rep.detail)
-
+        # One scan of the windows of [0, n2) runs every window check.
+        window_checks = {
+            "identities": identities_check(canon),
+            "main_inequality": main_inequality_check(canon),
+        }
         if br.r >= 1:
-            rep = check_dichotomy(canon, allow_conjecture=True, enum_cap=args.enum_cap)
-            checks["dichotomy"] = rep.passed
+            window_checks["dichotomy"] = dichotomy_check(canon)
+        window_checks["haralambis"] = certificate_check(canon)
+        if level >= 2 and canon.m == 1:
+            window_checks["m1_chains"] = m1_check(canon)
+        if level >= 2 and canon.k == 1:
+            window_checks["k1_mapping"] = k1_check(canon)
+        reports = scan_windows(canon, window_checks, enum_cap=args.enum_cap)
+        for name, rep in reports.items():
+            checks[name] = rep.passed
             if not rep.passed:
-                record("dichotomy", rep.counterexample, rep.detail)
-
-        cert = delta_certificate(canon, enum_cap=args.enum_cap)
-        checks["haralambis"] = cert.certified
-        if not cert.certified:
-            record(
-                "haralambis",
-                cert.counterexample,
-                f"window defeats both candidates n1={canon.n1}, n2={canon.n2}",
-            )
-
-    if level >= 2:
-        if canon.m == 1:
-            rep = check_m1_machinery(canon, enum_cap=args.enum_cap)
-            checks["m1_chains"] = rep.passed
-            if not rep.passed:
-                record("m1_chains", rep.counterexample, rep.detail)
-        if canon.k == 1:
-            rep = check_k1_machinery(canon, enum_cap=args.enum_cap)
-            checks["k1_mapping"] = rep.passed
-            if not rep.passed:
-                record("k1_mapping", rep.counterexample, rep.detail)
+                record(name, rep.counterexample, rep.detail)
 
     if level >= 3:
         oracle = mu_exact(forbidden_differences(canon), max_window=args.max_window)

@@ -28,8 +28,9 @@ together with the two window lengths
     delta = (a - m*(d+1)) / n2     if m+1 <= r <= k+m    else LowRemainder)
 
 When r = 0 the first branch collapses to 1/(k+m+1) because then
-n1 = (k+m+1)*(b + k*d); this is asserted at construction.  The two cases
-are glued by exact cross-identities, also asserted at construction:
+n1 = (k+m+1)*(b + k*d); this is checked at construction.  The two cases
+are glued by exact cross-identities, also checked at construction (a
+failure raises InternalError):
 
     (b + k*d)*n2 - (b + (k+1)*d)*n1 = b*r
     (a - m*(d+1))*n1 - (a - (m+1)*(d+1))*n2 = a*(k+m+1-r)
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidInput
+from .errors import InternalError, InvalidInput
 
 __all__ = [
     "RawParams",
@@ -202,8 +203,12 @@ def two_gap_set(p: CanonicalParams) -> tuple[int, ...]:
     return tuple(head + tail)
 
 
-def forbidden_differences(p: CanonicalParams) -> DifferenceSet:
-    """M = {i*a + j*b : 0 <= i <= k, 0 <= j <= m, i + j > 0}."""
+def forbidden_differences(p: CanonicalParams | RawParams) -> DifferenceSet:
+    """M = {i*a + j*b : 0 <= i <= k, 0 <= j <= m, i + j > 0}.
+
+    Raw parameters give the family's own differences, before the gcd is
+    divided out or the reflection applied.
+    """
     out = {
         i * p.a + j * p.b
         for i in range(p.k + 1)
@@ -241,15 +246,16 @@ def conjectured_density(p: CanonicalParams) -> DensityBreakdown:
     n1, n2 = p.n1, p.n2
 
     # Exact glue between the two branches; failure here is an arithmetic bug.
-    assert (b + k * d) * n2 - (b + (k + 1) * d) * n1 == b * r
-    assert (a - m * (d + 1)) * n1 - (a - (m + 1) * (d + 1)) * n2 == a * (k + m + 1 - r)
+    if (b + k * d) * n2 - (b + (k + 1) * d) * n1 != b * r:
+        raise InternalError(f"first branch-glue identity fails for {p}")
+    if (a - m * (d + 1)) * n1 - (a - (m + 1) * (d + 1)) * n2 != a * (k + m + 1 - r):
+        raise InternalError(f"second branch-glue identity fails for {p}")
 
     if r <= m:
         delta = Fraction(b + k * d, n1)
         case = "ZeroDefect" if r == 0 else "LowRemainder"
-        if r == 0:
-            assert n1 == (k + m + 1) * (b + k * d)
-            assert delta == Fraction(1, k + m + 1)
+        if r == 0 and (n1 != (k + m + 1) * (b + k * d) or delta != Fraction(1, k + m + 1)):
+            raise InternalError(f"r = 0 does not collapse delta to 1/(k+m+1) for {p}")
     else:
         delta = Fraction(a - m * (d + 1), n2)
         case = "HighRemainder"
@@ -261,7 +267,8 @@ def conjectured_density(p: CanonicalParams) -> DensityBreakdown:
     else:
         status = "Conjectured"
 
-    assert 0 < delta <= 1
+    if not 0 < delta <= 1:
+        raise InternalError(f"delta = {delta} outside (0, 1] for {p}")
     return DensityBreakdown(
         d=d, r=r, n1=n1, n2=n2, case_tag=case, delta=delta, theorem_status=status
     )

@@ -51,8 +51,9 @@ as a violation rather than an infinite loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-import time
+import numpy as np
 
 from .errors import (
     InvalidInput,
@@ -60,22 +61,28 @@ from .errors import (
     NotInBand,
     UnsupportedRegime,
 )
-from .family import CanonicalParams, DifferenceSet, forbidden_differences
-from .profile import Profile, VerificationReport, profile
-from .oracle import DEFAULT_ENUM_CAP, Window, enumerate_avoiding_windows
+from .family import CanonicalParams
+from .oracle import DEFAULT_ENUM_CAP, Window
+from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
+from .profile import (
+    Profile,
+    VerificationReport,
+    WindowBatch,
+    WindowCheck,
+    profile,
+    scan_windows,
+)
 
 __all__ = [
     "GapDecomposition",
     "Trajectory",
     "ImageAssignment",
     "ChainPartition",
-    "K1View",
     "gap_decompose",
     "m1_trajectory",
     "image_pair",
     "build_chain_partition",
     "verify_m1_inequality",
-    "reflect_for_k1",
     "k1_trajectory",
     "k1_image",
     "verify_k1_mapping",
@@ -157,7 +164,10 @@ def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     for i in range(p.k):
         if i * p.a + p.b + 1 <= alpha <= (i + 1) * p.a - 1:
             q, off = divmod(alpha - i * p.a, p.b)
-            assert q >= 1
+            if q < 1:
+                raise LemmaViolation(
+                    "band-quotient", f"alpha = {alpha} in band {i} has b-quotient {q} < 1"
+                )
             return GapDecomposition(alpha=alpha, band=i, quotient=q, offset=off)
     raise NotInBand(f"{alpha} lies in no band (i*a + b, (i+1)*a) of {p}")
 
@@ -317,7 +327,11 @@ def build_chain_partition(
         while chain[-1] in out_edge:
             chain.append(out_edge[chain[-1]])
         chains.append(tuple(chain))
-    assert sum(len(c) for c in chains) == len(members)
+    if sum(len(c) for c in chains) != len(members):
+        raise LemmaViolation(
+            "chain-partition",
+            f"chains {chains} do not cover the {len(members)} band elements exactly once",
+        )
     return ChainPartition(chains=tuple(chains), edges=tuple(edges), image_map=image_map)
 
 
@@ -354,50 +368,17 @@ def verify_m1_inequality(
         raise LemmaViolation(
             "count-bound", f"(k+1)|T| = {(p.k + 1) * n_t} > k(|I|+|U|) = {p.k * (n_i + n_u)}"
         )
-    assert (p.k + 1) * n_t <= (p.k + 1) * n_i + p.k * n_u
+    if (p.k + 1) * n_t > (p.k + 1) * n_i + p.k * n_u:
+        raise LemmaViolation(
+            "main-inequality",
+            f"(k+1)|T| = {(p.k + 1) * n_t} > (k+1)|I| + k|U| = {(p.k + 1) * n_i + p.k * n_u}",
+        )
     return True
 
 
 # ──────────────────────────────────────────────────────────────────────────
 # k = 1: trajectories and block images
 # ──────────────────────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True, slots=True)
-class K1View:
-    """The k = 1 reading of a family: one long gap, then m short gaps.
-
-    distances splits as {j*b : 1 <= j <= m} plus {a + j*b : 0 <= j <= m};
-    band_range and holes_range are the inclusive spans of T and of the
-    window whose missing elements form U.
-    """
-
-    distances: DifferenceSet
-    band_range: tuple[int, int]
-    holes_range: tuple[int, int]
-    n2: int
-
-
-def reflect_for_k1(p: CanonicalParams) -> K1View:
-    """The single-long-gap view used by the k = 1 route.
-
-    Canonicalization has already reflected the raw family when needed, so
-    this only re-reads canonical parameters with k = 1; asking for it with
-    k != 1 is a regime error.
-    """
-    if p.k != 1:
-        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    a, b, m = p.a, p.b, p.m
-    short = {j * b for j in range(1, m + 1)}
-    long = {a + j * b for j in range(m + 1)}
-    distances = DifferenceSet(tuple(sorted(short | long)))
-    assert distances.elements == forbidden_differences(p).elements
-    return K1View(
-        distances=distances,
-        band_range=(b + 1, a - 1),
-        holes_range=(a + (m + 1) * b, 2 * a + m * b - 1),
-        n2=p.n2,
-    )
 
 
 def k1_trajectory(
@@ -547,7 +528,12 @@ def verify_k1_mapping(
             n_into_holes += 1
 
     n_i, n_t, n_u = prof.sizes
-    assert len(targets) <= n_i and (p.m + 1) * n_into_holes <= n_u
+    if len(targets) > n_i or (p.m + 1) * n_into_holes > n_u:
+        raise LemmaViolation(
+            "image-count",
+            f"{len(targets)} translate targets for |I| = {n_i}, "
+            f"{n_into_holes} hole images of size m + 1 = {p.m + 1} for |U| = {n_u}",
+        )
     if (p.m + 1) * n_t > (p.m + 1) * n_i + n_u:
         raise LemmaViolation(
             "count-bound",
@@ -609,68 +595,64 @@ def translate_witness(
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _machinery_report(p, runner) -> VerificationReport:
-    """Run a per-window checker over every avoiding window of [0, n2)."""
-    M = forbidden_differences(p)
-    t0 = time.perf_counter()
-    count = 0
-    for w in enumerate_avoiding_windows(M, p.n2, require_zero=True, cap=runner.cap):
-        count += 1
-        try:
-            runner.check(w)
-        except LemmaViolation as exc:
-            return VerificationReport(
-                params=p,
-                windows_checked=count,
-                passed=False,
-                counterexample=w,
-                detail=str(exc),
-                elapsed=time.perf_counter() - t0,
-            )
-    return VerificationReport(
-        params=p,
-        windows_checked=count,
-        passed=True,
-        counterexample=None,
-        detail=None,
-        elapsed=time.perf_counter() - t0,
-    )
+def _machinery_check(
+    p: CanonicalParams, check_window: Callable[[Window, CanonicalParams], None]
+) -> WindowCheck:
+    """A per-window checker as a window check: a LemmaViolation fails the
+    window, with the violation as the detail.
+
+    Only windows with |T| > 0 are run.  A window with no band element has
+    an empty chain partition or image map and a count bound of 0 <= ...,
+    so it cannot fail; windows_checked still counts it.
+    """
+
+    def check(batch: WindowBatch):
+        for row in np.flatnonzero(batch.n_t).tolist():
+            try:
+                check_window(batch.windows[row], p)
+            except LemmaViolation as exc:
+                return row, str(exc)
+        return None
+
+    return check
 
 
-class _M1Runner:
-    def __init__(self, p: CanonicalParams, cap: int):
-        self.p = p
-        self.cap = cap
-
-    def check(self, w: Window) -> None:
-        p = self.p
-        prof = profile(w, p)
-        verify_m1_inequality(w, p, prof)
-        for alpha in sorted(prof.band_all):
-            dec = gap_decompose(alpha, p)
-            if dec.quotient != 1:
-                continue
-            traj = m1_trajectory(alpha, w, p, prof)
-            for _, off in traj.steps:
-                translate_witness(off, w, p, "m1", band=dec.band, prof=prof)
+def _m1_window(w: Window, p: CanonicalParams) -> None:
+    prof = profile(w, p)
+    verify_m1_inequality(w, p, prof)
+    for alpha in sorted(prof.band_all):
+        dec = gap_decompose(alpha, p)
+        if dec.quotient != 1:
+            continue
+        traj = m1_trajectory(alpha, w, p, prof)
+        for _, off in traj.steps:
+            translate_witness(off, w, p, "m1", band=dec.band, prof=prof)
 
 
-class _K1Runner:
-    def __init__(self, p: CanonicalParams, cap: int):
-        self.p = p
-        self.cap = cap
+def _k1_window(w: Window, p: CanonicalParams) -> None:
+    prof = profile(w, p)
+    verify_k1_mapping(w, p, prof)
+    for alpha in sorted(prof.band_all):
+        dec = gap_decompose(alpha, p)
+        if dec.quotient > p.m:
+            continue
+        traj = k1_trajectory(alpha, w, p, prof)
+        for q, off in traj.steps:
+            translate_witness(off, w, p, "k1", quotient=q, prof=prof)
 
-    def check(self, w: Window) -> None:
-        p = self.p
-        prof = profile(w, p)
-        verify_k1_mapping(w, p, prof)
-        for alpha in sorted(prof.band_all):
-            dec = gap_decompose(alpha, p)
-            if dec.quotient > p.m:
-                continue
-            traj = k1_trajectory(alpha, w, p, prof)
-            for q, off in traj.steps:
-                translate_witness(off, w, p, "k1", quotient=q, prof=prof)
+
+def m1_check(p: CanonicalParams) -> WindowCheck:
+    """The m = 1 harness of `check_m1_machinery`, as a window check."""
+    if p.m != 1:
+        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
+    return _machinery_check(p, _m1_window)
+
+
+def k1_check(p: CanonicalParams) -> WindowCheck:
+    """The k = 1 harness of `check_k1_machinery`, as a window check."""
+    if p.k != 1:
+        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
+    return _machinery_check(p, _k1_window)
 
 
 def check_m1_machinery(
@@ -679,9 +661,7 @@ def check_m1_machinery(
     """Exhaustive m = 1 harness: chains, their three properties, the count
     bound, and a translate witness at every trajectory step, over every
     avoiding window of [0, n2) containing 0."""
-    if p.m != 1:
-        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
-    return _machinery_report(p, _M1Runner(p, enum_cap))
+    return scan_windows(p, {"m1": m1_check(p)}, enum_cap=enum_cap)["m1"]
 
 
 def check_k1_machinery(
@@ -690,6 +670,4 @@ def check_k1_machinery(
     """Exhaustive k = 1 harness: block images, their disjointness and size,
     the count bound, and a translate witness at every trajectory step, over
     every avoiding window of [0, n2) containing 0."""
-    if p.k != 1:
-        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    return _machinery_report(p, _K1Runner(p, enum_cap))
+    return scan_windows(p, {"k1": k1_check(p)}, enum_cap=enum_cap)["k1"]

@@ -33,10 +33,15 @@ A third, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
 cross-examine the mean-cycle answer in tests.
 
+Window enumeration (`avoiding_mask_chunks`) shares the graph build's
+level-by-level construction and yields int64 masks in bounded chunks, in
+lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
+
 Resource guards: max(M) must stay within a window cap (default 22), the
 admissible-state count within a state cap (default 2**22, overridable via
 the DENSITYPACK_MAX_STATES environment variable), and window enumeration
-length within an enumeration cap (default 26).  Exceeding any raises
+length within an enumeration cap (default 26).  Masks are int64, so no
+window may be longer than 63 positions.  Exceeding any raises
 ResourceLimit.
 """
 
@@ -75,6 +80,10 @@ STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
 # The solvers' int64 magnitudes stay below about n**2 for n states.
 _INT64_STATE_LIMIT = 1 << 30
 _POLICY_ITERATION_CAP = 100_000
+# Window masks are int64, so positions 0..62.
+_MASK_BITS = 63
+# Largest mask array `avoiding_mask_chunks` yields: bounds enumeration memory.
+_CHUNK_WINDOWS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,21 +186,59 @@ def _conflict_masks(M: DifferenceSet, n: int) -> list[int]:
     return masks
 
 
-def _iter_avoiding_masks(M: DifferenceSet, n: int, require_zero: bool) -> Iterator[int]:
-    """All M-avoiding bitmasks over [0, n), in lexicographic order of the
-    bit string b_0 b_1 ... b_{n-1} (excluding a position sorts first)."""
+def _check_window_length(n: int, cap: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"window length must be >= 1, got {n}")
+    if n > cap:
+        raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
+
+
+def _check_mask_bits(n: int) -> None:
+    if n > _MASK_BITS:
+        raise ResourceLimit(f"window length {n} exceeds the {_MASK_BITS} bits of an int64 mask")
+
+
+def _extend(states: np.ndarray, t: int, conflict: int) -> np.ndarray:
+    """One enumeration level: each window is followed by its extension with
+    position t, if that avoids M (excluding a position sorts first)."""
+    with_t = (states & conflict) == 0
+    pairs = np.stack([states, states | (1 << t)], axis=1)
+    return pairs[np.stack([np.ones_like(with_t), with_t], axis=1)]
+
+
+def avoiding_mask_chunks(
+    distances: DifferenceSet | Iterable[int],
+    n: int,
+    require_zero: bool = True,
+    *,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> Iterator[np.ndarray]:
+    """Every M-avoiding bitmask over [0, n), as int64 arrays of at most
+    _CHUNK_WINDOWS masks each.
+
+    Concatenated, the arrays hold each mask once, in lexicographic order of
+    the bit string b_0 b_1 ... b_{n-1} (excluding a position sorts first),
+    so the first failing row of a check is its lexicographically-first
+    counterexample.  Prefixes are extended one position per level; a run
+    longer than the chunk is split in two and the halves are finished one
+    after the other, so memory stays within about n chunks whatever the
+    total count.
+    """
+    M = as_difference_set(distances)
+    _check_window_length(n, cap)
+    _check_mask_bits(n)
     conflicts = _conflict_masks(M, n)
-
-    def rec(pos: int, mask: int) -> Iterator[int]:
-        if pos == n:
-            yield mask
-            return
-        yield from rec(pos + 1, mask)
-        if mask & conflicts[pos] == 0:
-            yield from rec(pos + 1, mask | (1 << pos))
-
-    start_mask = 1 if require_zero else 0
-    yield from rec(1 if require_zero else 0, start_mask)
+    start = int(require_zero)
+    todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
+    while todo:
+        t, states = todo.pop()
+        if len(states) > _CHUNK_WINDOWS:
+            half = len(states) // 2
+            todo += [(t, states[half:]), (t, states[:half])]
+        elif t == n:
+            yield states
+        else:
+            todo.append((t + 1, _extend(states, t, conflicts[t])))
 
 
 def enumerate_avoiding_windows(
@@ -207,13 +254,9 @@ def enumerate_avoiding_windows(
     reproducible minima.  n is limited by `cap` because the count grows
     exponentially.
     """
-    M = as_difference_set(distances)
-    if n < 1:
-        raise InvalidInput(f"window length must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
-    for mask in _iter_avoiding_masks(M, n, require_zero):
-        yield Window(n, mask)
+    for masks in avoiding_mask_chunks(distances, n, require_zero, cap=cap):
+        for mask in masks.tolist():
+            yield Window(n, mask)
 
 
 def max_prefix_weight(
@@ -229,10 +272,7 @@ def max_prefix_weight(
     bound, which prunes hard once a good set is known.
     """
     M = as_difference_set(distances)
-    if n < 1:
-        raise InvalidInput(f"window length must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
+    _check_window_length(n, cap)
     conflicts = _conflict_masks(M, n)
     best = 0
 
@@ -288,7 +328,7 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     """Avoiding windows of length L = max(M) and their shift edges.
 
     Returns (states, succ0, succ1): `states` holds the window masks in the
-    lexicographic order of `_iter_avoiding_masks` (so the all-zero window is
+    lexicographic order of `avoiding_mask_chunks` (so the all-zero window is
     state 0), appending a 0 moves state i to succ0[i], and appending a 1
     moves it to succ1[i], or succ1[i] = -1 when that would create a
     difference in M.  Windows are extended one position per level; level
@@ -296,14 +336,11 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     build before a level beyond it is extended.
     """
     L = M.max_element
+    _check_mask_bits(L)
     conflicts = _conflict_masks(M, L)
     states = np.zeros(1, dtype=np.int64)
     for t in range(L):
-        with_t = (states & conflicts[t]) == 0
-        # Each window is followed by its extension with position t, if any:
-        # excluding a position sorts first.
-        pairs = np.stack([states, states | (1 << t)], axis=1)
-        states = pairs[np.stack([np.ones_like(with_t), with_t], axis=1)]
+        states = _extend(states, t, conflicts[t])
         _check_state_count(len(states), cap)
 
     order = np.argsort(states)
@@ -445,30 +482,75 @@ def _policy_iteration(succ0, succ1) -> Fraction:
     raise InternalError("policy iteration failed to converge")
 
 
+def _has_cycle(parent: np.ndarray) -> bool:
+    """Whether the walk v, parent[v], parent[parent[v]], ... loops for some v,
+    where parent[v] = len(parent) ends a walk.  Pointer doubling, as in
+    `_policy_iteration`: after log2 n squarings every walk has either
+    reached the end or is on its cycle."""
+    n = len(parent)
+    hop = np.append(parent, n)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    return bool((hop[:n] != n).any())
+
+
+def _potential(succ0, succ1, value: Fraction) -> np.ndarray:
+    """The longest-walk potential for w' = den*w - num: the fixpoint of
+    pi <- max(pi, relax(pi)) from 0, which exists exactly when no cycle has
+    positive w'-weight, i.e. when mu <= value.
+
+    A value below mu makes pi diverge.  After the first log2 n passes, each
+    raised state remembers the in-edge of its last strict raise.  A cycle of
+    those edges has positive w'-weight: each raise on it used a value of its
+    source no larger than the current one, and the raise that followed the
+    cycle's latest raise used a strictly smaller one.  Finding such a cycle
+    raises InternalError at once instead of after n + 1 passes.
+    """
+    n = len(succ0)
+    num, den = value.numerator, value.denominator
+    # A window's predecessors differ only in the position shifted out, so it
+    # has one or two in-edges, both weighted by its newest bit.  The caller
+    # checks every edge against the result, so the certificate stays sound
+    # whatever is relaxed here.
+    src, wgt, starts = _in_edges(succ0, succ1)
+    first = src[starts]
+    last = src[np.append(starts[1:], len(src)) - 1]
+    w2 = wgt[starts] * den - num
+    rounds = n.bit_length()
+
+    pi = np.zeros(n, dtype=np.int64)
+    pred = np.full(n, n, dtype=np.int64)  # n: not raised since tracking began
+    for step in range(1, n + 2):
+        pi_first, pi_last = pi[first], pi[last]
+        best = np.maximum(pi_first, pi_last) + w2
+        raised = best > pi
+        if not raised.any():
+            return pi
+        # Most potentials settle within a few passes, so raises are tracked
+        # only after the first `rounds`; the cycle argument holds for the
+        # raises of any run of consecutive passes.
+        if step > rounds:
+            np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
+            if step % rounds == 0 and _has_cycle(pred):
+                break
+        np.copyto(pi, best, where=raised)
+    raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
+
+
 def _tight_cycle(states, succ0, succ1, value: Fraction, L: int) -> list[int]:
     """Certify that mu(M) = value and return an optimal cycle's appended bits.
 
     With w' = den*w - num the claim is that the maximum cycle mean becomes
-    0.  The longest-walk potential pi (fixpoint of pi <- max(pi, relax(pi))
-    from 0) converges exactly when no cycle has positive w'-weight, and then
-    pi[u] + w' <= pi[v] on every edge, which is checked explicitly: this
-    proves mu <= value.  Every cycle of tight edges (pi[u] + w' = pi[v])
-    telescopes to w'-weight 0, so the first one a depth-first search meets
-    attains value: that proves mu >= value and is the witness.
+    0.  The longest-walk potential pi converges exactly when no cycle has
+    positive w'-weight, and then pi[u] + w' <= pi[v] on every edge, which
+    is checked explicitly: this proves mu <= value.  Every cycle of tight
+    edges (pi[u] + w' = pi[v]) telescopes to w'-weight 0, so the first one
+    a depth-first search meets attains value: that proves mu >= value and
+    is the witness.
     """
     n = len(states)
     num, den = value.numerator, value.denominator
-    src, wgt, starts = _in_edges(succ0, succ1)
-    w2 = wgt * den - num
-
-    pi = np.zeros(n, dtype=np.int64)
-    for _ in range(n + 1):
-        nxt = np.maximum(pi, np.maximum.reduceat(pi[src] + w2, starts))
-        if np.array_equal(nxt, pi):
-            break
-        pi = nxt
-    else:
-        raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
+    pi = _potential(succ0, succ1, value)
 
     has1 = succ1 >= 0
     slack0 = pi[succ0] - pi + num

@@ -31,10 +31,18 @@ avoiding window of [0, n2) containing 0:
     then mu(M) <= delta.  Candidates here are {n1, n2}.  A counterexample
     window refutes only the certificate attempt, never the bound itself.
 
-All comparisons against rational bounds are exact cross-multiplications;
-windows of length n2 suffice because every quantity above only reads
-positions below n2 (extending a window rightward never changes its
-profile, a fact the tests exercise with randomized extensions).
+All comparisons against rational bounds are exact; windows of length n2
+suffice because every quantity above only reads positions below n2
+(extending a window rightward never changes its profile, a fact the tests
+exercise with randomized extensions).
+
+The exhaustive checks share one enumeration.  `scan_windows` walks a
+family's avoiding windows once, in lexicographic order and in bounded
+batches (`WindowBatch`), and hands every batch to each requested check.
+The counting checks here are array predicates over the batch's |I|, |T|,
+|U| and prefix counts; the per-window m = 1 / k = 1 harnesses in
+`mappings` plug into the same scan.  Each check reports its first failing
+window, which is its lexicographically-first counterexample.
 """
 
 from __future__ import annotations
@@ -42,7 +50,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import InvalidInput, ResourceLimit, UnsupportedRegime, WindowTooShort
 from .family import (
@@ -54,7 +65,12 @@ from .family import (
     forbidden_differences,
     two_gap_set,
 )
-from .oracle import DEFAULT_ENUM_CAP, Window, enumerate_avoiding_windows
+from .oracle import (
+    DEFAULT_ENUM_CAP,
+    Window,
+    avoiding_mask_chunks,
+    enumerate_avoiding_windows,
+)
 
 __all__ = [
     "Profile",
@@ -115,6 +131,23 @@ class CertifyResult:
     counterexample: Window | None
 
 
+def _span(lo: int, hi: int) -> int:
+    """Bitmask of the positions lo <= x < hi."""
+    return ((1 << max(hi - lo, 0)) - 1) << lo
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _profile_masks(p: CanonicalParams) -> tuple[int, tuple[int, ...], int]:
+    """(S, bands, top) as bitmasks: alpha is an empty translate of A iff
+    A & (S << alpha) == 0, T_i = A & bands[i], and U = top minus A."""
+    s_mask = sum(1 << s for s in two_gap_set(p))
+    bands = tuple(_span(i * p.a + p.b + 1, (i + 1) * p.a) for i in range(p.k))
+    return s_mask, bands, _span(p.n1, p.n2)
+
+
 def profile(window: Window, p: CanonicalParams) -> Profile:
     """Compute (I, T_i, U) for an M-avoiding window containing 0.
 
@@ -125,22 +158,15 @@ def profile(window: Window, p: CanonicalParams) -> Profile:
         raise WindowTooShort(
             f"profile needs window length >= n2 = {p.n2}, got {window.length}"
         )
-    a, b, k, m = p.a, p.b, p.k, p.m
     mask = window.mask
-    s_mask = 0
-    for s in two_gap_set(p):
-        s_mask |= 1 << s
-    translates = frozenset(
-        alpha for alpha in range(1, b) if mask & (s_mask << alpha) == 0
+    s_mask, bands, top = _profile_masks(p)
+    return Profile(
+        empty_translates=frozenset(
+            alpha for alpha in range(1, p.b) if mask & (s_mask << alpha) == 0
+        ),
+        band_parts=tuple(_members(mask & band) for band in bands),
+        top_holes=_members(top & ~mask),
     )
-    bands = tuple(
-        frozenset(x for x in range(i * a + b + 1, (i + 1) * a) if mask >> x & 1)
-        for i in range(k)
-    )
-    holes = frozenset(
-        x for x in range(k * a + (m + 1) * b, p.n2) if not mask >> x & 1
-    )
-    return Profile(empty_translates=translates, band_parts=bands, top_holes=holes)
 
 
 def check_counting_identities(window: Window, p: CanonicalParams) -> bool:
@@ -153,9 +179,187 @@ def check_counting_identities(window: Window, p: CanonicalParams) -> bool:
     )
 
 
-def _enumerate(p: CanonicalParams, cap: int):
-    M = forbidden_differences(p)
-    return enumerate_avoiding_windows(M, p.n2, require_zero=True, cap=cap)
+# ──────────────────────────────────────────────────────────────────────────
+# one scan over the windows, checks as predicates
+# ──────────────────────────────────────────────────────────────────────────
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+# Windows per WindowBatch: bounds the Window objects and arrays a scan holds.
+_BATCH_WINDOWS = 1 << 12
+
+
+class WindowBatch:
+    """A lexicographically contiguous run of a family's avoiding windows of
+    [0, n2) containing 0: the windows, their masks, and per window |I|,
+    |T|, |U| and the prefix counts |A intersect [0, n1)|,
+    |A intersect [0, n2)|, all int64 arrays with one entry per window."""
+
+    __slots__ = ("windows", "masks", "n_i", "n_t", "n_u", "below_n1", "below_n2")
+
+    def __init__(self, p: CanonicalParams, windows: list[Window]):
+        s_mask, bands, top = _profile_masks(p)
+        self.windows = windows
+        self.masks = masks = np.fromiter(
+            (w.mask for w in windows), dtype=np.int64, count=len(windows)
+        )
+        self.n_i = np.zeros(len(masks), dtype=np.int64)
+        for alpha in range(1, p.b):
+            self.n_i += (masks & (s_mask << alpha)) == 0
+        self.n_t = _popcount(masks & sum(bands))
+        self.n_u = _popcount(~masks & top)
+        self.below_n1 = _popcount(masks & _span(0, p.n1))
+        self.below_n2 = _popcount(masks)
+
+    def sizes(self, row: int) -> tuple[int, int, int]:
+        """(|I|, |T|, |U|) of one window, as Python ints."""
+        return int(self.n_i[row]), int(self.n_t[row]), int(self.n_u[row])
+
+
+# A window check maps a batch to None, or to (row, detail) for its first
+# failing window.
+WindowCheck = Callable[[WindowBatch], "tuple[int, str] | None"]
+
+
+def _first(fails: np.ndarray) -> int | None:
+    return int(np.argmax(fails)) if fails.any() else None
+
+
+def _window_batches(p: CanonicalParams, enum_cap: int) -> Iterator[WindowBatch]:
+    """The family's avoiding windows of [0, n2) containing 0, from one
+    enumeration, in batches of at most _BATCH_WINDOWS.
+
+    The windows come from `enumerate_avoiding_windows` (its int64 mask
+    chunks, as Window objects), so the per-window harnesses and the
+    counterexamples reuse them, and a run that counts its enumeration
+    passes sees this one.
+    """
+    windows = enumerate_avoiding_windows(forbidden_differences(p), p.n2, cap=enum_cap)
+    while batch := list(islice(windows, _BATCH_WINDOWS)):
+        yield WindowBatch(p, batch)
+
+
+def scan_windows(
+    p: CanonicalParams,
+    checks: dict[str, WindowCheck],
+    *,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> dict[str, VerificationReport]:
+    """Run every check over one enumeration of the avoiding windows of
+    [0, n2) containing 0, and report each as `check_main_inequality` does.
+
+    A check stops at its first failing window: the counterexample is the
+    lexicographically-first one and windows_checked is its index + 1.  A
+    passing check counts every window.  The scan ends once all have failed.
+    """
+    t0 = time.perf_counter()
+    failed: dict[str, tuple[int, Window, str]] = {}
+    total = 0
+    for batch in _window_batches(p, enum_cap):
+        for name, check in checks.items():
+            if name not in failed and (hit := check(batch)) is not None:
+                row, detail = hit
+                failed[name] = (total + row + 1, batch.windows[row], detail)
+        total += len(batch.windows)
+        if len(failed) == len(checks):
+            break
+    elapsed = time.perf_counter() - t0
+    reports = {}
+    for name in checks:
+        count, window, detail = failed.get(name, (total, None, None))
+        reports[name] = VerificationReport(
+            params=p,
+            windows_checked=count,
+            passed=window is None,
+            counterexample=window,
+            detail=detail,
+            elapsed=elapsed,
+        )
+    return reports
+
+
+def _scan_one(p: CanonicalParams, check: WindowCheck, enum_cap: int) -> VerificationReport:
+    return scan_windows(p, {"check": check}, enum_cap=enum_cap)["check"]
+
+
+def identities_check(p: CanonicalParams) -> WindowCheck:
+    """Both counting identities, as a window check."""
+
+    def check(batch: WindowBatch):
+        n_i, n_t, n_u = batch.n_i, batch.n_t, batch.n_u
+        row = _first(
+            (batch.below_n1 != p.b - n_i + n_t) | (batch.below_n2 != p.a - n_u - n_i + n_t)
+        )
+        return None if row is None else (row, "a counting identity failed")
+
+    return check
+
+
+def main_inequality_check(p: CanonicalParams) -> WindowCheck:
+    """(k+m)|T| <= (k+m)|I| + k|U|, as a window check."""
+    k, m = p.k, p.m
+
+    def check(batch: WindowBatch):
+        row = _first((k + m) * batch.n_t > (k + m) * batch.n_i + k * batch.n_u)
+        if row is None:
+            return None
+        n_i, n_t, n_u = batch.sizes(row)
+        lhs, rhs = (k + m) * n_t, (k + m) * n_i + k * n_u
+        return row, f"({k}+{m})*{n_t} = {lhs} > {rhs} = ({k}+{m})*{n_i} + {k}*{n_u}"
+
+    return check
+
+
+def dichotomy_check(p: CanonicalParams) -> WindowCheck:
+    """The two-bound dichotomy of `check_dichotomy`, as a window check."""
+    d, r = defect(p)
+    if r == 0:
+        raise InvalidInput("r = 0: the dichotomy is not formulated for zero remainder")
+    a, b, k, m = p.a, p.b, p.k, p.m
+    if r <= m:
+        bound1, bound2 = b + k * d, b + (k + 1) * d
+    else:
+        bound1, bound2 = a - (m + 1) * (d + 1), a - m * (d + 1)
+
+    def check(batch: WindowBatch):
+        first = b - batch.n_i + batch.n_t
+        second = first + a - b - batch.n_u
+        row = _first((first > bound1) & (second > bound2))
+        if row is None:
+            return None
+        return row, f"both {int(first[row])} > {bound1} and {int(second[row])} > {bound2}"
+
+    return check
+
+
+def _defeats_all(masks: np.ndarray, candidates: list[int], delta: Fraction) -> np.ndarray:
+    """Which windows have |A intersect [0, n)| > delta*n at every candidate n.
+
+    For an integer count, count*den > num*n iff count > floor(num*n/den);
+    a count never exceeds n, so clamping the floor to n keeps it in int64.
+    """
+    defeated = np.ones(len(masks), dtype=bool)
+    for n in candidates:
+        bound = min(n * delta.numerator // delta.denominator, n)
+        defeated &= _popcount(masks & _span(0, n)) > bound
+    return defeated
+
+
+def certificate_check(p: CanonicalParams) -> WindowCheck:
+    """`delta_certificate` as a window check: a failing window defeats both
+    candidates n1 and n2 at the family's delta."""
+    delta = conjectured_density(p).delta
+    candidates = sorted({p.n1, p.n2})
+    detail = f"window defeats both candidates n1={p.n1}, n2={p.n2}"
+
+    def check(batch: WindowBatch):
+        row = _first(_defeats_all(batch.masks, candidates, delta))
+        return None if row is None else (row, detail)
+
+    return check
 
 
 def check_main_inequality(
@@ -175,31 +379,7 @@ def check_main_inequality(
             f"k = {p.k}, m = {p.m}: the inequality is conjectural there; "
             "pass allow_conjecture=True to probe it anyway"
         )
-    k, m = p.k, p.m
-    t0 = time.perf_counter()
-    count = 0
-    for w in _enumerate(p, enum_cap):
-        count += 1
-        n_i, n_t, n_u = profile(w, p).sizes
-        lhs = (k + m) * n_t
-        rhs = (k + m) * n_i + k * n_u
-        if lhs > rhs:
-            return VerificationReport(
-                params=p,
-                windows_checked=count,
-                passed=False,
-                counterexample=w,
-                detail=f"({k}+{m})*{n_t} = {lhs} > {rhs} = ({k}+{m})*{n_i} + {k}*{n_u}",
-                elapsed=time.perf_counter() - t0,
-            )
-    return VerificationReport(
-        params=p,
-        windows_checked=count,
-        passed=True,
-        counterexample=None,
-        detail=None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _scan_one(p, main_inequality_check(p), enum_cap)
 
 
 def check_dichotomy(
@@ -226,39 +406,7 @@ def check_dichotomy(
         raise UnsupportedRegime(
             f"k = {p.k}, m = {p.m}: conjectural regime; pass allow_conjecture=True"
         )
-    d, r = defect(p)
-    if r == 0:
-        raise InvalidInput("r = 0: the dichotomy is not formulated for zero remainder")
-    a, b, k, m = p.a, p.b, p.k, p.m
-    if r <= m:
-        bound1, bound2 = b + k * d, b + (k + 1) * d
-    else:
-        bound1, bound2 = a - (m + 1) * (d + 1), a - m * (d + 1)
-
-    t0 = time.perf_counter()
-    count = 0
-    for w in _enumerate(p, enum_cap):
-        count += 1
-        n_i, n_t, n_u = profile(w, p).sizes
-        first = b - n_i + n_t
-        second = a - n_u - n_i + n_t
-        if first > bound1 and second > bound2:
-            return VerificationReport(
-                params=p,
-                windows_checked=count,
-                passed=False,
-                counterexample=w,
-                detail=f"both {first} > {bound1} and {second} > {bound2}",
-                elapsed=time.perf_counter() - t0,
-            )
-    return VerificationReport(
-        params=p,
-        windows_checked=count,
-        passed=True,
-        counterexample=None,
-        detail=None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _scan_one(p, dichotomy_check(p), enum_cap)
 
 
 def haralambis_certify(
@@ -289,12 +437,16 @@ def haralambis_certify(
     length = cand[-1]
     if length > enum_cap:
         raise ResourceLimit(f"candidate {length} exceeds enumeration cap {enum_cap}")
-    num, den = delta.numerator, delta.denominator
     count = 0
-    for w in enumerate_avoiding_windows(M, length, require_zero=True, cap=enum_cap):
-        count += 1
-        if all(w.count_below(n) * den > num * n for n in cand):
-            return CertifyResult(certified=False, windows_checked=count, counterexample=w)
+    for masks in avoiding_mask_chunks(M, length, cap=enum_cap):
+        row = _first(_defeats_all(masks, cand, delta))
+        if row is not None:
+            return CertifyResult(
+                certified=False,
+                windows_checked=count + row + 1,
+                counterexample=Window(length, int(masks[row])),
+            )
+        count += len(masks)
     return CertifyResult(certified=True, windows_checked=count, counterexample=None)
 
 

@@ -66,6 +66,25 @@ def brute_avoiding_masks(distances, n: int, require_zero: bool) -> list[int]:
     return out
 
 
+def iter_avoiding_masks(distances, n: int, require_zero: bool):
+    """All avoiding bitmasks over [0, n) by recursive depth-first search, in
+    lexicographic order of the bit string b_0 b_1 ... b_{n-1} (excluding a
+    position sorts first): the reference order of the package's
+    level-by-level enumeration."""
+    M = sorted(distances)
+    conflicts = [sum(1 << (t - d) for d in M if d <= t) for t in range(n)]
+
+    def rec(pos: int, mask: int):
+        if pos == n:
+            yield mask
+            return
+        yield from rec(pos + 1, mask)
+        if mask & conflicts[pos] == 0:
+            yield from rec(pos + 1, mask | (1 << pos))
+
+    yield from rec(1, 1) if require_zero else rec(0, 0)
+
+
 def brute_max_prefix(distances, n: int, require_zero: bool) -> int:
     return max(mask.bit_count() for mask in brute_avoiding_masks(distances, n, require_zero))
 

@@ -7,13 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from densitypack import (
-    CanonicalParams,
-    ExactDensity,
-    PeriodicSet,
-    VerificationReport,
-    Window,
-)
+from densitypack import ExactDensity, PeriodicSet
 from densitypack import cli
 from densitypack.cli import SWEEP_COLUMNS, main
 
@@ -204,16 +198,11 @@ class TestVerify:
         assert code == 3 and "error:" in err
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
-        p = CanonicalParams(a=5, b=1, k=1, m=1)
-        fake = VerificationReport(
-            params=p,
-            windows_checked=3,
-            passed=False,
-            counterexample=Window.from_members(p.n2, [0]),
-            detail="synthetic failure for the exit-code path",
-            elapsed=0.0,
-        )
-        monkeypatch.setattr(cli, "check_main_inequality", lambda *a, **kw: fake)
+        # A window check that fails on the first window, {0}.
+        def failing_check(p):
+            return lambda batch: (0, "synthetic failure for the exit-code path")
+
+        monkeypatch.setattr(cli, "main_inequality_check", failing_check)
         code, out, _ = run(
             capsys, "verify", "--a", "5", "--b", "1", "--k", "1", "--m", "1",
             "--level", "inequality", "--json",

@@ -89,6 +89,10 @@ class TestDifferenceSets:
         assert tuple(forbidden_differences(CanonicalParams(a=3, b=2, k=2, m=1))) == (
             2, 3, 5, 6, 8,
         )
+        # raw parameters keep their gcd and orientation
+        assert tuple(forbidden_differences(RawParams(a=6, b=10, k=2, m=1))) == (
+            6, 10, 12, 16, 22,
+        )
 
     def test_forbidden_equals_pairwise_differences_of_s(self):
         for p in canonical_instances(max_weight=12):

@@ -21,7 +21,6 @@ from densitypack import (
     k1_trajectory,
     m1_trajectory,
     profile,
-    reflect_for_k1,
     translate_witness,
     verify_k1_mapping,
     verify_m1_inequality,
@@ -182,19 +181,6 @@ class TestM1Inequality:
             check_m1_machinery(P532)
 
 
-class TestK1View:
-    def test_reflection_of_532(self):
-        view = reflect_for_k1(P532)
-        assert view.distances.elements == forbidden_differences(P532).elements
-        assert view.band_range == (4, 4)
-        assert view.holes_range == (14, 15)
-        assert view.n2 == 16
-
-    def test_regime_gate(self):
-        with pytest.raises(UnsupportedRegime):
-            reflect_for_k1(P521)
-
-
 class TestK1Trajectory:
     def test_threshold_with_blocks(self):
         w = Window.from_members(14, [0, 3, 6])
@@ -281,6 +267,19 @@ class TestK1Mapping:
     def test_harness_regime_gate(self):
         with pytest.raises(UnsupportedRegime):
             check_k1_machinery(P521)
+
+    def test_k1_reading_of_532(self):
+        # With k = 1, M splits into the short steps {j*b : 1 <= j <= m} and
+        # the long ones {a + j*b : 0 <= j <= m}; T lives in (b, a) and U in
+        # [a + (m+1)*b, n2).
+        a, b, m = P532.a, P532.b, P532.m
+        short = {j * b for j in range(1, m + 1)}
+        long = {a + j * b for j in range(m + 1)}
+        assert forbidden_differences(P532).elements == tuple(sorted(short | long))
+        assert forbidden_differences(P532).elements == (3, 5, 6, 8, 11)
+        assert P532.n2 == 16
+        assert profile(Window.from_members(16, [0, 4]), P532).band_parts == (frozenset({4}),)
+        assert profile(Window.from_members(16, [0]), P532).top_holes == frozenset({14, 15})
 
 
 class TestTranslateWitness:

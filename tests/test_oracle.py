@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,12 @@ from densitypack import (
 )
 from densitypack import cli, oracle
 from densitypack.oracle import STATE_CAP_ENV
-from helpers import brute_avoiding_masks, brute_best_periodic, brute_max_prefix
+from helpers import (
+    brute_avoiding_masks,
+    brute_best_periodic,
+    brute_max_prefix,
+    iter_avoiding_masks,
+)
 
 GOLDEN_MU = [
     ((1, 5, 6), Fraction(2, 7)),
@@ -137,6 +143,20 @@ class TestEnumeration:
             list(enumerate_avoiding_windows([1], 27))
         # the cap is adjustable
         assert sum(1 for _ in enumerate_avoiding_windows([1], 27, cap=27)) > 0
+        # masks are int64, so 63 positions at most, whatever the caps
+        with pytest.raises(ResourceLimit, match="int64"):
+            list(enumerate_avoiding_windows(range(1, 65), 64, cap=64))
+        with pytest.raises(ResourceLimit, match="int64"):
+            mu_exact(range(1, 65), max_window=64)
+        assert len(list(enumerate_avoiding_windows(range(1, 64), 63, cap=63))) == 1
+
+    def test_chunks_are_bounded_and_contiguous(self, monkeypatch):
+        M = as_difference_set([1, 5, 6])
+        whole = list(iter_avoiding_masks(M, 14, True))
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 3)
+        chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, 14)]
+        assert max(map(len, chunks)) <= 3 and len(chunks) > 1
+        assert [mask for c in chunks for mask in c] == whole
 
 
 class TestMaxPrefixWeight:
@@ -186,7 +206,7 @@ class TestMuExact:
             M = random_difference_set(rng, max_element=12)
             L = max(M)
             states, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-            masks = list(oracle._iter_avoiding_masks(as_difference_set(M), L, False))
+            masks = list(iter_avoiding_masks(M, L, False))
             assert states.tolist() == masks
             index = {mask: i for i, mask in enumerate(masks)}
             for i, mask in enumerate(masks):
@@ -289,6 +309,18 @@ class TestCertificate:
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
         assert "internal error:" in capsys.readouterr().err
+
+    def test_too_low_proposal_is_rejected_early(self, monkeypatch):
+        # {1, 20} has 17,711 states: waiting out n + 1 relaxation passes took
+        # seconds; a cycle of strict raises rejects the value within a few.
+        mu = Fraction(10, 21)
+        assert mu_exact([1, 20]).value == mu
+        wrong = mu - Fraction(1, 1000)
+        monkeypatch.setattr(oracle, "_policy_iteration", lambda succ0, succ1: wrong)
+        t0 = time.perf_counter()
+        with pytest.raises(InternalError, match="diverges"):
+            mu_exact([1, 20])
+        assert time.perf_counter() - t0 < 0.5
 
     def test_rejected_under_python_optimize(self):
         script = (

@@ -1,10 +1,14 @@
 """Window profiles, counting identities, the main inequality, dichotomy,
 and prefix-average certificates."""
 
+import importlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitypack import (
     CanonicalParams,
@@ -25,7 +29,15 @@ from densitypack import (
     mu_exact,
     profile,
 )
-from helpers import canonical_instances
+from densitypack import oracle
+from densitypack.mappings import check_m1_machinery
+from densitypack.oracle import DEFAULT_ENUM_CAP
+from densitypack.profile import main_inequality_check, scan_windows
+from helpers import canonical_instances, iter_avoiding_masks
+
+# The package root re-exports the function `profile`, which shadows the
+# module of the same name as an attribute.
+profile_module = importlib.import_module("densitypack.profile")
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=1, m=1)
@@ -233,3 +245,70 @@ class TestDeltaCertificate:
         for p in canonical_instances(max_n2=14, proved_only=True):
             delta = conjectured_density(p).delta
             assert mu_exact(forbidden_differences(p)).value == delta
+
+
+class TestWindowScan:
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 3)
+        monkeypatch.setattr(profile_module, "_BATCH_WINDOWS", 3)
+        res = haralambis_certify([1, 5, 6], Fraction(1, 4), (7, 11))
+        assert res.counterexample.members() == (0, 4, 8)
+        assert res.windows_checked == 10
+        assert check_m1_machinery(P511).windows_checked == 19
+
+    def test_first_failure_per_check_across_chunks(self, monkeypatch):
+        # Synthetic checks failing on every window that holds position x:
+        # each must report the first such window of the full enumeration.
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 4)
+        monkeypatch.setattr(profile_module, "_BATCH_WINDOWS", 3)
+        p = CanonicalParams(a=3, b=2, k=2, m=1)
+        masks = list(iter_avoiding_masks(forbidden_differences(p), p.n2, True))
+
+        def holding(x):
+            def check(batch):
+                rows = (batch.masks >> x & 1).nonzero()[0]
+                return (int(rows[0]), f"holds {x}") if len(rows) else None
+
+            return check
+
+        checks = {f"x{x}": holding(x) for x in range(1, p.n2)}
+        checks["main_inequality"] = main_inequality_check(p)
+        reports = scan_windows(p, checks)
+        assert list(reports) == list(checks)
+        for x in range(1, p.n2):
+            rep = reports[f"x{x}"]
+            first = next((i for i, mask in enumerate(masks) if mask >> x & 1), None)
+            if first is None:
+                assert rep.passed and rep.windows_checked == len(masks)
+            else:
+                assert not rep.passed and rep.detail == f"holds {x}"
+                assert rep.windows_checked == first + 1
+                assert rep.counterexample == Window(p.n2, masks[first])
+        assert reports["main_inequality"].passed
+        assert reports["main_inequality"].windows_checked == len(masks)
+
+
+FAMILIES_UP_TO_20 = list(canonical_instances(max_n2=20, include_equal=True))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    st.sampled_from(FAMILIES_UP_TO_20),
+    st.sampled_from([1, 5, 1 << 16]),
+    st.sampled_from([1, 7, 1 << 12]),
+)
+def test_window_table_matches_per_window_code(p, chunk, batch_size):
+    M = forbidden_differences(p)
+    with mock.patch.object(oracle, "_CHUNK_WINDOWS", chunk), mock.patch.object(
+        profile_module, "_BATCH_WINDOWS", batch_size
+    ):
+        batches = list(profile_module._window_batches(p, DEFAULT_ENUM_CAP))
+    masks = [mask for batch in batches for mask in batch.masks.tolist()]
+    assert masks == list(iter_avoiding_masks(M, p.n2, True))
+    for batch in batches:
+        assert len(batch.windows) <= batch_size
+        assert [w.mask for w in batch.windows] == batch.masks.tolist()
+        for row, w in enumerate(batch.windows):
+            assert batch.sizes(row) == profile(w, p).sizes
+            assert int(batch.below_n1[row]) == w.count_below(p.n1)
+            assert int(batch.below_n2[row]) == w.count_below(p.n2)
