@@ -25,6 +25,7 @@ from densitypack import (
     verify_k1_mapping,
     verify_m1_inequality,
 )
+from densitypack.mappings import k1_check
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=2, m=1)  # two bands: [3,4] and [8,9]
@@ -179,6 +180,18 @@ class TestM1Inequality:
     def test_harness_regime_gate(self):
         with pytest.raises(UnsupportedRegime):
             check_m1_machinery(P532)
+
+
+class TestK1View:
+    def test_regime_gate(self):
+        # Every reader of the k = 1 block structure refuses a family with k != 1.
+        w = Window.from_members(P521.n2, [0, 3])
+        with pytest.raises(UnsupportedRegime):
+            k1_image(3, w, P521)
+        with pytest.raises(UnsupportedRegime):
+            verify_k1_mapping(w, P521)
+        with pytest.raises(UnsupportedRegime):
+            k1_check(P521)
 
 
 class TestK1Trajectory:
