@@ -40,7 +40,6 @@ from .oracle import (
     best_periodic_density,
     check_periodic_avoiding,
     enumerate_avoiding_windows,
-    max_prefix_weight,
     mu_exact,
     window_avoids,
 )
@@ -68,7 +67,6 @@ from .mappings import (
     k1_image,
     k1_trajectory,
     m1_trajectory,
-    translate_witness,
     verify_k1_mapping,
     verify_m1_inequality,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "best_periodic_density",
     "check_periodic_avoiding",
     "enumerate_avoiding_windows",
-    "max_prefix_weight",
     "mu_exact",
     "window_avoids",
     "CertifyResult",
@@ -126,7 +123,6 @@ __all__ = [
     "k1_image",
     "k1_trajectory",
     "m1_trajectory",
-    "translate_witness",
     "verify_k1_mapping",
     "verify_m1_inequality",
     "__version__",

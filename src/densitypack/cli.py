@@ -315,7 +315,10 @@ def cmd_sweep(args) -> int:
         if getattr(args, name) < 1:
             raise InvalidInput(f"--{name.replace('_', '-')} must be >= 1")
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise InvalidInput(f"cannot write --out {args.out}: {exc.strerror}") from exc
     violation = None
     try:
         writer = csv.writer(out)

@@ -41,11 +41,12 @@ disjoint, giving (m+1)|T| <= (m+1)|I| + |U|.
 Both routes lean on a translate-witness fact: when a trajectory offset is
 not an empty translate, A must meet the translate offset + S at a specific
 stride (k' * a with i < k' <= k for m = 1; a + m'*b with m' < eta_n for
-k = 1).  `translate_witness` locates that element or raises.
+k = 1).  Each trajectory checks this at every step whose offset misses I,
+as it walks, and raises "witness-missing" when the element is absent.
 
-Trajectories are guarded by a hard iteration cap of n2 steps; both stop
+Trajectories are guarded by a hard iteration cap of n2 + 1 steps; both stop
 rules provably fire long before that, so hitting the cap is itself reported
-as a violation rather than an infinite loop.
+as a violation ("trajectory-unterminated") rather than an infinite loop.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .family import CanonicalParams
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 from .profile import (
-    Profile,
     VerificationReport,
     WindowBatch,
     WindowCheck,
@@ -86,7 +86,6 @@ __all__ = [
     "k1_trajectory",
     "k1_image",
     "verify_k1_mapping",
-    "translate_witness",
     "check_m1_machinery",
     "check_k1_machinery",
 ]
@@ -172,8 +171,28 @@ def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     raise NotInBand(f"{alpha} lies in no band (i*a + b, (i+1)*a) of {p}")
 
 
-def _profile_or(window: Window, p: CanonicalParams, prof: Profile | None) -> Profile:
-    return prof if prof is not None else profile(window, p)
+def _m1_witness(offset: int, band: int, window: Window, p: CanonicalParams) -> int:
+    """The element offset + k'*a of A, band < k' <= k, that the m = 1 route
+    promises for a trajectory offset outside I."""
+    for kp in range(band + 1, p.k + 1):
+        if offset + kp * p.a in window:
+            return offset + kp * p.a
+    raise LemmaViolation(
+        "witness-missing",
+        f"offset {offset} (band {band}): no offset + k'*a in A for {band} < k' <= {p.k}",
+    )
+
+
+def _k1_witness(offset: int, quotient: int, window: Window, p: CanonicalParams) -> int:
+    """The element offset + a + m'*b of A, 0 <= m' < quotient (= eta_n), that
+    the k = 1 route promises for a trajectory offset outside I."""
+    for mp in range(quotient):
+        if offset + p.a + mp * p.b in window:
+            return offset + p.a + mp * p.b
+    raise LemmaViolation(
+        "witness-missing",
+        f"offset {offset}: no offset + a + m'*b in A for 0 <= m' < {quotient}",
+    )
 
 
 def _require_band_member(alpha: int, window: Window, p: CanonicalParams) -> GapDecomposition:
@@ -188,18 +207,15 @@ def _require_band_member(alpha: int, window: Window, p: CanonicalParams) -> GapD
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def m1_trajectory(
-    alpha: int,
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> Trajectory:
+def m1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
     """Offset trajectory off, off + (a-b), ... for the m = 1 route.
 
     Stops at the first term lying in I or reaching 2*b - a, whichever comes
     first (I wins a tie); with a >= 2*b the threshold is vacuous at n = 0,
     so only an immediate I-hit can produce an empty-translate stop.  All
-    terms stay below b, so I-membership is meaningful throughout.
+    terms stay below b, so I-membership is meaningful throughout.  Every
+    term outside I must have its translate witness off + k'*a in A for some
+    band < k' <= k; a missing one raises LemmaViolation "witness-missing".
     """
     if p.m != 1:
         raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
@@ -208,7 +224,7 @@ def m1_trajectory(
         raise InvalidInput(
             f"alpha = {alpha} has quotient {dec.quotient}; trajectories apply to quotient 1"
         )
-    translates = _profile_or(window, p, prof).empty_translates
+    translates = profile(window, p).empty_translates
     threshold = 2 * p.b - p.a
     step = p.a - p.b
     steps: list[tuple[int | None, int]] = []
@@ -217,6 +233,7 @@ def m1_trajectory(
         steps.append((None, x))
         if x in translates:
             return Trajectory(tuple(steps), "empty_translate", False, None)
+        _m1_witness(x, dec.band, window, p)
         if x >= threshold:
             return Trajectory(tuple(steps), "threshold", False, None)
         x += step
@@ -226,12 +243,7 @@ def m1_trajectory(
     )
 
 
-def image_pair(
-    alpha: int,
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> tuple[int, int]:
+def image_pair(alpha: int, window: Window, p: CanonicalParams) -> tuple[int, int]:
     """The image pair (v, w) of a band element for the m = 1 route.
 
     Verifies the membership facts the counting needs: v is a top hole, w is
@@ -239,14 +251,14 @@ def image_pair(
     """
     if p.m != 1:
         raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
-    prof = _profile_or(window, p, prof)
+    prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
     lift = (p.k - dec.band) * p.a
     v = alpha + lift + p.b
     if dec.quotient >= 2:
         w = alpha + lift
     else:
-        traj = m1_trajectory(alpha, window, p, prof)
+        traj = m1_trajectory(alpha, window, p)
         if traj.stop_reason == "empty_translate":
             w = traj.last_offset
         else:
@@ -261,11 +273,7 @@ def image_pair(
     return v, w
 
 
-def build_chain_partition(
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> ChainPartition:
+def build_chain_partition(window: Window, p: CanonicalParams) -> ChainPartition:
     """Link band elements whose image pairs intersect; check the degrees.
 
     Edges run from larger to smaller alpha.  Each vertex gets at most one
@@ -274,9 +282,9 @@ def build_chain_partition(
     """
     if p.m != 1:
         raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
-    prof = _profile_or(window, p, prof)
+    prof = profile(window, p)
     members = sorted(prof.band_all)
-    image_map = {alpha: image_pair(alpha, window, p, prof) for alpha in members}
+    image_map = {alpha: image_pair(alpha, window, p) for alpha in members}
 
     out_edge: dict[int, int] = {}
     in_edge: dict[int, int] = {}
@@ -335,15 +343,11 @@ def build_chain_partition(
     return ChainPartition(chains=tuple(chains), edges=tuple(edges), image_map=image_map)
 
 
-def verify_m1_inequality(
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> bool:
+def verify_m1_inequality(window: Window, p: CanonicalParams) -> bool:
     """Full m = 1 check of one window: chains, their three properties, and
     the resulting count bounds (k+1)|T| <= k(|I|+|U|) <= (k+1)|I| + k|U|."""
-    prof = _profile_or(window, p, prof)
-    part = build_chain_partition(window, p, prof)
+    prof = profile(window, p)
+    part = build_chain_partition(window, p)
 
     seen: set[int] = set()
     for chain in part.chains:
@@ -381,18 +385,15 @@ def verify_m1_inequality(
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def k1_trajectory(
-    alpha: int,
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> Trajectory:
+def k1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
     """Euclidean trajectory (eta_n, off_n) of alpha + n*(a-b) by b.
 
     Stops at the first n with off_n in I ("empty_translate") or with the
     upcoming quotient eta_{n+1} >= m + 1 ("threshold", I wins a tie at the
     same n); in the threshold case eta_{N+1} is clamped to m + 1 and
-    `truncated` records whether the clamp changed it.
+    `truncated` records whether the clamp changed it.  Every step with off_n
+    outside I must have its translate witness off_n + a + m'*b in A for some
+    m' < eta_n; a missing one raises LemmaViolation "witness-missing".
     """
     if p.k != 1:
         raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
@@ -402,7 +403,7 @@ def k1_trajectory(
         raise InvalidInput(
             f"alpha = {alpha} has quotient {j0} > m = {p.m}; that case bypasses trajectories"
         )
-    translates = _profile_or(window, p, prof).empty_translates
+    translates = profile(window, p).empty_translates
     a, b = p.a, p.b
     steps: list[tuple[int | None, int]] = []
     x = alpha
@@ -411,6 +412,7 @@ def k1_trajectory(
         steps.append((q, off))
         if off in translates:
             return Trajectory(tuple(steps), "empty_translate", False, None)
+        _k1_witness(off, q, window, p)
         nxt_q = (x + a - b) // b
         if nxt_q >= p.m + 1:
             return Trajectory(tuple(steps), "threshold", nxt_q > p.m + 1, p.m + 1)
@@ -421,12 +423,7 @@ def k1_trajectory(
     )
 
 
-def k1_image(
-    alpha: int,
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> ImageAssignment:
+def k1_image(alpha: int, window: Window, p: CanonicalParams) -> ImageAssignment:
     """Image of a band element under the k = 1 map, fully verified.
 
     Either a single empty-translate target, or a union of exactly m + 1 top
@@ -435,7 +432,7 @@ def k1_image(
     """
     if p.k != 1:
         raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    prof = _profile_or(window, p, prof)
+    prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
     a, b, m = p.a, p.b, p.m
     j0 = dec.quotient
@@ -470,7 +467,7 @@ def k1_image(
         primary = frozenset(alpha + a + t * b for t in range(m + 1))
         return assemble(primary, [])
 
-    traj = k1_trajectory(alpha, window, p, prof)
+    traj = k1_trajectory(alpha, window, p)
     if traj.stop_reason == "empty_translate":
         return ImageAssignment(
             alpha=alpha,
@@ -489,22 +486,18 @@ def k1_image(
     return assemble(primary, blocks)
 
 
-def verify_k1_mapping(
-    window: Window,
-    p: CanonicalParams,
-    prof: Profile | None = None,
-) -> bool:
+def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
     """Full k = 1 check of one window: each band element maps into I or
     into m + 1 top holes, images are pairwise disjoint, and the count bound
     (m+1)|T| <= (m+1)|I| + |U| follows and holds."""
-    prof = _profile_or(window, p, prof)
+    prof = profile(window, p)
     members = sorted(prof.band_all)
 
     targets: dict[int, int] = {}
     used_holes: set[int] = set()
     n_into_holes = 0
     for alpha in members:
-        img = k1_image(alpha, window, p, prof)
+        img = k1_image(alpha, window, p)
         if img.into_translates:
             t = img.translate_target
             if t not in prof.empty_translates:
@@ -542,61 +535,13 @@ def verify_k1_mapping(
     return True
 
 
-def translate_witness(
-    offset: int,
-    window: Window,
-    p: CanonicalParams,
-    regime: str,
-    *,
-    band: int | None = None,
-    quotient: int | None = None,
-    prof: Profile | None = None,
-) -> int | None:
-    """The window element promised when a trajectory offset misses I.
-
-    If `offset` is an empty translate there is no obligation and None is
-    returned.  Otherwise A meets offset + S, and avoidance pins the meeting
-    point: for regime "m1" it is offset + k'*a with band < k' <= k (pass
-    the originating band index); for regime "k1" it is offset + a + m'*b
-    with 0 <= m' < quotient (pass eta_n).  Absence is a violation.
-    """
-    prof = _profile_or(window, p, prof)
-    if offset in prof.empty_translates:
-        return None
-    if regime == "m1":
-        if p.m != 1:
-            raise UnsupportedRegime(f"m = {p.m}: regime 'm1' needs m = 1")
-        if band is None:
-            raise InvalidInput("regime 'm1' needs the originating band index")
-        for kp in range(band + 1, p.k + 1):
-            if offset + kp * p.a in window:
-                return offset + kp * p.a
-        raise LemmaViolation(
-            "witness-missing",
-            f"offset {offset} (band {band}): no offset + k'*a in A for {band} < k' <= {p.k}",
-        )
-    if regime == "k1":
-        if p.k != 1:
-            raise UnsupportedRegime(f"k = {p.k}: regime 'k1' needs k = 1")
-        if quotient is None:
-            raise InvalidInput("regime 'k1' needs the trajectory quotient eta_n")
-        for mp in range(quotient):
-            if offset + p.a + mp * p.b in window:
-                return offset + p.a + mp * p.b
-        raise LemmaViolation(
-            "witness-missing",
-            f"offset {offset}: no offset + a + m'*b in A for 0 <= m' < {quotient}",
-        )
-    raise InvalidInput(f"unknown regime {regime!r}; expected 'm1' or 'k1'")
-
-
 # ──────────────────────────────────────────────────────────────────────────
 # per-instance harnesses
 # ──────────────────────────────────────────────────────────────────────────
 
 
 def _machinery_check(
-    p: CanonicalParams, check_window: Callable[[Window, CanonicalParams], None]
+    p: CanonicalParams, check_window: Callable[[Window, CanonicalParams], bool]
 ) -> WindowCheck:
     """A per-window checker as a window check: a LemmaViolation fails the
     window, with the violation as the detail.
@@ -617,42 +562,18 @@ def _machinery_check(
     return check
 
 
-def _m1_window(w: Window, p: CanonicalParams) -> None:
-    prof = profile(w, p)
-    verify_m1_inequality(w, p, prof)
-    for alpha in sorted(prof.band_all):
-        dec = gap_decompose(alpha, p)
-        if dec.quotient != 1:
-            continue
-        traj = m1_trajectory(alpha, w, p, prof)
-        for _, off in traj.steps:
-            translate_witness(off, w, p, "m1", band=dec.band, prof=prof)
-
-
-def _k1_window(w: Window, p: CanonicalParams) -> None:
-    prof = profile(w, p)
-    verify_k1_mapping(w, p, prof)
-    for alpha in sorted(prof.band_all):
-        dec = gap_decompose(alpha, p)
-        if dec.quotient > p.m:
-            continue
-        traj = k1_trajectory(alpha, w, p, prof)
-        for q, off in traj.steps:
-            translate_witness(off, w, p, "k1", quotient=q, prof=prof)
-
-
 def m1_check(p: CanonicalParams) -> WindowCheck:
     """The m = 1 harness of `check_m1_machinery`, as a window check."""
     if p.m != 1:
         raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
-    return _machinery_check(p, _m1_window)
+    return _machinery_check(p, verify_m1_inequality)
 
 
 def k1_check(p: CanonicalParams) -> WindowCheck:
     """The k = 1 harness of `check_k1_machinery`, as a window check."""
     if p.k != 1:
         raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    return _machinery_check(p, _k1_window)
+    return _machinery_check(p, verify_k1_mapping)
 
 
 def check_m1_machinery(

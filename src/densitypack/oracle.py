@@ -69,7 +69,6 @@ __all__ = [
     "best_periodic_density",
     "check_periodic_avoiding",
     "enumerate_avoiding_windows",
-    "max_prefix_weight",
     "window_avoids",
 ]
 
@@ -257,41 +256,6 @@ def enumerate_avoiding_windows(
     for masks in avoiding_mask_chunks(distances, n, require_zero, cap=cap):
         for mask in masks.tolist():
             yield Window(n, mask)
-
-
-def max_prefix_weight(
-    distances: DifferenceSet | Iterable[int],
-    n: int,
-    require_zero: bool = True,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> int:
-    """max |A intersect [0, n)| over M-avoiding A (0 in A if require_zero).
-
-    Depth-first with include-first ordering and the trivial remaining-slots
-    bound, which prunes hard once a good set is known.
-    """
-    M = as_difference_set(distances)
-    _check_window_length(n, cap)
-    conflicts = _conflict_masks(M, n)
-    best = 0
-
-    def rec(pos: int, mask: int, cnt: int) -> None:
-        nonlocal best
-        if cnt + (n - pos) <= best:
-            return
-        if pos == n:
-            best = cnt
-            return
-        if mask & conflicts[pos] == 0:
-            rec(pos + 1, mask | (1 << pos), cnt + 1)
-        rec(pos + 1, mask, cnt)
-
-    if require_zero:
-        rec(1, 1, 1)
-    else:
-        rec(0, 0, 0)
-    return best
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -47,6 +47,7 @@ window, which is its lexicographically-first counterexample.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,6 +141,8 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
+# Every window of a family reads the same masks; build them once per family.
+@functools.cache
 def _profile_masks(p: CanonicalParams) -> tuple[int, tuple[int, ...], int]:
     """(S, bands, top) as bitmasks: alpha is an empty translate of A iff
     A & (S << alpha) == 0, T_i = A & bands[i], and U = top minus A."""
@@ -148,6 +151,8 @@ def _profile_masks(p: CanonicalParams) -> tuple[int, tuple[int, ...], int]:
     return s_mask, bands, _span(p.n1, p.n2)
 
 
+# The m = 1 / k = 1 checks of one window each ask for its profile in turn.
+@functools.lru_cache(maxsize=1)
 def profile(window: Window, p: CanonicalParams) -> Profile:
     """Compute (I, T_i, U) for an M-avoiding window containing 0.
 

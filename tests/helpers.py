@@ -85,10 +85,6 @@ def iter_avoiding_masks(distances, n: int, require_zero: bool):
     yield from rec(1, 1) if require_zero else rec(0, 0)
 
 
-def brute_max_prefix(distances, n: int, require_zero: bool) -> int:
-    return max(mask.bit_count() for mask in brute_avoiding_masks(distances, n, require_zero))
-
-
 def brute_best_periodic(distances, max_period: int):
     """(best density, (period, residues) witness) by raw subset search."""
     M = tuple(distances)

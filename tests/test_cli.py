@@ -237,6 +237,13 @@ class TestSweep:
         run(capsys, "sweep", "--max-a", "4", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "sweep", "--max-a", "3", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err
+
     def test_raw_lattice_order(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max-a", "4", "--max-k", "1", "--max-m", "1")
         assert code == 0

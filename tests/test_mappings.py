@@ -21,11 +21,10 @@ from densitypack import (
     k1_trajectory,
     m1_trajectory,
     profile,
-    translate_witness,
     verify_k1_mapping,
     verify_m1_inequality,
 )
-from densitypack.mappings import k1_check
+from densitypack.mappings import _k1_witness, _m1_witness, k1_check
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=2, m=1)  # two bands: [3,4] and [8,9]
@@ -92,6 +91,14 @@ class TestM1Trajectory:
         with pytest.raises(InvalidInput):
             m1_trajectory(3, w, P511)  # quotient 3, not 1
 
+    def test_missing_witness_raises_during_walk(self):
+        # A = {0, 5, 12} is not avoiding (12 - 5 = 7 = a): offset 1 of alpha = 5
+        # misses I, and its witness 1 + 1*a = 8 is not in A.
+        w = Window.from_members(18, [0, 5, 12])
+        assert 1 not in profile(w, P741).empty_translates
+        with pytest.raises(LemmaViolation, match="witness-missing.*offset 1 \\(band 0\\)"):
+            m1_trajectory(5, w, P741)
+
     def test_regime_gate(self):
         w = Window.from_members(16, [0])
         with pytest.raises(UnsupportedRegime):
@@ -117,7 +124,7 @@ class TestM1Images:
         for w in enumerate_avoiding_windows(M, p.n2):
             prof = profile(w, p)
             for alpha in sorted(prof.band_all):
-                v, hole_or_translate = image_pair(alpha, w, p, prof)
+                v, hole_or_translate = image_pair(alpha, w, p)
                 assert v in prof.top_holes
                 assert (
                     hole_or_translate in prof.top_holes
@@ -155,7 +162,7 @@ class TestChainPartition:
         M = forbidden_differences(p)
         for w in enumerate_avoiding_windows(M, p.n2):
             prof = profile(w, p)
-            part = build_chain_partition(w, p, prof)
+            part = build_chain_partition(w, p)
             flattened = sorted(x for c in part.chains for x in c)
             assert flattened == sorted(prof.band_all)
 
@@ -217,7 +224,7 @@ class TestK1Trajectory:
                 for alpha in sorted(prof.band_all):
                     if gap_decompose(alpha, p).quotient > p.m:
                         continue
-                    traj = k1_trajectory(alpha, w, p, prof)
+                    traj = k1_trajectory(alpha, w, p)
                     quots = [q for q, _ in traj.steps]
                     assert quots == sorted(quots)
 
@@ -225,6 +232,14 @@ class TestK1Trajectory:
         w = Window.from_members(P912.n2, [0, 7])
         with pytest.raises(InvalidInput):
             k1_trajectory(7, w, P912)
+
+    def test_missing_witness_raises_during_walk(self):
+        # A = {0, 3, 8} is not avoiding (8 - 3 = 5 = a): offset 1 of alpha = 3
+        # (eta = 1) misses I, and its witness 1 + a + 0*b = 6 is not in A.
+        w = Window.from_members(14, [0, 3, 8])
+        assert 1 not in profile(w, P512).empty_translates
+        with pytest.raises(LemmaViolation, match="witness-missing.*offset 1: .* m' < 1"):
+            k1_trajectory(3, w, P512)
 
     def test_regime_gate(self):
         with pytest.raises(UnsupportedRegime):
@@ -258,7 +273,7 @@ class TestK1Images:
         for w in enumerate_avoiding_windows(M, p.n2):
             prof = profile(w, p)
             for alpha in sorted(prof.band_all):
-                img = k1_image(alpha, w, p, prof)
+                img = k1_image(alpha, w, p)
                 if not img.into_translates:
                     assert len(img.union) == p.m + 1
                     assert img.union <= prof.top_holes
@@ -297,40 +312,29 @@ class TestK1Mapping:
 
 class TestTranslateWitness:
     def test_vacuous_when_offset_in_translates(self):
-        w = Window.from_members(16, [0, 4])  # I = {1, 2} for (5,3,1,2)
-        assert translate_witness(1, w, P532, "k1", quotient=1) is None
+        # I = {1, 2} for (5,3,1,2).  Offset 1 has no witness (1 + a = 6 is not
+        # in A), but it is an empty translate, so the trajectory owes none.
+        w = Window.from_members(16, [0, 4])
+        with pytest.raises(LemmaViolation, match="witness-missing"):
+            _k1_witness(1, 1, w, P532)
+        assert k1_trajectory(4, w, P532).stop_reason == "empty_translate"
 
     def test_present_m1(self):
         w = Window.from_members(18, [0, 5, 8])
-        assert translate_witness(1, w, P741, "m1", band=0) == 8
+        assert _m1_witness(1, 0, w, P741) == 8
 
     def test_present_k1(self):
         w = Window.from_members(14, [0, 3, 6])
         # offset 1 with eta = 3: 1 + 5 + 0*2 = 6 is in A.
-        assert translate_witness(1, w, P512, "k1", quotient=3) == 6
+        assert _k1_witness(1, 3, w, P512) == 6
 
     def test_missing_m1(self):
         w = Window.from_members(11, [0])
         with pytest.raises(LemmaViolation) as exc:
-            translate_witness(0, w, P511, "m1", band=0)
+            _m1_witness(0, 0, w, P511)
         assert "witness-missing" in str(exc.value)
 
     def test_missing_k1(self):
         w = Window.from_members(16, [0])
         with pytest.raises(LemmaViolation):
-            translate_witness(0, w, P532, "k1", quotient=1)
-
-    def test_argument_validation(self):
-        w = Window.from_members(18, [0, 5, 8])
-        with pytest.raises(InvalidInput):
-            translate_witness(1, w, P741, "m1")  # band missing
-        with pytest.raises(InvalidInput):
-            translate_witness(1, Window.from_members(14, [0, 3, 6]), P512, "k1")
-        with pytest.raises(InvalidInput):
-            translate_witness(1, w, P741, "x1", band=0)
-
-    def test_regime_gates(self):
-        with pytest.raises(UnsupportedRegime):
-            translate_witness(0, Window.from_members(P521.n2, [0]), P521, "k1", quotient=1)
-        with pytest.raises(UnsupportedRegime):
-            translate_witness(0, Window.from_members(P532.n2, [0]), P532, "m1", band=0)
+            _k1_witness(0, 1, w, P532)

@@ -22,7 +22,6 @@ from densitypack import (
     best_periodic_density,
     check_periodic_avoiding,
     enumerate_avoiding_windows,
-    max_prefix_weight,
     mu_exact,
     window_avoids,
 )
@@ -31,7 +30,6 @@ from densitypack.oracle import STATE_CAP_ENV
 from helpers import (
     brute_avoiding_masks,
     brute_best_periodic,
-    brute_max_prefix,
     iter_avoiding_masks,
 )
 
@@ -157,24 +155,6 @@ class TestEnumeration:
         chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, 14)]
         assert max(map(len, chunks)) <= 3 and len(chunks) > 1
         assert [mask for c in chunks for mask in c] == whole
-
-
-class TestMaxPrefixWeight:
-    def test_against_brute(self):
-        rng = random.Random(303)
-        for _ in range(25):
-            M = random_difference_set(rng)
-            n = rng.randint(1, 12)
-            for require_zero in (True, False):
-                assert max_prefix_weight(M, n, require_zero) == brute_max_prefix(
-                    M, n, require_zero
-                )
-
-    def test_limits(self):
-        with pytest.raises(InvalidInput):
-            max_prefix_weight([1], 0)
-        with pytest.raises(ResourceLimit):
-            max_prefix_weight([1], 27)
 
 
 class TestMuExact:
