@@ -29,6 +29,7 @@ so parsing and re-serializing with indent=2 is byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -189,7 +190,7 @@ def cmd_density(args) -> int:
 
 def cmd_mu(args) -> int:
     M = _parse_distances(args.distances)
-    res = mu_exact(M, max_window=args.max_window, method=args.method)
+    res = mu_exact(M, max_window=args.max_window)
     _emit(_oracle_report(M, res), args.json, _oracle_lines(M, res))
     return 0
 
@@ -204,7 +205,7 @@ def cmd_witness(args) -> int:
         M = forbidden_differences(RawParams(a=args.a, b=args.b, k=args.k, m=args.m))
     else:
         raise InvalidInput("witness needs --distances or all four of --a --b --k --m")
-    res = mu_exact(M, max_window=args.max_window, method=args.method)
+    res = mu_exact(M, max_window=args.max_window)
     _emit(_oracle_report(M, res), args.json, _oracle_lines(M, res))
     return 0
 
@@ -310,68 +311,75 @@ SWEEP_COLUMNS = [
 ]
 
 
+@contextlib.contextmanager
+def _csv_rows(path: str | None):
+    """A CSV row writer on the file `path`, or on stdout when there is none.
+
+    Failing to open, write or close the file is invalid input (exit 2), not
+    a traceback with exit 1, the code of a lower-bound violation.
+    """
+    if not path:
+        yield csv.writer(sys.stdout).writerow
+        return
+
+    def guarded(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out {path}: {exc.strerror}") from exc
+
+    out = guarded(open, path, "w", newline="")
+    writer = csv.writer(out)
+    try:
+        yield lambda row: guarded(writer.writerow, row)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            out.close()
+        raise
+    guarded(out.close)
+
+
 def cmd_sweep(args) -> int:
     for name in ("max_a", "max_k", "max_m", "weight_cap"):
         if getattr(args, name) < 1:
             raise InvalidInput(f"--{name.replace('_', '-')} must be >= 1")
 
-    try:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
-    except OSError as exc:
-        raise InvalidInput(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    box = (
+        RawParams(a=a, b=b, k=k, m=m)
+        for a in range(2, args.max_a + 1)
+        for b in range(1, a)
+        for k in range(1, args.max_k + 1)
+        for m in range(1, args.max_m + 1)
+    )
     violation = None
-    try:
-        writer = csv.writer(out)
-        writer.writerow(SWEEP_COLUMNS)
-        for a in range(2, args.max_a + 1):
-            for b in range(1, a):
-                for k in range(1, args.max_k + 1):
-                    for m in range(1, args.max_m + 1):
-                        raw = RawParams(a=a, b=b, k=k, m=m)
-                        canon = canonicalize(raw)
-                        if canon.weight > args.weight_cap:
-                            continue
-                        br = conjectured_density(canon)
-                        row = [
-                            a, b, k, m, canon.g, br.d, br.r, br.case_tag,
-                            br.delta.numerator, br.delta.denominator,
-                        ]
-                        try:
-                            res = mu_exact(forbidden_differences(canon))
-                        except ResourceLimit as exc:
-                            print(f"skipping ({a},{b},{k},{m}): {exc}", file=sys.stderr)
-                            writer.writerow(row + ["", "", "skipped", br.theorem_status])
-                            continue
-                        equal = "true" if res.value == br.delta else "false"
-                        writer.writerow(
-                            row
-                            + [
-                                res.value.numerator,
-                                res.value.denominator,
-                                equal,
-                                br.theorem_status,
-                            ]
-                        )
-                        if res.value < br.delta:
-                            violation = (raw, res.value, br.delta)
-                            break
-                    if violation:
-                        break
-                if violation:
-                    break
-            if violation:
+    with _csv_rows(args.out) as write:
+        write(SWEEP_COLUMNS)
+        for raw in box:
+            canon = canonicalize(raw)
+            if canon.weight > args.weight_cap:
+                continue
+            br = conjectured_density(canon)
+            key = f"({raw.a},{raw.b},{raw.k},{raw.m})"
+            row = [
+                raw.a, raw.b, raw.k, raw.m, canon.g, br.d, br.r, br.case_tag,
+                br.delta.numerator, br.delta.denominator,
+            ]
+            try:
+                res = mu_exact(forbidden_differences(canon))
+            except ResourceLimit as exc:
+                print(f"skipping {key}: {exc}", file=sys.stderr)
+                write(row + ["", "", "skipped", br.theorem_status])
+                continue
+            equal = "true" if res.value == br.delta else "false"
+            write(row + [res.value.numerator, res.value.denominator, equal, br.theorem_status])
+            if res.value < br.delta:
+                violation = (
+                    f"lower-bound violation at {key}: mu = {res.value} < delta = {br.delta}"
+                )
                 break
-    finally:
-        if args.out:
-            out.close()
 
     if violation:
-        raw, value, delta = violation
-        print(
-            f"lower-bound violation at ({raw.a},{raw.b},{raw.k},{raw.m}): "
-            f"mu = {value} < delta = {delta}",
-            file=sys.stderr,
-        )
+        print(violation, file=sys.stderr)
         return 1
     return 0
 
@@ -393,12 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def add_oracle_args(p):
-        p.add_argument(
-            "--method",
-            choices=("auto", "karp", "policy"),
-            default="auto",
-            help="mean-cycle solver (default: auto)",
-        )
         p.add_argument(
             "--max-window",
             type=int,

@@ -25,11 +25,9 @@ is built level by level as window masks with two successor arrays, Howard
 policy iteration proposes a value p/q, and a longest-walk potential for the
 reweighted graph w' = q*w - p certifies it.  The potential converging, and
 satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
-mu >= p/q and is the periodic witness.  Karp's recurrence over the same
-arrays is kept as the reference proposer (method "karp"); its value goes
-through the same certificate, so both methods return identical results.
+mu >= p/q and is the periodic witness.
 
-A third, entirely independent route -- exhaustive search over periodic sets
+A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
 cross-examine the mean-cycle answer in tests.
 
@@ -319,71 +317,6 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return states, succ0, succ1
 
 
-def _in_edges(succ0, succ1):
-    """The edges grouped by destination, for pull-style relaxation.
-
-    Returns (src, wgt, starts): src and wgt list each edge's source and
-    weight sorted by destination, and the edges into v start at starts[v].
-    """
-    n = len(succ0)
-    ones = np.flatnonzero(succ1 >= 0)
-    src = np.concatenate([np.arange(n), ones])
-    dst = np.concatenate([succ0, succ1[ones]])
-    wgt = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(len(ones), dtype=np.int64)])
-    order = np.argsort(dst, kind="stable")
-    counts = np.bincount(dst, minlength=n)
-    if counts.min() == 0:
-        raise InternalError("a window has no shift predecessor")
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return src[order], wgt[order], starts
-
-
-def _karp_max_mean(succ0, succ1) -> Fraction:
-    """Maximum cycle mean by Karp's recurrence, exact in int64.
-
-    The reference solver.  F_i(v) = max weight of an i-edge walk from the
-    all-zero window (state 0) to v; the answer is
-    max_v min_j (F_n(v) - F_j(v)) / (n - j).  Runs two relaxation sweeps to
-    keep memory at O(V): one to obtain F_n, one re-deriving each F_j while
-    maintaining the running minimum ratio per vertex by cross-multiplication.
-    """
-    n = len(succ0)
-    src, wgt, starts = _in_edges(succ0, succ1)
-
-    NEG = np.int64(-(1 << 50))
-    NEG_THRESH = NEG // 2
-
-    def relax(F):
-        return np.maximum.reduceat(F[src] + wgt, starts)
-
-    F = np.full(n, NEG, dtype=np.int64)
-    F[0] = 0
-    for _ in range(n):
-        F = relax(F)
-    F_final = F
-    if F_final.min() <= NEG_THRESH:
-        raise InternalError("state graph is not strongly connected")
-
-    best_num = np.ones(n, dtype=np.int64)
-    best_den = np.zeros(n, dtype=np.int64)  # num/den = +infinity until first hit
-    G = np.full(n, NEG, dtype=np.int64)
-    G[0] = 0
-    for j in range(n):
-        if j > 0:
-            G = relax(G)
-        valid = G > NEG_THRESH
-        num = np.where(valid, F_final - G, 0)
-        den = n - j
-        better = valid & (num * best_den < best_num * den)
-        best_num = np.where(better, num, best_num)
-        best_den = np.where(better, den, best_den)
-    if best_den.min() == 0:
-        raise InternalError("Karp's recurrence left a state without a ratio")
-
-    return max(Fraction(int(a), int(b)) for a, b in zip(best_num, best_den))
-
-
 def _policy_iteration(succ0, succ1) -> Fraction:
     """Howard policy iteration for the maximum cycle mean, exact in int64.
 
@@ -473,13 +406,21 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray:
     n = len(succ0)
     num, den = value.numerator, value.denominator
     # A window's predecessors differ only in the position shifted out, so it
-    # has one or two in-edges, both weighted by its newest bit.  The caller
-    # checks every edge against the result, so the certificate stays sound
-    # whatever is relaxed here.
-    src, wgt, starts = _in_edges(succ0, succ1)
-    first = src[starts]
-    last = src[np.append(starts[1:], len(src)) - 1]
-    w2 = wgt[starts] * den - num
+    # has one or two in-edges, both weighted by its newest bit; first[v] and
+    # last[v] are their sources (the same one twice if there is one).  The
+    # caller checks every edge against the result, so the certificate stays
+    # sound whatever is relaxed here.
+    ones = np.flatnonzero(succ1 >= 0)
+    src = np.concatenate([np.arange(n), ones])
+    dst = np.concatenate([succ0, succ1[ones]])
+    first, last = np.full(n, n), np.full(n, -1)
+    np.minimum.at(first, dst, src)
+    np.maximum.at(last, dst, src)
+    if last.min() < 0:
+        raise InternalError("a window has no shift predecessor")
+    newest = np.zeros(n, dtype=np.int64)
+    newest[succ1[ones]] = 1
+    w2 = newest * den - num
     rounds = n.bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
@@ -557,32 +498,22 @@ def mu_exact(
     *,
     max_window: int = DEFAULT_WINDOW_CAP,
     max_states: int | None = None,
-    method: str = "auto",
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
 
-    method "auto" or "policy" proposes the value by int64 policy iteration;
-    "karp" uses Karp's recurrence, the slower reference solver.  Either way
-    the value is certified and the witness extracted by the same integer
-    potential, so both methods return identical values and witnesses.
-    Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
-    state count exceeds the state cap, and InternalError if a proposed value
-    or witness fails its check.
+    Policy iteration proposes the value, and the integer potential of
+    `_tight_cycle` certifies it and yields the witness.  Raises
+    ResourceLimit when max(M) exceeds `max_window` or the admissible state
+    count exceeds the state cap, and InternalError if a proposed value or
+    witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
     if L > max_window:
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
-    if method not in ("auto", "karp", "policy"):
-        raise InvalidInput(f"unknown method {method!r}")
 
     states, succ0, succ1 = _build_state_graph(M, _state_cap(max_states))
-    if method == "karp":
-        value = _karp_max_mean(succ0, succ1)
-        method_name = "Karp"
-    else:
-        value = _policy_iteration(succ0, succ1)
-        method_name = "PolicyIteration"
+    value = _policy_iteration(succ0, succ1)
     bits = _tight_cycle(states, succ0, succ1, value, L)
 
     witness = PeriodicSet(
@@ -593,7 +524,7 @@ def mu_exact(
     if not check_periodic_avoiding(witness, M):
         raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
     return ExactDensity(
-        value=value, witness=witness, states_explored=len(states), method=method_name
+        value=value, witness=witness, states_explored=len(states), method="PolicyIteration"
     )
 
 

@@ -48,7 +48,6 @@ window, which is its lexicographically-first counterexample.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -120,7 +119,6 @@ class VerificationReport:
     passed: bool
     counterexample: Window | None
     detail: str | None
-    elapsed: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,7 +258,6 @@ def scan_windows(
     lexicographically-first one and windows_checked is its index + 1.  A
     passing check counts every window.  The scan ends once all have failed.
     """
-    t0 = time.perf_counter()
     failed: dict[str, tuple[int, Window, str]] = {}
     total = 0
     for batch in _window_batches(p, enum_cap):
@@ -271,7 +268,6 @@ def scan_windows(
         total += len(batch.windows)
         if len(failed) == len(checks):
             break
-    elapsed = time.perf_counter() - t0
     reports = {}
     for name in checks:
         count, window, detail = failed.get(name, (total, None, None))
@@ -281,7 +277,6 @@ def scan_windows(
             passed=window is None,
             counterexample=window,
             detail=detail,
-            elapsed=elapsed,
         )
     return reports
 

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from densitypack import CanonicalParams
 
 
@@ -83,6 +85,55 @@ def iter_avoiding_masks(distances, n: int, require_zero: bool):
             yield from rec(pos + 1, mask | (1 << pos))
 
     yield from rec(1, 1) if require_zero else rec(0, 0)
+
+
+def karp_max_mean(succ0, succ1) -> Fraction:
+    """Maximum cycle mean of a state graph by Karp's recurrence (Karp 1978),
+    exact in int64: the reference proposer for the package's policy
+    iteration, on the same (succ0, succ1) arrays from `_build_state_graph`.
+
+    F_j(v) is the largest weight of a j-edge walk from state 0 to v, and the
+    answer is max_v min_j (F_n(v) - F_j(v)) / (n - j).  Two relaxation sweeps
+    keep memory at O(n): one for F_n, and one re-deriving each F_j while
+    keeping every state's smallest ratio by cross-multiplication.  Time is
+    O(n^2), so it suits small graphs only.
+    """
+    n = len(succ0)
+    ones = np.flatnonzero(succ1 >= 0)
+    src = np.concatenate([np.arange(n), ones])
+    dst = np.concatenate([succ0, succ1[ones]])
+    wgt = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(len(ones), dtype=np.int64)])
+    order = np.argsort(dst, kind="stable")
+    src, wgt = src[order], wgt[order]
+    counts = np.bincount(dst, minlength=n)
+    assert counts.min() > 0, "a state has no in-edge"
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+
+    NEG = np.int64(-(1 << 50))
+
+    def relax(F):
+        return np.maximum.reduceat(F[src] + wgt, starts)
+
+    F = np.full(n, NEG, dtype=np.int64)
+    F[0] = 0
+    for _ in range(n):
+        F = relax(F)
+    assert F.min() > NEG // 2, "state graph is not strongly connected"
+
+    best_num = np.ones(n, dtype=np.int64)
+    best_den = np.zeros(n, dtype=np.int64)  # num/den = +infinity until first hit
+    G = np.full(n, NEG, dtype=np.int64)
+    G[0] = 0
+    for j in range(n):
+        if j > 0:
+            G = relax(G)
+        valid = G > NEG // 2
+        num = np.where(valid, F - G, 0)
+        better = valid & (num * best_den < best_num * (n - j))
+        best_num = np.where(better, num, best_num)
+        best_den = np.where(better, n - j, best_den)
+    assert best_den.min() > 0, "a state has no ratio"
+    return max(Fraction(int(a), int(b)) for a, b in zip(best_num, best_den))
 
 
 def brute_best_periodic(distances, max_period: int):

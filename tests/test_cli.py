@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour: output shapes, exit codes, sweep CSV."""
 
 import csv
+import errno
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -86,12 +88,13 @@ class TestMu:
         assert code == 0
         assert json.loads(out)["mu"]["den"] > 0
 
-    def test_method_selection(self, capsys):
-        code, out, _ = run(capsys, "mu", "--distances", "1,5,6", "--method", "policy", "--json")
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["method"] == "PolicyIteration"
-        assert rep["mu"] == {"num": 2, "den": 7}
+    def test_method_flag_is_gone(self, capsys):
+        # One solver path: there is no proposer to choose.
+        for command in ("mu", "witness"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--distances", "1,5,6", "--method", "karp"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --method karp" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -244,6 +247,29 @@ class TestSweep:
         assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
 
+    def test_full_device_out_exits_2(self, capsys):
+        # /dev/full opens but refuses every write: the buffered rows fail on close.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        code, out, err = run(capsys, "sweep", "--max-a", "3", "--out", "/dev/full")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out /dev/full: ")
+        assert "Traceback" not in err
+
+    def test_failed_row_write_exits_2(self, capsys, monkeypatch, tmp_path):
+        # A write that fails mid-sweep stops the sweep with exit 2.
+        class FullFile(io.StringIO):
+            def write(self, text):
+                if self.tell() > 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: FullFile(), raising=False)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--max-a", "5", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out {out_path}: {os.strerror(errno.ENOSPC)}\n"
+
     def test_raw_lattice_order(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max-a", "4", "--max-k", "1", "--max-m", "1")
         assert code == 0
@@ -272,7 +298,7 @@ class TestSweep:
             value=Fraction(1, 100),
             witness=PeriodicSet(period=100, residues=(0,)),
             states_explored=1,
-            method="Karp",
+            method="PolicyIteration",
         )
         monkeypatch.setattr(cli, "mu_exact", lambda *a, **kw: fake)
         code, out, err = run(capsys, "sweep", "--max-a", "3")

@@ -31,6 +31,7 @@ from helpers import (
     brute_avoiding_masks,
     brute_best_periodic,
     iter_avoiding_masks,
+    karp_max_mean,
 )
 
 GOLDEN_MU = [
@@ -199,26 +200,16 @@ class TestMuExact:
         rng = random.Random(404)
         for _ in range(12):
             M = random_difference_set(rng)
-            karp = mu_exact(M, method="karp")
-            policy = mu_exact(M, method="policy")
-            assert karp.value == policy.value
-            assert karp.witness == policy.witness
-            assert karp.method == "Karp" and policy.method == "PolicyIteration"
-            assert check_periodic_avoiding(policy.witness, M)
-            assert policy.witness.density() == policy.value
-
-    def test_auto_uses_policy_at_every_size(self):
-        assert mu_exact([1], method="auto").method == "PolicyIteration"
-        assert mu_exact([1, 5, 6], method="auto").method == "PolicyIteration"
+            _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+            out = mu_exact(M)
+            assert karp_max_mean(succ0, succ1) == out.value
+            assert check_periodic_avoiding(out.witness, M)
+            assert out.witness.density() == out.value
 
     def test_window_cap(self):
         with pytest.raises(ResourceLimit):
             mu_exact([1, 23])
         assert mu_exact([1, 23], max_window=23).value > 0
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidInput):
-            mu_exact([1, 5, 6], method="simplex")
 
     def test_state_cap_argument(self):
         with pytest.raises(ResourceLimit):
@@ -268,14 +259,12 @@ class TestMuExact:
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
 def test_karp_and_policy_identical_with_avoiding_witness(distances):
     M = sorted(distances)
-    karp = mu_exact(M, method="karp")
-    policy = mu_exact(M, method="policy")
-    assert (karp.value, karp.witness, karp.states_explored) == (
-        policy.value, policy.witness, policy.states_explored,
-    )
-    period, residues = policy.witness.period, policy.witness.residues
+    _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    out = mu_exact(M)
+    assert karp_max_mean(succ0, succ1) == out.value
+    period, residues = out.witness.period, out.witness.residues
     assert all((x + d - y) % period for x in residues for y in residues for d in M)
-    assert policy.witness.density() == policy.value
+    assert out.witness.density() == out.value
 
 
 class TestCertificate:
