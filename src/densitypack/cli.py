@@ -20,7 +20,8 @@ and the machinery harnesses only exist for k = 1 or m = 1.
 
 Exit codes: 0 all requested checks pass; 1 a verification failure or a
 lower-bound violation; 2 invalid input (including regime refusals); 3 a
-resource cap was hit; 4 a computed result failed its own check (a bug).
+resource cap was hit; 4 a computed result failed its own check (a bug);
+141 (128 + SIGPIPE) stdout was closed before the report was written.
 Reports go to stdout, diagnostics to stderr.  JSON output (--json) uses
 exact {"num": ..., "den": ...} fractions, a fixed key order, and no floats,
 so parsing and re-serializing with indent=2 is byte-identical.
@@ -32,6 +33,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -468,7 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`densitypack sweep ... | head -1`).
+        # Point stdout at devnull so the interpreter's final flush of what is
+        # still buffered does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except LemmaViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,12 +47,27 @@ as it walks, and raises "witness-missing" when the element is absent.
 Trajectories are guarded by a hard iteration cap of n2 + 1 steps; both stop
 rules provably fire long before that, so hitting the cap is itself reported
 as a violation ("trajectory-unterminated") rather than an infinite loop.
+
+The functions above check one window and are the reference.  The exhaustive
+harnesses (`m1_check`, `k1_check`, run by `profile.scan_windows`) do not
+call them on every window.  In a fixed family each band position alpha
+walks a fixed sequence of offsets, owes a fixed witness stride at each, and
+has a fixed image for each stop step; a window decides only where the walk
+stops (its first offset in I) and which membership facts hold.  So the
+harnesses precompute the walks once per family and evaluate them as array
+filters over a whole batch of window masks: I-membership rows, witness
+strides ANDed with the masks, running ORs of the images for disjointness,
+and pairwise tests for the m = 1 chain edges.  A filter flags a superset of
+the windows on which the reference raises, and every flagged window is
+re-checked by the reference, in order; only a reference failure counts.
+The first counterexample, its index and its violation text are therefore
+exactly those of running the reference on every window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -536,25 +551,205 @@ def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
 
 
 # ──────────────────────────────────────────────────────────────────────────
-# per-instance harnesses
+# array filters: the harnesses over a whole batch (see the module docstring)
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _machinery_check(
-    p: CanonicalParams, check_window: Callable[[Window, CanonicalParams], bool]
-) -> WindowCheck:
-    """A per-window checker as a window check: a LemmaViolation fails the
-    window, with the violation as the detail.
+@dataclass(frozen=True, slots=True)
+class _Walk:
+    """The fixed trajectory of one band position alpha.
 
-    Only windows with |T| > 0 are run.  A window with no band element has
-    an empty chain partition or image map and a count bound of 0 <= ...,
-    so it cannot fail; windows_checked still counts it.
+    steps[n] = (offset, witness mask): the n-th offset and the positions of
+    which A must hold one when that offset misses I.  end is what a row
+    that passes every step without meeting I maps to (w for m = 1, the
+    hole-image mask for k = 1), or None when the reference raises for every
+    such row.
+    """
+
+    alpha: int
+    steps: tuple[tuple[int, int], ...]
+    end: int | None
+
+
+def _mask(positions: Iterable[int], p: CanonicalParams) -> int:
+    """Bitmask of the positions inside the window [0, n2); the others are
+    never elements of A."""
+    return sum(1 << x for x in set(positions) if 0 <= x < p.n2)
+
+
+def _walk_rows(batch: WindowBatch, walk: _Walk):
+    """(has, stops, ended, bad) for the rows of a batch: has holds alpha,
+    stops[n] first meets I at step n, ended reaches the end without
+    meeting I, and bad misses a translate witness on the way."""
+    has = (batch.masks & (1 << walk.alpha)) != 0
+    walking = has.copy()
+    bad = np.zeros_like(has)
+    stops = []
+    for off, witness in walk.steps:
+        stop = walking & batch.in_i[off]
+        walking &= ~stop
+        bad |= walking & ((batch.masks & witness) == 0)
+        stops.append(stop)
+    return has, stops, walking, bad
+
+
+def _is_hole(batch: WindowBatch, p: CanonicalParams, x: int) -> np.ndarray:
+    """Rows for which x is a top hole."""
+    if not p.n1 <= x < p.n2:
+        return np.zeros(len(batch), dtype=bool)
+    return (batch.masks & (1 << x)) == 0
+
+
+def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
+    """(walk, band, v) per band position of an m = 1 family, in increasing
+    alpha.  The walk ends in w = offset + (k+1)*a at the threshold; a
+    quotient >= 2 position has no steps and ends in w = alpha + (k - band)*a.
+    """
+    a, b, k = p.a, p.b, p.k
+    threshold = 2 * b - a
+    walks = []
+    for i in range(k):
+        for alpha in range(i * a + b + 1, (i + 1) * a):
+            lift = (k - i) * a
+            steps: list[tuple[int, int]] = []
+            end = alpha + lift
+            dec = gap_decompose(alpha, p)
+            if dec.quotient == 1:
+                x = dec.offset
+                for _ in range(p.n2 + 1):
+                    steps.append((x, _mask((x + kp * a for kp in range(i + 1, k + 1)), p)))
+                    if x >= threshold:
+                        end = x + (k + 1) * a
+                        break
+                    x += a - b
+                else:
+                    end = None
+            walks.append((_Walk(alpha, tuple(steps), end), i, alpha + lift + b))
+    return walks
+
+
+def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
+    """Rows on which `verify_m1_inequality` could raise."""
+    k = p.k
+    # The count bound; (k+1)|T| <= k(|I|+|U|) implies the main inequality.
+    flags = (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u)
+    has, w_rows = [], []
+    for walk, _, v in walks:
+        rows, stops, ended, bad = _walk_rows(batch, walk)
+        flags |= bad | (rows & ~_is_hole(batch, p, v))
+        w_of: dict[int, np.ndarray] = {}  # x -> the rows whose w is x
+        for (off, _), stop in zip(walk.steps, stops):
+            w_of[off] = w_of.get(off, False) | stop
+        if walk.end is None:
+            flags |= ended
+        else:
+            # The end lies above b, so it is never in I: w must be a hole.
+            w_of[walk.end] = w_of.get(walk.end, False) | ended
+            flags |= ended & ~_is_hole(batch, p, walk.end)
+        if v in w_of:
+            flags |= w_of[v]
+        has.append(rows)
+        w_rows.append(w_of)
+    # Image pairs of alpha > beta may meet only as v(alpha) = w(beta), an
+    # edge, and edges must descend bands.  Two edges out of one alpha would
+    # meet as w = w, and two into one beta as v = v, so the degree bounds
+    # hold; chains, their images and their sizes then need no check.
+    for hi, (_, band_a, v_a) in enumerate(walks):
+        for lo, (_, band_b, v_b) in enumerate(walks[:hi]):
+            w_a, w_b = w_rows[hi], w_rows[lo]
+            if v_a == v_b:
+                flags |= has[hi] & has[lo]
+            if v_b in w_a:
+                flags |= w_a[v_b] & has[lo]
+            for x in w_a.keys() & w_b.keys():
+                flags |= w_a[x] & w_b[x]
+            if v_a in w_b and band_a <= band_b:
+                flags |= w_b[v_a] & has[hi]
+    return flags
+
+
+def _k1_plan(p: CanonicalParams) -> list[_Walk]:
+    """One walk per band position of a k = 1 family, in increasing alpha.
+
+    A quotient j0 > m has no steps and ends in its block; otherwise the
+    walk is the Euclidean trajectory up to the threshold, and its end is
+    the union of the primary block and the step blocks.  The end is None
+    when that union is not m + 1 disjoint positions of [n1, n2).
+    """
+    a, b, m = p.a, p.b, p.m
+    walks = []
+    for alpha in range(b + 1, a):
+        j0 = gap_decompose(alpha, p).quotient
+        steps: list[tuple[int, int]] = []
+        if j0 > m:
+            blocks = [{alpha + a + t * b for t in range(m + 1)}]
+        else:
+            x, quots = alpha, []
+            for _ in range(p.n2 + 1):
+                q, off = divmod(x, b)
+                steps.append((off, _mask((off + a + mp * b for mp in range(q)), p)))
+                quots.append(q)
+                if (x + a - b) // b >= m + 1:
+                    break
+                x += a - b
+            else:
+                walks.append(_Walk(alpha, tuple(steps), None))
+                continue
+            quots.append(m + 1)
+            blocks = [{alpha + a + t * b for t in range(m - j0 + 1, m + 1)}]
+            for n, (off, _) in enumerate(steps):
+                lo = m + quots[n] - quots[n + 1]
+                blocks.append({off + 2 * a + t * b for t in range(lo, m)})
+        union = set().union(*blocks)
+        valid = sum(map(len, blocks)) == len(union) == m + 1 and all(
+            p.n1 <= u < p.n2 for u in union
+        )
+        walks.append(_Walk(alpha, tuple(steps), _mask(union, p) if valid else None))
+    return walks
+
+
+def _k1_flags(batch: WindowBatch, p: CanonicalParams, walks: list[_Walk]) -> np.ndarray:
+    """Rows on which `verify_k1_mapping` could raise."""
+    m = p.m
+    flags = (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u
+    taken: dict[int, np.ndarray] = {}  # translate target -> rows already mapped to it
+    holes = np.zeros(len(batch), dtype=np.int64)  # union of the hole images so far
+    for walk in walks:
+        _, stops, ended, bad = _walk_rows(batch, walk)
+        flags |= bad
+        for (off, _), stop in zip(walk.steps, stops):
+            flags |= stop & taken.get(off, False)
+            taken[off] = taken.get(off, False) | stop
+        if walk.end is None:
+            flags |= ended
+        else:
+            flags |= ended & (((batch.masks | holes) & walk.end) != 0)
+            holes |= ended * walk.end
+    # Distinct targets in I and disjoint (m+1)-sets of U cannot outnumber
+    # them, so the image counts need no check of their own.
+    return flags
+
+
+def _machinery_check(
+    p: CanonicalParams,
+    flag_rows: Callable[[WindowBatch], np.ndarray],
+    check_window: Callable[[Window, CanonicalParams], bool],
+) -> WindowCheck:
+    """An array filter backed by a per-window reference, as a window check.
+
+    `flag_rows` marks a superset of the rows on which `check_window` raises.
+    The flagged rows are re-checked in order, one Window each, and only a
+    LemmaViolation there fails the window, with the violation as the
+    detail; so the first failure and its detail are the reference's own.
+    Only windows with |T| > 0 are ever flagged: one with no band element
+    has an empty chain partition or image map and a count bound of
+    0 <= ..., so it cannot fail; windows_checked still counts it.
     """
 
     def check(batch: WindowBatch):
-        for row in np.flatnonzero(batch.n_t).tolist():
+        for row in np.flatnonzero(flag_rows(batch)).tolist():
             try:
-                check_window(batch.windows[row], p)
+                check_window(batch.window(row), p)
             except LemmaViolation as exc:
                 return row, str(exc)
         return None
@@ -566,14 +761,16 @@ def m1_check(p: CanonicalParams) -> WindowCheck:
     """The m = 1 harness of `check_m1_machinery`, as a window check."""
     if p.m != 1:
         raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
-    return _machinery_check(p, verify_m1_inequality)
+    walks = _m1_plan(p)
+    return _machinery_check(p, lambda batch: _m1_flags(batch, p, walks), verify_m1_inequality)
 
 
 def k1_check(p: CanonicalParams) -> WindowCheck:
     """The k = 1 harness of `check_k1_machinery`, as a window check."""
     if p.k != 1:
         raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    return _machinery_check(p, verify_k1_mapping)
+    walks = _k1_plan(p)
+    return _machinery_check(p, lambda batch: _k1_flags(batch, p, walks), verify_k1_mapping)
 
 
 def check_m1_machinery(

@@ -38,7 +38,7 @@ lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
 Resource guards: max(M) must stay within a window cap (default 22), the
 admissible-state count within a state cap (default 2**22, overridable via
 the DENSITYPACK_MAX_STATES environment variable), and window enumeration
-length within an enumeration cap (default 26).  Masks are int64, so no
+length within an enumeration cap (default 49).  Masks are int64, so no
 window may be longer than 63 positions.  Exceeding any raises
 ResourceLimit.
 """
@@ -71,7 +71,9 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_CAP = 22
-DEFAULT_ENUM_CAP = 26
+# The largest n2 at which every proved family's `verify --level full` ran
+# within 60 s on a 2-vCPU machine; the README has the measurements.
+DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
 # The solvers' int64 magnitudes stay below about n**2 for n states.

@@ -39,10 +39,14 @@ exercise with randomized extensions).
 The exhaustive checks share one enumeration.  `scan_windows` walks a
 family's avoiding windows once, in lexicographic order and in bounded
 batches (`WindowBatch`), and hands every batch to each requested check.
-The counting checks here are array predicates over the batch's |I|, |T|,
-|U| and prefix counts; the per-window m = 1 / k = 1 harnesses in
-`mappings` plug into the same scan.  Each check reports its first failing
-window, which is its lexicographically-first counterexample.
+A batch holds int64 masks and arrays derived from them, never Window
+objects; a Window is built only for a reported counterexample (and by the
+`mappings` harnesses for the rows they re-check one by one).  The counting
+checks here are array predicates over the batch's |I|, |T|, |U| and
+prefix counts; the m = 1 / k = 1 harnesses in `mappings` plug into the
+same scan as array filters backed by per-window reference code.  Each
+check reports its first failing window, which is its
+lexicographically-first counterexample.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -65,12 +68,8 @@ from .family import (
     forbidden_differences,
     two_gap_set,
 )
-from .oracle import (
-    DEFAULT_ENUM_CAP,
-    Window,
-    avoiding_mask_chunks,
-    enumerate_avoiding_windows,
-)
+from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks
+from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 __all__ = [
     "Profile",
@@ -191,31 +190,40 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-# Windows per WindowBatch: bounds the Window objects and arrays a scan holds.
-_BATCH_WINDOWS = 1 << 12
+# Windows per WindowBatch: bounds the arrays a scan holds at once.
+_BATCH_WINDOWS = 1 << 16
 
 
 class WindowBatch:
     """A lexicographically contiguous run of a family's avoiding windows of
-    [0, n2) containing 0: the windows, their masks, and per window |I|,
-    |T|, |U| and the prefix counts |A intersect [0, n1)|,
-    |A intersect [0, n2)|, all int64 arrays with one entry per window."""
+    [0, n2) containing 0, as int64 masks only, with arrays derived from
+    them: per window |I|, |T|, |U| and the prefix counts
+    |A intersect [0, n1)|, |A intersect [0, n2)| (int64, one entry per
+    window), and `in_i[x]`, the bool row of windows for which offset x is an
+    empty translate (`in_i[0]` is all False: 0 is never in I).  `window`
+    builds the Window of one row on demand."""
 
-    __slots__ = ("windows", "masks", "n_i", "n_t", "n_u", "below_n1", "below_n2")
+    __slots__ = ("length", "masks", "in_i", "n_i", "n_t", "n_u", "below_n1", "below_n2")
 
-    def __init__(self, p: CanonicalParams, windows: list[Window]):
+    def __init__(self, p: CanonicalParams, masks: np.ndarray):
         s_mask, bands, top = _profile_masks(p)
-        self.windows = windows
-        self.masks = masks = np.fromiter(
-            (w.mask for w in windows), dtype=np.int64, count=len(windows)
-        )
-        self.n_i = np.zeros(len(masks), dtype=np.int64)
+        self.length = p.n2
+        self.masks = masks
+        self.in_i = np.zeros((p.b, len(masks)), dtype=bool)
         for alpha in range(1, p.b):
-            self.n_i += (masks & (s_mask << alpha)) == 0
+            self.in_i[alpha] = (masks & (s_mask << alpha)) == 0
+        self.n_i = self.in_i.sum(axis=0, dtype=np.int64)
         self.n_t = _popcount(masks & sum(bands))
         self.n_u = _popcount(~masks & top)
         self.below_n1 = _popcount(masks & _span(0, p.n1))
         self.below_n2 = _popcount(masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def window(self, row: int) -> Window:
+        """The Window of one row."""
+        return Window(self.length, int(self.masks[row]))
 
     def sizes(self, row: int) -> tuple[int, int, int]:
         """(|I|, |T|, |U|) of one window, as Python ints."""
@@ -233,16 +241,10 @@ def _first(fails: np.ndarray) -> int | None:
 
 def _window_batches(p: CanonicalParams, enum_cap: int) -> Iterator[WindowBatch]:
     """The family's avoiding windows of [0, n2) containing 0, from one
-    enumeration, in batches of at most _BATCH_WINDOWS.
-
-    The windows come from `enumerate_avoiding_windows` (its int64 mask
-    chunks, as Window objects), so the per-window harnesses and the
-    counterexamples reuse them, and a run that counts its enumeration
-    passes sees this one.
-    """
-    windows = enumerate_avoiding_windows(forbidden_differences(p), p.n2, cap=enum_cap)
-    while batch := list(islice(windows, _BATCH_WINDOWS)):
-        yield WindowBatch(p, batch)
+    enumeration, in batches of at most _BATCH_WINDOWS masks."""
+    for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2, cap=enum_cap):
+        for start in range(0, len(masks), _BATCH_WINDOWS):
+            yield WindowBatch(p, masks[start : start + _BATCH_WINDOWS])
 
 
 def scan_windows(
@@ -264,8 +266,8 @@ def scan_windows(
         for name, check in checks.items():
             if name not in failed and (hit := check(batch)) is not None:
                 row, detail = hit
-                failed[name] = (total + row + 1, batch.windows[row], detail)
-        total += len(batch.windows)
+                failed[name] = (total + row + 1, batch.window(row), detail)
+        total += len(batch)
         if len(failed) == len(checks):
             break
     reports = {}

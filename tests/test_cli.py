@@ -1,17 +1,25 @@
 """End-to-end command-line behaviour: output shapes, exit codes, sweep CSV."""
 
+import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import densitypack
 from densitypack import ExactDensity, PeriodicSet
 from densitypack import cli
-from densitypack.cli import SWEEP_COLUMNS, main
+from densitypack.cli import SWEEP_COLUMNS, main, report_to_json
+from helpers import canonical_instances
 
 
 def run(capsys, *argv):
@@ -342,3 +350,58 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["prove"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # The reader is gone before the first row: every write to stdout
+        # fails with EPIPE, as in `densitypack sweep --max-a 8 | head -1`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(densitypack.__file__).parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "densitypack", "sweep", "--max-a", "8"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+
+def json_round_trip(*argv) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*argv, "--json"])
+    out = buf.getvalue()
+    assert code == 0
+    rep = json.loads(out)
+    assert report_to_json(rep) + "\n" == out
+    return rep
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+def test_mu_json_round_trip(distances):
+    rep = json_round_trip("mu", "--distances", ",".join(map(str, sorted(distances))))
+    assert rep["distances"] == sorted(distances)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    st.sampled_from(list(canonical_instances(max_n2=20, proved_only=True))),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_verify_json_round_trip(p, g, reflect):
+    a, b, k, m = g * p.a, g * p.b, p.k, p.m
+    if reflect:
+        a, b, k, m = b, a, m, k
+    argv = ["verify", "--a", str(a), "--b", str(b), "--k", str(k), "--m", str(m)]
+    rep = json_round_trip(*argv)
+    assert rep["canonical"] == {"a": p.a, "b": p.b, "k": p.k, "m": p.m}
+    assert all(rep["checks"].values())

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitypack import (
     CanonicalParams,
@@ -76,6 +78,28 @@ class TestCanonicalize:
             c = canonicalize(raw)
             assert c.a >= c.b and math.gcd(c.a, c.b) == 1
             assert raw.a == c.g * (c.b if c.swapped else c.a)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.integers(1, 30), st.integers(1, 30), st.integers(1, 5), st.integers(1, 5),
+    st.integers(1, 6),
+)
+def test_canonicalization_and_scaling_invariance(a, b, k, m, g):
+    # Scaling (a, b) by g scales M by g, and reflecting the set, which swaps
+    # (a, k) with (b, m), leaves M as it is; neither moves the closed form.
+    raw = RawParams(a=a, b=b, k=k, m=m)
+    scaled = RawParams(a=g * a, b=g * b, k=k, m=m)
+    reflected = RawParams(a=b, b=a, k=m, m=k)
+    canon = canonicalize(raw)
+    for other in (scaled, reflected):
+        c = canonicalize(other)
+        assert conjectured_density(c) == conjectured_density(canon)
+        assert forbidden_differences(c) == forbidden_differences(canon)
+    M = forbidden_differences(raw).elements
+    assert forbidden_differences(scaled).elements == tuple(g * d for d in M)
+    assert forbidden_differences(reflected).elements == M
+    assert tuple(canon.g * d for d in forbidden_differences(canon).elements) == M
 
 
 class TestDifferenceSets:

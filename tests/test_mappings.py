@@ -1,7 +1,13 @@
 """Band decompositions, offset trajectories, image assignments, chains,
 and the two per-regime counting harnesses."""
 
+import importlib
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitypack import (
     CanonicalParams,
@@ -24,7 +30,22 @@ from densitypack import (
     verify_k1_mapping,
     verify_m1_inequality,
 )
-from densitypack.mappings import _k1_witness, _m1_witness, k1_check
+from densitypack.mappings import (
+    _k1_flags,
+    _k1_plan,
+    _k1_witness,
+    _m1_flags,
+    _m1_plan,
+    _m1_witness,
+    k1_check,
+    m1_check,
+)
+from densitypack.profile import WindowBatch, _profile_masks, scan_windows
+from helpers import canonical_instances
+
+# The package root re-exports the function `profile`, which shadows the
+# module of the same name as an attribute.
+profile_module = importlib.import_module("densitypack.profile")
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=2, m=1)  # two bands: [3,4] and [8,9]
@@ -338,3 +359,109 @@ class TestTranslateWitness:
         w = Window.from_members(16, [0])
         with pytest.raises(LemmaViolation):
             _k1_witness(0, 1, w, P532)
+
+
+# ──────────────────────────────────────────────────────────────────────────
+# the array filters against the per-window reference
+# ──────────────────────────────────────────────────────────────────────────
+
+
+def harnesses(p):
+    """(name, window check, array filter, per-window reference) per regime of p."""
+    out = []
+    if p.m == 1:
+        m1_walks = _m1_plan(p)
+        out.append(("m1", m1_check(p), lambda b: _m1_flags(b, p, m1_walks), verify_m1_inequality))
+    if p.k == 1:
+        k1_walks = _k1_plan(p)
+        out.append(("k1", k1_check(p), lambda b: _k1_flags(b, p, k1_walks), verify_k1_mapping))
+    return out
+
+
+def reference_failures(p, masks, check_window):
+    """Per window: the reference's LemmaViolation text, or None if it passes."""
+    out = []
+    for mask in masks.tolist():
+        try:
+            check_window(Window(p.n2, mask), p)
+            out.append(None)
+        except LemmaViolation as exc:
+            out.append(str(exc))
+    return out
+
+
+def scan_masks(p, masks, checks, batch_size):
+    """scan_windows over the given masks in place of the family's enumeration."""
+    with mock.patch.object(
+        profile_module, "avoiding_mask_chunks", lambda *args, **kwargs: iter([masks])
+    ), mock.patch.object(profile_module, "_BATCH_WINDOWS", batch_size):
+        return scan_windows(p, checks)
+
+
+def assert_matches_reference(p, masks, batch_size):
+    routes = harnesses(p)
+    reports = scan_masks(p, masks, {name: check for name, check, _, _ in routes}, batch_size)
+    batch = WindowBatch(p, masks)
+    for name, _, flag_rows, check_window in routes:
+        details = reference_failures(p, masks, check_window)
+        fails = np.array([d is not None for d in details])
+        assert not (fails & ~flag_rows(batch)).any(), name
+        rep = reports[name]
+        first = next((i for i, d in enumerate(details) if d is not None), None)
+        if first is None:
+            assert rep.passed and rep.windows_checked == len(masks)
+            assert rep.counterexample is None and rep.detail is None
+        else:
+            assert not rep.passed and rep.windows_checked == first + 1
+            assert rep.counterexample == Window(p.n2, int(masks[first]))
+            assert rep.detail == details[first]
+    return len(masks) * len(routes)
+
+
+class TestArrayFilter:
+    def test_sound_on_every_window_with_a_band_element(self):
+        # Every window of [0, n2) that contains 0 and has a band element,
+        # avoiding or not: the non-avoiding ones are where the reference fails.
+        checked = 0
+        for p in [P511, P521, P512, P532, CanonicalParams(a=4, b=1, k=1, m=3)]:
+            band = sum(_profile_masks(p)[1])
+            masks = np.arange(1, 1 << p.n2, 2, dtype=np.int64)
+            checked += assert_matches_reference(p, masks[(masks & band) != 0], 4096)
+        assert checked == 86_528
+
+    def test_shared_translate_target_is_flagged(self):
+        # Only the k = 1 target-disjointness test flags this window, and no
+        # window of the exhaustive set above needs it: alphas 3 and 5 both
+        # map to the translate target 1.
+        p = CanonicalParams(a=7, b=2, k=1, m=2)
+        w = Window.from_members(p.n2, [0, 3, 5, 11, 14])
+        with pytest.raises(LemmaViolation, match="share translate target 1"):
+            verify_k1_mapping(w, p)
+        assert_matches_reference(p, np.array([w.mask], dtype=np.int64), 1)
+
+    def test_nothing_flagged_on_avoiding_windows(self):
+        for p in [P511, P521, P741, P512, P532]:
+            M = forbidden_differences(p)
+            masks = np.array([w.mask for w in enumerate_avoiding_windows(M, p.n2)], dtype=np.int64)
+            batch = WindowBatch(p, masks)
+            for name, _, flag_rows, _ in harnesses(p):
+                assert not flag_rows(batch).any(), (p, name)
+
+
+PROVED_UP_TO_20 = list(canonical_instances(max_n2=20, proved_only=True))
+
+
+@st.composite
+def family_and_windows(draw):
+    p = draw(st.sampled_from(PROVED_UP_TO_20))
+    members = st.frozensets(st.integers(1, p.n2 - 1), max_size=6)
+    windows = draw(st.lists(members, min_size=1, max_size=30))
+    masks = np.array([1 + sum(1 << x for x in w) for w in windows], dtype=np.int64)
+    return p, masks
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(family_and_windows(), st.sampled_from([1, 7, 4096]))
+def test_scan_matches_per_window_reference(family_masks, batch_size):
+    p, masks = family_masks
+    assert_matches_reference(p, masks, batch_size)

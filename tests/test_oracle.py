@@ -26,7 +26,7 @@ from densitypack import (
     window_avoids,
 )
 from densitypack import cli, oracle
-from densitypack.oracle import STATE_CAP_ENV
+from densitypack.oracle import DEFAULT_ENUM_CAP, STATE_CAP_ENV
 from helpers import (
     brute_avoiding_masks,
     brute_best_periodic,
@@ -139,7 +139,9 @@ class TestEnumeration:
         with pytest.raises(InvalidInput):
             list(enumerate_avoiding_windows([1], 0))
         with pytest.raises(ResourceLimit):
-            list(enumerate_avoiding_windows([1], 27))
+            list(enumerate_avoiding_windows([1], 27, cap=26))
+        with pytest.raises(ResourceLimit):
+            next(enumerate_avoiding_windows([1], DEFAULT_ENUM_CAP + 1))
         # the cap is adjustable
         assert sum(1 for _ in enumerate_avoiding_windows([1], 27, cap=27)) > 0
         # masks are int64, so 63 positions at most, whatever the caps

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,7 +226,7 @@ class TestHaralambis:
         with pytest.raises(InvalidInput):
             haralambis_certify([1, 5, 6], Fraction(-1, 4), (7, 11))
         with pytest.raises(ResourceLimit):
-            haralambis_certify([1, 5, 6], Fraction(1, 4), (40,))
+            haralambis_certify([1, 5, 6], Fraction(1, 4), (DEFAULT_ENUM_CAP + 1,))
 
 
 class TestDeltaCertificate:
@@ -306,9 +307,11 @@ def test_window_table_matches_per_window_code(p, chunk, batch_size):
     masks = [mask for batch in batches for mask in batch.masks.tolist()]
     assert masks == list(iter_avoiding_masks(M, p.n2, True))
     for batch in batches:
-        assert len(batch.windows) <= batch_size
-        assert [w.mask for w in batch.windows] == batch.masks.tolist()
-        for row, w in enumerate(batch.windows):
+        assert len(batch) <= batch_size
+        for row in range(len(batch)):
+            w = batch.window(row)
+            assert w == Window(p.n2, int(batch.masks[row]))
             assert batch.sizes(row) == profile(w, p).sizes
+            assert set(np.flatnonzero(batch.in_i[:, row])) == profile(w, p).empty_translates
             assert int(batch.below_n1[row]) == w.count_below(p.n1)
             assert int(batch.below_n2[row]) == w.count_below(p.n2)
