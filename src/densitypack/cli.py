@@ -47,6 +47,7 @@ from .errors import (
 from .family import (
     CanonicalParams,
     DensityBreakdown,
+    DifferenceSet,
     RawParams,
     as_difference_set,
     canonicalize,
@@ -54,7 +55,14 @@ from .family import (
     forbidden_differences,
 )
 from .mappings import k1_check, m1_check
-from .oracle import DEFAULT_ENUM_CAP, DEFAULT_WINDOW_CAP, ExactDensity, Window, mu_exact
+from .oracle import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_WINDOW_CAP,
+    ExactDensity,
+    Window,
+    check_enum_length,
+    mu_exact,
+)
 from .profile import (
     certificate_check,
     dichotomy_check,
@@ -203,11 +211,16 @@ def cmd_witness(args) -> int:
         if any(params_given):
             raise InvalidInput("give either --distances or a/b/k/m, not both")
         M = _parse_distances(args.distances)
+        candidate = None
     elif all(params_given):
-        M = forbidden_differences(RawParams(a=args.a, b=args.b, k=args.k, m=args.m))
+        raw = RawParams(a=args.a, b=args.b, k=args.k, m=args.m)
+        M = forbidden_differences(raw)
+        # mu is invariant under scaling and the swap, so the canonical
+        # family's delta is a candidate for the raw M too.
+        candidate = conjectured_density(canonicalize(raw)).delta
     else:
         raise InvalidInput("witness needs --distances or all four of --a --b --k --m")
-    res = mu_exact(M, max_window=args.max_window)
+    res = mu_exact(M, max_window=args.max_window, candidate=candidate)
     _emit(_oracle_report(M, res), args.json, _oracle_lines(M, res))
     return 0
 
@@ -237,6 +250,13 @@ def _run_verify(args, raw, canon, br):
                 f"k = {canon.k}, m = {canon.m}: levels beyond 'identities' check a "
                 "conjectured regime here; pass --conjecture to probe it anyway"
             )
+        check_enum_length(br.n2, args.enum_cap)
+        # The oracle's own caps are checked before the scan, so a refused
+        # oracle does not wait for every window first.
+        if level >= 3:
+            oracle = mu_exact(
+                forbidden_differences(canon), max_window=args.max_window, candidate=br.delta
+            )
         # One scan of the windows of [0, n2) runs every window check.
         window_checks = {
             "identities": identities_check(canon),
@@ -255,8 +275,7 @@ def _run_verify(args, raw, canon, br):
             if not rep.passed:
                 record(name, rep.counterexample, rep.detail)
 
-    if level >= 3:
-        oracle = mu_exact(forbidden_differences(canon), max_window=args.max_window)
+    if oracle is not None:
         if oracle.value < br.delta:
             checks["oracle"] = False
             record(
@@ -353,6 +372,9 @@ def cmd_sweep(args) -> int:
         for k in range(1, args.max_k + 1)
         for m in range(1, args.max_m + 1)
     )
+    # Raw families that share a canonical form share M: each M is solved
+    # once, and a refused M is refused again without a new attempt.
+    solved: dict[DifferenceSet, ExactDensity | ResourceLimit] = {}
     violation = None
     with _csv_rows(args.out) as write:
         write(SWEEP_COLUMNS)
@@ -366,10 +388,15 @@ def cmd_sweep(args) -> int:
                 raw.a, raw.b, raw.k, raw.m, canon.g, br.d, br.r, br.case_tag,
                 br.delta.numerator, br.delta.denominator,
             ]
-            try:
-                res = mu_exact(forbidden_differences(canon))
-            except ResourceLimit as exc:
-                print(f"skipping {key}: {exc}", file=sys.stderr)
+            M = forbidden_differences(canon)
+            if M not in solved:
+                try:
+                    solved[M] = mu_exact(M, candidate=br.delta)
+                except ResourceLimit as exc:
+                    solved[M] = exc
+            res = solved[M]
+            if isinstance(res, ResourceLimit):
+                print(f"skipping {key}: {res}", file=sys.stderr)
                 write(row + ["", "", "skipped", br.theorem_status])
                 continue
             equal = "true" if res.value == br.delta else "false"

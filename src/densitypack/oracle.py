@@ -21,11 +21,16 @@ out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
 One solver path computes it, in int64 numpy arrays throughout: the graph
-is built level by level as window masks with two successor arrays, Howard
-policy iteration proposes a value p/q, and a longest-walk potential for the
-reweighted graph w' = q*w - p certifies it.  The potential converging, and
-satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
-mu >= p/q and is the periodic witness.
+is built level by level as window masks with two successor arrays, a value
+p/q is proposed, and a longest-walk potential for the reweighted graph
+w' = q*w - p certifies it.  The potential converging, and satisfying every
+edge, proves mu <= p/q; a cycle of its tight edges proves mu >= p/q and is
+the periodic witness.  A caller that already holds a likely value (the
+closed form delta) passes it as the candidate, which is certified first;
+Howard policy iteration proposes the value only when there is no candidate
+or the candidate is refuted (the potential diverges, or no tight cycle
+exists).  Either way the same value is proved on the same graph, so the
+witness is the same.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -63,6 +68,7 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "DEFAULT_STATE_CAP",
     "STATE_CAP_ENV",
+    "check_enum_length",
     "mu_exact",
     "best_periodic_density",
     "check_periodic_avoiding",
@@ -185,16 +191,20 @@ def _conflict_masks(M: DifferenceSet, n: int) -> list[int]:
     return masks
 
 
-def _check_window_length(n: int, cap: int) -> None:
+def _check_mask_bits(n: int) -> None:
+    if n > _MASK_BITS:
+        raise ResourceLimit(f"window length {n} exceeds the {_MASK_BITS} bits of an int64 mask")
+
+
+def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Raise what enumerating the windows of length n under `cap` would
+    raise before it starts: InvalidInput for n < 1, ResourceLimit above the
+    cap or the 63 bits of an int64 mask."""
     if n < 1:
         raise InvalidInput(f"window length must be >= 1, got {n}")
     if n > cap:
         raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
-
-
-def _check_mask_bits(n: int) -> None:
-    if n > _MASK_BITS:
-        raise ResourceLimit(f"window length {n} exceeds the {_MASK_BITS} bits of an int64 mask")
+    _check_mask_bits(n)
 
 
 def _extend(states: np.ndarray, t: int, conflict: int) -> np.ndarray:
@@ -224,8 +234,7 @@ def avoiding_mask_chunks(
     total count.
     """
     M = as_difference_set(distances)
-    _check_window_length(n, cap)
-    _check_mask_bits(n)
+    check_enum_length(n, cap)
     conflicts = _conflict_masks(M, n)
     start = int(require_zero)
     todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
@@ -393,7 +402,7 @@ def _has_cycle(parent: np.ndarray) -> bool:
     return bool((hop[:n] != n).any())
 
 
-def _potential(succ0, succ1, value: Fraction) -> np.ndarray:
+def _potential(succ0, succ1, value: Fraction) -> np.ndarray | None:
     """The longest-walk potential for w' = den*w - num: the fixpoint of
     pi <- max(pi, relax(pi)) from 0, which exists exactly when no cycle has
     positive w'-weight, i.e. when mu <= value.
@@ -403,7 +412,8 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray:
     those edges has positive w'-weight: each raise on it used a value of its
     source no larger than the current one, and the raise that followed the
     cycle's latest raise used a strictly smaller one.  Finding such a cycle
-    raises InternalError at once instead of after n + 1 passes.
+    ends the passes at once instead of after n + 1.  Returns None when pi
+    diverges: the value is below mu.
     """
     n = len(succ0)
     num, den = value.numerator, value.denominator
@@ -441,44 +451,46 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray:
             if step % rounds == 0 and _has_cycle(pred):
                 break
         np.copyto(pi, best, where=raised)
-    raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
+    return None
 
 
-def _tight_cycle(states, succ0, succ1, value: Fraction, L: int) -> list[int]:
+def _tight_cycle(states, succ0, succ1, pi, value: Fraction, L: int) -> list[int] | None:
     """Certify that mu(M) = value and return an optimal cycle's appended bits.
 
     With w' = den*w - num the claim is that the maximum cycle mean becomes
-    0.  The longest-walk potential pi converges exactly when no cycle has
-    positive w'-weight, and then pi[u] + w' <= pi[v] on every edge, which
-    is checked explicitly: this proves mu <= value.  Every cycle of tight
-    edges (pi[u] + w' = pi[v]) telescopes to w'-weight 0, so the first one
-    a depth-first search meets attains value: that proves mu >= value and
-    is the witness.
+    0.  `pi` is the converged longest-walk potential of `_potential`, so no
+    cycle has positive w'-weight, and pi[u] + w' <= pi[v] on every edge,
+    which is checked explicitly: this proves mu <= value.  Every cycle of
+    tight edges (pi[u] + w' = pi[v]) telescopes to w'-weight 0, so the first
+    one a depth-first search meets attains value: that proves mu >= value
+    and is the witness.  Returns None when there is no such cycle: the
+    value is above mu.
     """
     n = len(states)
     num, den = value.numerator, value.denominator
-    pi = _potential(succ0, succ1, value)
-
     has1 = succ1 >= 0
     slack0 = pi[succ0] - pi + num
     slack1 = np.where(has1, pi[succ1] - pi - den + num, 0)
     if slack0.min() < 0 or slack1.min() < 0:
         raise InternalError("potential violates an edge")
-    # adjacency in index order: succ0[v] < succ1[v], as a window with its
-    # newest position excluded sorts first
-    tight0 = (slack0 == 0).tolist()
-    tight1 = (has1 & (slack1 == 0)).tolist()
-    s0, s1 = succ0.tolist(), succ1.tolist()
-    adj = [
-        ([s0[v]] if tight0[v] else []) + ([s1[v]] if tight1[v] else []) for v in range(n)
-    ]
+    tight0 = slack0 == 0
+    tight1 = has1 & (slack1 == 0)
+
+    def tight_out(v: int) -> Iterator[int]:
+        # index order: succ0[v] < succ1[v], as a window with its newest
+        # position excluded sorts first.  `item` reads Python scalars
+        # without making numpy ones.
+        if tight0.item(v):
+            yield succ0.item(v)
+        if tight1.item(v):
+            yield succ1.item(v)
 
     color = bytearray(n)  # 0 new, 1 on the path, 2 done
     for root in range(n):
         if color[root]:
             continue
         color[root] = 1
-        path, todo = [root], [iter(adj[root])]
+        path, todo = [root], [tight_out(root)]
         while todo:
             u = next(todo[-1], None)
             if u is None:
@@ -491,8 +503,8 @@ def _tight_cycle(states, succ0, succ1, value: Fraction, L: int) -> list[int]:
             elif color[u] == 0:
                 color[u] = 1
                 path.append(u)
-                todo.append(iter(adj[u]))
-    raise InternalError(f"no cycle attains the proposed {value}: mu is below it")
+                todo.append(tight_out(u))
+    return None
 
 
 def mu_exact(
@@ -500,14 +512,22 @@ def mu_exact(
     *,
     max_window: int = DEFAULT_WINDOW_CAP,
     max_states: int | None = None,
+    candidate: Fraction | None = None,
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
 
-    Policy iteration proposes the value, and the integer potential of
-    `_tight_cycle` certifies it and yields the witness.  Raises
+    A value is proved by the integer potential of `_potential` and the
+    tight cycle of `_tight_cycle`, which is also the witness.  A given
+    `candidate` (such as the closed form delta of M's family) is certified
+    first; policy iteration proposes the value only without a candidate or
+    after the candidate is refuted.  A candidate outside (0, 1], or with a
+    denominator above the state count, cannot be mu and is not tried.  The
+    witness depends only on the graph and the proved value, so the result
+    is the same either way, and `method` is "PolicyIteration", the name of
+    this certified pipeline, whichever proposal it proved.  Raises
     ResourceLimit when max(M) exceeds `max_window` or the admissible state
-    count exceeds the state cap, and InternalError if a proposed value or
-    witness fails its check.
+    count exceeds the state cap, and InternalError if policy iteration's
+    value or the witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
@@ -515,8 +535,21 @@ def mu_exact(
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 
     states, succ0, succ1 = _build_state_graph(M, _state_cap(max_states))
-    value = _policy_iteration(succ0, succ1)
-    bits = _tight_cycle(states, succ0, succ1, value, L)
+    value, bits = candidate, None
+    # mu lies in (0, 1] with denominator at most the state count, so no
+    # other candidate is tried; that also keeps the potential within int64.
+    if candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(states):
+        pi = _potential(succ0, succ1, candidate)
+        if pi is not None:
+            bits = _tight_cycle(states, succ0, succ1, pi, candidate, L)
+    if bits is None:
+        value = _policy_iteration(succ0, succ1)
+        pi = _potential(succ0, succ1, value)
+        if pi is None:
+            raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
+        bits = _tight_cycle(states, succ0, succ1, pi, value, L)
+        if bits is None:
+            raise InternalError(f"no cycle attains the proposed {value}: mu is below it")
 
     witness = PeriodicSet(
         period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)

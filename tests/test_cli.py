@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,8 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densitypack
-from densitypack import ExactDensity, PeriodicSet
-from densitypack import cli
+from densitypack import (
+    ExactDensity,
+    PeriodicSet,
+    RawParams,
+    ResourceLimit,
+    canonicalize,
+    conjectured_density,
+    forbidden_differences,
+    mu_exact,
+)
+from densitypack import cli, oracle
 from densitypack.cli import SWEEP_COLUMNS, main, report_to_json
 from helpers import canonical_instances
 
@@ -124,6 +134,28 @@ class TestWitness:
         assert rep["distances"] == [6, 10, 12, 16, 22]
         assert rep["mu"] == {"num": 3, "den": 14}
 
+    @pytest.mark.parametrize(
+        "family, distances",
+        [
+            ((5, 1, 1, 1), "1,5,6"),
+            ((1, 5, 1, 1), "1,5,6"),
+            ((10, 2, 1, 1), "2,10,12"),
+            ((6, 10, 2, 1), "6,10,12,16,22"),
+            ((10, 6, 1, 2), "6,10,12,16,22"),
+            ((6, 2, 2, 2), "2,4,6,8,10,12,14,16"),
+        ],
+    )
+    def test_family_output_equals_distances_output(self, capsys, family, distances):
+        # The family route certifies delta of the canonical family for the
+        # raw, scaled or swapped M; the distances route runs policy
+        # iteration.  Both prove the same value on the same graph.
+        a, b, k, m = map(str, family)
+        code, out, _ = run(
+            capsys, "witness", "--a", a, "--b", b, "--k", k, "--m", m, "--json"
+        )
+        assert code == 0
+        assert (0, out, "") == run(capsys, "witness", "--distances", distances, "--json")
+
     def test_both_sources_rejected(self, capsys):
         code, _, err = run(
             capsys, "witness", "--distances", "1,5,6",
@@ -207,6 +239,45 @@ class TestVerify:
             "--level", "inequality",
         )
         assert code == 3 and "error:" in err
+
+    def test_refused_oracle_stops_before_the_scan(self, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the windows were scanned")
+
+        monkeypatch.setattr(cli, "scan_windows", no_scan)
+        # (5,1,1,1) has max(M) = 6
+        code, out, err = run(
+            capsys, "verify", "--a", "5", "--b", "1", "--k", "1", "--m", "1",
+            "--max-window", "5",
+        )
+        assert (code, out, err) == (3, "", "error: max(M) = 6 exceeds window cap 5\n")
+        # (29,1,1,1) has n2 = 59 and max(M) = 30: the enumeration cap's
+        # message wins over the window cap's, and the int64 bound's over
+        # the oracle's at (32,1,1,1), n2 = 65
+        code, out, err = run(
+            capsys, "verify", "--a", "29", "--b", "1", "--k", "1", "--m", "1",
+        )
+        assert (code, out, err) == (
+            3, "", f"error: window length 59 exceeds enumeration cap {cli.DEFAULT_ENUM_CAP}\n"
+        )
+        code, out, err = run(
+            capsys, "verify", "--a", "32", "--b", "1", "--k", "1", "--m", "1",
+            "--enum-cap", "70", "--max-window", "40",
+        )
+        assert (code, out) == (3, "") and "int64 mask" in err
+
+    def test_proved_families_certify_delta(self, monkeypatch):
+        # Where delta is mu, the oracle stage proves it without policy
+        # iteration.
+        def refuse(succ0, succ1):
+            raise AssertionError("policy iteration ran")
+
+        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        for p in canonical_instances(max_n2=26, proved_only=True):
+            if p.weight > cli.DEFAULT_WINDOW_CAP:
+                continue
+            argv = ["verify", "--a", str(p.a), "--b", str(p.b), "--k", str(p.k), "--m", str(p.m)]
+            assert json_round_trip(*argv)["checks"]["oracle"] is True
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         # A window check that fails on the first window, {0}.
@@ -300,6 +371,51 @@ class TestSweep:
         assert skipped["mu_num"] == "" and skipped["mu_den"] == ""
         assert skipped["delta_num"] != ""
         assert "skipping (3,2,1,1)" in err
+
+    def test_each_difference_set_is_solved_once(self, capsys, monkeypatch):
+        # Scaled raw families repeat a canonical M, and a 30-state budget
+        # skips 13 rows over 11 distinct M: the CSV and stderr are what a
+        # fresh solve per row gives.
+        monkeypatch.setenv("DENSITYPACK_MAX_STATES", "30")
+        expected, notes, solved, skipped = [SWEEP_COLUMNS], [], [], []
+        for a in range(2, 9):
+            for b, k, m in itertools.product(range(1, a), (1, 2), (1, 2)):
+                canon = canonicalize(RawParams(a=a, b=b, k=k, m=m))
+                if canon.weight > 10:
+                    continue
+                br = conjectured_density(canon)
+                M = forbidden_differences(canon)
+                row = [a, b, k, m, canon.g, br.d, br.r, br.case_tag]
+                row += [br.delta.numerator, br.delta.denominator]
+                try:
+                    mu = mu_exact(M).value
+                except ResourceLimit as exc:
+                    notes.append(f"skipping ({a},{b},{k},{m}): {exc}\n")
+                    row += ["", "", "skipped"]
+                    skipped.append(M)
+                else:
+                    row += [mu.numerator, mu.denominator, str(mu == br.delta).lower()]
+                    solved.append(M)
+                expected.append([str(x) for x in row + [br.theorem_status]])
+        assert len(set(solved)) < len(solved) and len(set(skipped)) < len(skipped)
+
+        calls = []
+        monkeypatch.setattr(cli, "mu_exact", lambda M, **kw: calls.append(M) or mu_exact(M, **kw))
+        code, out, err = run(capsys, "sweep", "--max-a", "8", "--weight-cap", "10")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == expected
+        assert err == "".join(notes)
+        assert sorted(calls, key=tuple) == sorted(set(solved + skipped), key=tuple)
+
+    def test_workload_box_never_runs_policy_iteration(self, capsys, monkeypatch):
+        # Every M of this box has mu = delta, so certifying delta suffices.
+        def refuse(succ0, succ1):
+            raise AssertionError("policy iteration ran")
+
+        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        code, out, _ = run(capsys, "sweep", "--max-a", "12", "--weight-cap", "18")
+        assert code == 0
+        assert len(out.splitlines()) == 180
 
     def test_lower_bound_violation_exits_1(self, capsys, monkeypatch):
         fake = ExactDensity(

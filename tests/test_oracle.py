@@ -269,6 +269,51 @@ def test_karp_and_policy_identical_with_avoiding_witness(distances):
     assert out.witness.density() == out.value
 
 
+class TestCandidate:
+    """A candidate value is certified first; a wrong one falls back."""
+
+    def test_right_candidate_skips_policy_iteration(self, monkeypatch):
+        def refuse(succ0, succ1):
+            raise AssertionError("policy iteration ran")
+
+        expected = mu_exact([1, 5, 6])
+        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        assert mu_exact([1, 5, 6], candidate=Fraction(2, 7)) == expected
+
+    @pytest.mark.parametrize(
+        "M, wrong",
+        [
+            ((1, 5, 6), Fraction(1, 4)),  # below mu: the potential diverges
+            ((1, 5, 6), Fraction(1, 3)),  # above mu: no tight cycle
+            ((1, 20), Fraction(9, 19)),  # just below 10/21, on 17,711 states
+            ((1, 5, 6), Fraction(2, 7) + Fraction(1, 10**30)),  # beyond int64
+            ((1, 5, 6), Fraction(-1, 3)),
+        ],
+    )
+    def test_wrong_candidate_gives_the_right_value(self, monkeypatch, M, wrong):
+        expected = mu_exact(M)
+        runs = []
+        policy = oracle._policy_iteration
+        monkeypatch.setattr(
+            oracle, "_policy_iteration", lambda *arrays: runs.append(1) or policy(*arrays)
+        )
+        assert mu_exact(M, candidate=wrong) == expected
+        assert runs == [1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    st.sets(st.integers(1, 16), min_size=1, max_size=5),
+    st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+)
+def test_candidate_never_changes_the_result(distances, ratio):
+    M = sorted(distances)
+    out = mu_exact(M)
+    step = Fraction(1, 997)
+    for candidate in (out.value, out.value - step, out.value + step, 0, 1, Fraction(*ratio)):
+        assert mu_exact(M, candidate=Fraction(candidate)) == out, candidate
+
+
 class TestCertificate:
     """The potential check rejects a wrong proposed value from either side."""
 
