@@ -26,11 +26,13 @@ p/q is proposed, and a longest-walk potential for the reweighted graph
 w' = q*w - p certifies it.  The potential converging, and satisfying every
 edge, proves mu <= p/q; a cycle of its tight edges proves mu >= p/q and is
 the periodic witness.  A caller that already holds a likely value (the
-closed form delta) passes it as the candidate, which is certified first;
-Howard policy iteration proposes the value only when there is no candidate
-or the candidate is refuted (the potential diverges, or no tight cycle
-exists).  Either way the same value is proved on the same graph, so the
-witness is the same.
+closed form delta) passes it as the candidate, which is certified first.
+Without one, the first proposal is the best cycle mean of the greedy
+policy that appends 1 wherever allowed: a real cycle's mean, so a lower
+bound, and nearly always mu itself.  Howard policy iteration proposes the
+value only when that first proposal is refuted (the potential diverges,
+or no tight cycle exists).  Every way, the same value is proved on the
+same graph, so the witness is the same.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -273,15 +275,20 @@ def enumerate_avoiding_windows(
 
 
 def _state_cap(max_states: int | None) -> int:
+    """The state cap: `max_states`, else the environment, else the default.
+    A cap below 1 would refuse every graph, so it is invalid input."""
     if max_states is not None:
-        return max_states
-    env = os.environ.get(STATE_CAP_ENV)
-    if env is not None:
+        cap, source = max_states, "max_states"
+    elif (env := os.environ.get(STATE_CAP_ENV)) is None:
+        return DEFAULT_STATE_CAP
+    else:
         try:
-            return int(env)
+            cap, source = int(env), STATE_CAP_ENV
         except ValueError as exc:
             raise InvalidInput(f"{STATE_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_STATE_CAP
+    if cap < 1:
+        raise InvalidInput(f"{source} must be positive, got {cap}")
+    return cap
 
 
 def _check_state_count(count: int, cap: int) -> None:
@@ -328,19 +335,57 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return states, succ0, succ1
 
 
+def _evaluate(succ, choice):
+    """Cycle gains of a policy: each state's walk on `succ` ends in a cycle.
+
+    Pointer doubling: after log2 n squarings, land[v] is on v's terminal
+    cycle and low[u] is the smallest state of u's cycle for every cycle
+    state u; that smallest state is the walk's root.  Returns (root, p, q),
+    where p/q is the reduced mean of the root's cycle, whose edge weights
+    are `choice`.
+    """
+    n = len(succ)
+    land, low = succ, np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[land])
+        land = land[land]
+    root = low[land]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[land] = True
+    length = np.bincount(root[on_cycle], minlength=n)[root]
+    total = np.bincount(root[on_cycle & choice], minlength=n)[root]
+    common = np.gcd(total, length)
+    return root, total // common, length // common
+
+
+def _best_gain(root, p, q) -> Fraction:
+    """The largest cycle mean of an evaluated policy."""
+    roots = np.flatnonzero(root == np.arange(len(root)))
+    return max(Fraction(int(p[r]), int(q[r])) for r in roots)
+
+
+def _greedy_cycle_mean(succ0, succ1) -> Fraction:
+    """The best cycle mean of the greedy policy, which appends 1 wherever
+    allowed: policy iteration's starting point.  It is the mean of a real
+    cycle, so at most mu, and in practice it is nearly always mu itself."""
+    choice = succ1 >= 0
+    return _best_gain(*_evaluate(np.where(choice, succ1, succ0), choice))
+
+
 def _policy_iteration(succ0, succ1) -> Fraction:
     """Howard policy iteration for the maximum cycle mean, exact in int64.
 
-    A policy picks one out-edge per state, starting greedily from the
-    weight-1 edge where there is one.  Evaluation works on the policy's
+    A policy picks one out-edge per state, starting from the greedy policy
+    of `_greedy_cycle_mean`.  Evaluation (`_evaluate`) works on the policy's
     functional graph by pointer doubling: every state's walk ends in a cycle
-    whose smallest state is its root, its gain is the cycle's reduced mean
-    p/q, and its bias is the sum of w*q - p along the walk to the root.
+    whose smallest state is its root, and its gain is the cycle's reduced
+    mean p/q.  Its bias is the sum of w*q - p along the walk to the root.
     States with equal gains share q, so biases compare as integers, and
     gains compare by cross-multiplication.  Improvement is the usual
     two-stage one (gain first, then bias), switching only on strict
     improvement and to the first best edge, so it terminates.  Returns the
-    best gain, which `_tight_cycle` then certifies.
+    best gain, which `_tight_cycle` then certifies.  `mu_exact` runs it only
+    after the greedy proposal (or a caller's candidate) is refuted.
     """
     n = len(succ0)
     index = np.arange(n)
@@ -352,20 +397,7 @@ def _policy_iteration(succ0, succ1) -> Fraction:
     for _ in range(_POLICY_ITERATION_CAP):
         succ = np.where(choice, succ1, succ0)
         weight = choice.astype(np.int64)
-
-        # after `rounds` doublings, land[v] is on v's terminal cycle and
-        # low[u] is the smallest state of u's cycle for every cycle state u
-        land, low = succ, index
-        for _ in range(rounds):
-            low = np.minimum(low, low[land])
-            land = land[land]
-        root = low[land]
-        on_cycle = np.zeros(n, dtype=bool)
-        on_cycle[land] = True
-        length = np.bincount(root[on_cycle], minlength=n)[root]
-        total = np.bincount(root[on_cycle & choice], minlength=n)[root]
-        common = np.gcd(total, length)
-        p, q = total // common, length // common
+        root, p, q = _evaluate(succ, choice)
 
         is_root = root == index
         bias = np.where(is_root, 0, weight * q - p)
@@ -385,7 +417,7 @@ def _policy_iteration(succ0, succ1) -> Fraction:
         bias1_up = val1 > np.maximum(val0, bias)
         changed = gain_up | bias0_up | bias1_up
         if not changed.any():
-            return max(Fraction(int(p[r]), int(q[r])) for r in np.flatnonzero(is_root))
+            return _best_gain(root, p, q)
         choice = np.where(gain_up, gain1_higher, np.where(bias0_up | bias1_up, bias1_up, choice))
     raise InternalError("policy iteration failed to converge")
 
@@ -393,7 +425,7 @@ def _policy_iteration(succ0, succ1) -> Fraction:
 def _has_cycle(parent: np.ndarray) -> bool:
     """Whether the walk v, parent[v], parent[parent[v]], ... loops for some v,
     where parent[v] = len(parent) ends a walk.  Pointer doubling, as in
-    `_policy_iteration`: after log2 n squarings every walk has either
+    `_evaluate`: after log2 n squarings every walk has either
     reached the end or is on its cycle."""
     n = len(parent)
     hop = np.append(parent, n)
@@ -517,17 +549,19 @@ def mu_exact(
     """Exact mu(M) with a periodic witness.
 
     A value is proved by the integer potential of `_potential` and the
-    tight cycle of `_tight_cycle`, which is also the witness.  A given
-    `candidate` (such as the closed form delta of M's family) is certified
-    first; policy iteration proposes the value only without a candidate or
-    after the candidate is refuted.  A candidate outside (0, 1], or with a
+    tight cycle of `_tight_cycle`, which is also the witness.  The first
+    value tried is the given `candidate` (such as the closed form delta of
+    M's family) or, without one, the greedy policy's best cycle mean
+    (`_greedy_cycle_mean`); policy iteration proposes the value only after
+    that first one is refuted.  A candidate outside (0, 1], or with a
     denominator above the state count, cannot be mu and is not tried.  The
     witness depends only on the graph and the proved value, so the result
-    is the same either way, and `method` is "PolicyIteration", the name of
-    this certified pipeline, whichever proposal it proved.  Raises
+    is the same whichever value was proposed, and `method` is
+    "PolicyIteration", the name of this certified pipeline.  Raises
     ResourceLimit when max(M) exceeds `max_window` or the admissible state
-    count exceeds the state cap, and InternalError if policy iteration's
-    value or the witness fails its check.
+    count exceeds the state cap, InvalidInput when the state cap is not a
+    positive integer, and InternalError if policy iteration's value or the
+    witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
@@ -535,10 +569,12 @@ def mu_exact(
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 
     states, succ0, succ1 = _build_state_graph(M, _state_cap(max_states))
+    if candidate is None:
+        candidate = _greedy_cycle_mean(succ0, succ1)
     value, bits = candidate, None
     # mu lies in (0, 1] with denominator at most the state count, so no
     # other candidate is tried; that also keeps the potential within int64.
-    if candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(states):
+    if 0 < candidate <= 1 and candidate.denominator <= len(states):
         pi = _potential(succ0, succ1, candidate)
         if pi is not None:
             bits = _tight_cycle(states, succ0, succ1, pi, candidate, L)

@@ -106,6 +106,24 @@ class TestMu:
         assert code == 0
         assert json.loads(out)["mu"]["den"] > 0
 
+    def test_workload_graph_never_runs_policy_iteration(self, capsys, monkeypatch):
+        # The greedy policy's best cycle is mu on {1, 23}, so certifying it
+        # suffices; the output is what policy iteration's value gave.
+        def refuse(succ0, succ1):
+            raise AssertionError("policy iteration ran")
+
+        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        code, out, err = run(
+            capsys, "mu", "--distances", "1,23", "--max-window", "23", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "distances": [\n    1,\n    23\n  ],\n'
+            '  "mu": {\n    "num": 1,\n    "den": 2\n  },\n'
+            '  "witness": {\n    "period": 2,\n    "residues": [\n      0\n    ]\n  },\n'
+            '  "states_explored": 75025,\n  "method": "PolicyIteration"\n}\n'
+        )
+
     def test_method_flag_is_gone(self, capsys):
         # One solver path: there is no proposer to choose.
         for command in ("mu", "witness"):

@@ -230,6 +230,16 @@ class TestMuExact:
         with pytest.raises(InvalidInput):
             mu_exact([1, 5, 6])
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_state_cap_must_be_positive(self, monkeypatch, capsys, cap):
+        with pytest.raises(InvalidInput, match="max_states must be positive"):
+            mu_exact([1, 5, 6], max_states=cap)
+        monkeypatch.setenv(STATE_CAP_ENV, str(cap))
+        with pytest.raises(InvalidInput, match=f"{STATE_CAP_ENV} must be positive"):
+            mu_exact([1, 5, 6])
+        assert cli.main(["mu", "--distances", "1,5,6"]) == 2
+        assert capsys.readouterr().err == f"error: {STATE_CAP_ENV} must be positive, got {cap}\n"
+
     def test_state_cap_is_checked_on_the_full_count(self, monkeypatch):
         # {1, 23} has exactly 75025 avoiding windows of length 23.
         with pytest.raises(ResourceLimit):
@@ -314,13 +324,51 @@ def test_candidate_never_changes_the_result(distances, ratio):
         assert mu_exact(M, candidate=Fraction(candidate)) == out, candidate
 
 
+class TestGreedyProposal:
+    """Without a candidate, the greedy policy's best cycle mean is tried first."""
+
+    def test_refuted_proposal_falls_back_to_policy_iteration(self, monkeypatch):
+        # The greedy policy's best cycle has mean 2/11, below mu = 3/16.
+        M = [2, 4, 5, 7, 8, 9]
+        _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        assert oracle._greedy_cycle_mean(succ0, succ1) == Fraction(2, 11)
+        runs = []
+        policy = oracle._policy_iteration
+        monkeypatch.setattr(
+            oracle, "_policy_iteration", lambda *arrays: runs.append(1) or policy(*arrays)
+        )
+        out = mu_exact(M)
+        assert out.value == karp_max_mean(succ0, succ1) == Fraction(3, 16)
+        assert runs == [1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sets(st.integers(1, 16), min_size=1, max_size=5))
+def test_greedy_proposal_never_changes_the_result(distances):
+    M = sorted(distances)
+    out = mu_exact(M)
+    # 1 is above every mu (no tight cycle); 1/(max(M) + 2) is below it, as
+    # the multiples of max(M) + 1 avoid M (the potential diverges).
+    for wrong in (Fraction(1), Fraction(1, max(M) + 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: wrong)
+            assert mu_exact(M) == out, wrong
+
+
+def propose(monkeypatch, value):
+    """Make both proposers, the greedy policy and policy iteration, return
+    `value`, so that a wrong one reaches the final check."""
+    for name in ("_greedy_cycle_mean", "_policy_iteration"):
+        monkeypatch.setattr(oracle, name, lambda succ0, succ1: value)
+
+
 class TestCertificate:
     """The potential check rejects a wrong proposed value from either side."""
 
     @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(1, 4)])
     def test_wrong_proposal_is_rejected(self, monkeypatch, capsys, wrong):
         assert mu_exact([1, 5, 6]).value == Fraction(2, 7)
-        monkeypatch.setattr(oracle, "_policy_iteration", lambda succ0, succ1: wrong)
+        propose(monkeypatch, wrong)
         with pytest.raises(InternalError):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -331,8 +379,7 @@ class TestCertificate:
         # seconds; a cycle of strict raises rejects the value within a few.
         mu = Fraction(10, 21)
         assert mu_exact([1, 20]).value == mu
-        wrong = mu - Fraction(1, 1000)
-        monkeypatch.setattr(oracle, "_policy_iteration", lambda succ0, succ1: wrong)
+        propose(monkeypatch, mu - Fraction(1, 1000))
         t0 = time.perf_counter()
         with pytest.raises(InternalError, match="diverges"):
             mu_exact([1, 20])
@@ -344,7 +391,8 @@ class TestCertificate:
             "from fractions import Fraction\n"
             "from densitypack import cli, oracle\n"
             "assert False, 'asserts must be disabled'\n"
-            "oracle._policy_iteration = lambda succ0, succ1: Fraction(1, 3)\n"
+            "wrong = lambda succ0, succ1: Fraction(1, 3)\n"
+            "oracle._greedy_cycle_mean = oracle._policy_iteration = wrong\n"
             "sys.exit(cli.main(['mu', '--distances', '1,5,6']))\n"
         )
         src = os.path.dirname(os.path.dirname(oracle.__file__))
