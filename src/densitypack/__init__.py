@@ -28,7 +28,6 @@ from .family import (
     canonicalize,
     conjectured_density,
     defect,
-    difference_set_of,
     forbidden_differences,
     has_averaging_slack,
     two_gap_set,
@@ -41,7 +40,6 @@ from .oracle import (
     check_periodic_avoiding,
     enumerate_avoiding_windows,
     mu_exact,
-    window_avoids,
 )
 from .profile import (
     CertifyResult,
@@ -55,18 +53,8 @@ from .profile import (
     profile,
 )
 from .mappings import (
-    ChainPartition,
-    GapDecomposition,
-    ImageAssignment,
-    Trajectory,
-    build_chain_partition,
     check_k1_machinery,
     check_m1_machinery,
-    gap_decompose,
-    image_pair,
-    k1_image,
-    k1_trajectory,
-    m1_trajectory,
     verify_k1_mapping,
     verify_m1_inequality,
 )
@@ -90,7 +78,6 @@ __all__ = [
     "canonicalize",
     "conjectured_density",
     "defect",
-    "difference_set_of",
     "forbidden_differences",
     "has_averaging_slack",
     "two_gap_set",
@@ -101,7 +88,6 @@ __all__ = [
     "check_periodic_avoiding",
     "enumerate_avoiding_windows",
     "mu_exact",
-    "window_avoids",
     "CertifyResult",
     "Profile",
     "VerificationReport",
@@ -111,18 +97,8 @@ __all__ = [
     "delta_certificate",
     "haralambis_certify",
     "profile",
-    "ChainPartition",
-    "GapDecomposition",
-    "ImageAssignment",
-    "Trajectory",
-    "build_chain_partition",
     "check_k1_machinery",
     "check_m1_machinery",
-    "gap_decompose",
-    "image_pair",
-    "k1_image",
-    "k1_trajectory",
-    "m1_trajectory",
     "verify_k1_mapping",
     "verify_m1_inequality",
     "__version__",

@@ -43,6 +43,7 @@ oracle can only confirm it instance by instance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -58,7 +59,6 @@ __all__ = [
     "canonicalize",
     "two_gap_set",
     "forbidden_differences",
-    "difference_set_of",
     "defect",
     "conjectured_density",
     "has_averaging_slack",
@@ -153,12 +153,17 @@ class DifferenceSet:
 
 
 def as_difference_set(distances: DifferenceSet | Iterable[int]) -> DifferenceSet:
-    """Coerce an iterable of distances into a validated DifferenceSet."""
+    """Coerce an iterable of integer distances into a validated DifferenceSet.
+
+    Each value must be an integer (anything `operator.index` accepts, such
+    as a numpy int); a float, a Fraction or a string is InvalidInput, never
+    truncated or parsed.
+    """
     if isinstance(distances, DifferenceSet):
         return distances
     try:
-        elems = sorted(set(int(d) for d in distances))
-    except (TypeError, ValueError) as exc:
+        elems = sorted({operator.index(d) for d in distances})
+    except TypeError as exc:
         raise InvalidInput(f"cannot read distances from {distances!r}") from exc
     return DifferenceSet(tuple(elems))
 
@@ -216,17 +221,6 @@ def forbidden_differences(p: CanonicalParams | RawParams) -> DifferenceSet:
         if i + j > 0
     }
     return DifferenceSet(tuple(sorted(out)))
-
-
-def difference_set_of(elements: Iterable[int]) -> DifferenceSet:
-    """All pairwise positive differences of a strictly increasing tuple starting at 0."""
-    elems = tuple(elements)
-    if len(elems) < 2:
-        raise InvalidInput("need at least two elements to form differences")
-    if elems[0] != 0 or any(x >= y for x, y in zip(elems, elems[1:])):
-        raise InvalidInput(f"elements must be strictly increasing and start at 0, got {elems}")
-    diffs = {y - x for i, x in enumerate(elems) for y in elems[i + 1 :]}
-    return DifferenceSet(tuple(sorted(diffs)))
 
 
 def defect(p: CanonicalParams) -> tuple[int, int]:

@@ -43,11 +43,11 @@ level-by-level construction and yields int64 masks in bounded chunks, in
 lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
 
 Resource guards: max(M) must stay within a window cap (default 22), the
-admissible-state count within a state cap (default 2**22, overridable via
-the DENSITYPACK_MAX_STATES environment variable), and window enumeration
+admissible-state count within a state cap (default 2**22, set only by the
+DENSITYPACK_MAX_STATES environment variable), and window enumeration
 length within an enumeration cap (default 49).  Masks are int64, so no
 window may be longer than 63 positions.  Exceeding any raises
-ResourceLimit.
+ResourceLimit; a cap below 1 would refuse everything and is InvalidInput.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "best_periodic_density",
     "check_periodic_avoiding",
     "enumerate_avoiding_windows",
-    "window_avoids",
 ]
 
 DEFAULT_WINDOW_CAP = 22
@@ -173,12 +172,6 @@ def check_periodic_avoiding(s: PeriodicSet, distances: DifferenceSet | Iterable[
     return True
 
 
-def window_avoids(window: Window, distances: DifferenceSet | Iterable[int]) -> bool:
-    """Whether no two members of the window differ by an element of M."""
-    M = as_difference_set(distances)
-    return all(window.mask & (window.mask >> d) == 0 for d in M)
-
-
 def _conflict_masks(M: DifferenceSet, n: int) -> list[int]:
     """masks[t] has bit t-d for each d in M with d <= t: earlier positions
     that forbid setting position t."""
@@ -200,10 +193,12 @@ def _check_mask_bits(n: int) -> None:
 
 def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """Raise what enumerating the windows of length n under `cap` would
-    raise before it starts: InvalidInput for n < 1, ResourceLimit above the
-    cap or the 63 bits of an int64 mask."""
+    raise before it starts: InvalidInput for n < 1 or a cap below 1,
+    ResourceLimit above the cap or the 63 bits of an int64 mask."""
     if n < 1:
         raise InvalidInput(f"window length must be >= 1, got {n}")
+    if cap < 1:
+        raise InvalidInput(f"enumeration cap must be >= 1, got {cap}")
     if n > cap:
         raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
     _check_mask_bits(n)
@@ -274,20 +269,17 @@ def enumerate_avoiding_windows(
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def _state_cap(max_states: int | None) -> int:
-    """The state cap: `max_states`, else the environment, else the default.
-    A cap below 1 would refuse every graph, so it is invalid input."""
-    if max_states is not None:
-        cap, source = max_states, "max_states"
-    elif (env := os.environ.get(STATE_CAP_ENV)) is None:
+def _state_cap() -> int:
+    """The state cap: the environment, else the default.  A cap below 1
+    would refuse every graph, so it is invalid input."""
+    if (env := os.environ.get(STATE_CAP_ENV)) is None:
         return DEFAULT_STATE_CAP
-    else:
-        try:
-            cap, source = int(env), STATE_CAP_ENV
-        except ValueError as exc:
-            raise InvalidInput(f"{STATE_CAP_ENV} must be an integer, got {env!r}") from exc
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise InvalidInput(f"{STATE_CAP_ENV} must be an integer, got {env!r}") from exc
     if cap < 1:
-        raise InvalidInput(f"{source} must be positive, got {cap}")
+        raise InvalidInput(f"{STATE_CAP_ENV} must be positive, got {cap}")
     return cap
 
 
@@ -295,7 +287,7 @@ def _check_state_count(count: int, cap: int) -> None:
     if count > cap:
         raise ResourceLimit(
             f"admissible state count exceeds cap {cap} "
-            f"(set {STATE_CAP_ENV} or max_states to raise it)"
+            f"(set {STATE_CAP_ENV} to raise it)"
         )
     if count > _INT64_STATE_LIMIT:
         raise ResourceLimit(
@@ -543,7 +535,6 @@ def mu_exact(
     distances: DifferenceSet | Iterable[int],
     *,
     max_window: int = DEFAULT_WINDOW_CAP,
-    max_states: int | None = None,
     candidate: Fraction | None = None,
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
@@ -559,16 +550,19 @@ def mu_exact(
     is the same whichever value was proposed, and `method` is
     "PolicyIteration", the name of this certified pipeline.  Raises
     ResourceLimit when max(M) exceeds `max_window` or the admissible state
-    count exceeds the state cap, InvalidInput when the state cap is not a
-    positive integer, and InternalError if policy iteration's value or the
-    witness fails its check.
+    count exceeds the state cap (DENSITYPACK_MAX_STATES, default 2**22),
+    InvalidInput when `max_window` or the state cap is below 1, and
+    InternalError if policy iteration's value or the witness fails its
+    check.
     """
     M = as_difference_set(distances)
     L = M.max_element
+    if max_window < 1:
+        raise InvalidInput(f"window cap must be >= 1, got {max_window}")
     if L > max_window:
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 
-    states, succ0, succ1 = _build_state_graph(M, _state_cap(max_states))
+    states, succ0, succ1 = _build_state_graph(M, _state_cap())
     if candidate is None:
         candidate = _greedy_cycle_mean(succ0, succ1)
     value, bits = candidate, None

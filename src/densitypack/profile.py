@@ -52,13 +52,14 @@ lexicographically-first counterexample.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit, UnsupportedRegime, WindowTooShort
+from .errors import InvalidInput, UnsupportedRegime, WindowTooShort
 from .family import (
     CanonicalParams,
     DifferenceSet,
@@ -68,7 +69,7 @@ from .family import (
     forbidden_differences,
     two_gap_set,
 )
-from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks
+from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks, check_enum_length
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 __all__ = [
@@ -428,17 +429,22 @@ def haralambis_certify(
     about mu(M).  The returned counterexample is the first one in the
     lexicographic enumeration order.
 
-    Comparisons are exact: count * delta.den <= delta.num * n.
+    Comparisons are exact: count * delta.den <= delta.num * n.  Candidates
+    that are not positive integers (a float is not truncated) and an
+    `enum_cap` below 1 are InvalidInput; a largest candidate above
+    `enum_cap` is ResourceLimit.
     """
     M = as_difference_set(distances)
-    cand = sorted(set(int(n) for n in candidates))
+    try:
+        cand = sorted({operator.index(n) for n in candidates})
+    except TypeError:
+        cand = []  # not integers: reported with the other bad candidate lists
     if not cand or cand[0] < 1:
         raise InvalidInput(f"candidates must be positive integers, got {candidates!r}")
     if not isinstance(delta, Fraction) or delta <= 0:
         raise InvalidInput(f"delta must be a positive Fraction, got {delta!r}")
     length = cand[-1]
-    if length > enum_cap:
-        raise ResourceLimit(f"candidate {length} exceeds enumeration cap {enum_cap}")
+    check_enum_length(length, enum_cap)
     count = 0
     for masks in avoiding_mask_chunks(M, length, cap=enum_cap):
         row = _first(_defeats_all(masks, cand, delta))

@@ -99,6 +99,12 @@ class TestMu:
         code, _, err = run(capsys, "mu", "--distances", "1,23")
         assert code == 3 and "error:" in err
 
+    @pytest.mark.parametrize("command", ["mu", "witness"])
+    def test_nonpositive_window_cap_exit_2(self, capsys, command):
+        # A cap below 1 is bad input, not a limit that was hit (exit 3).
+        code, out, err = run(capsys, command, "--distances", "1,5,6", "--max-window", "-3")
+        assert (code, out, err) == (2, "", "error: window cap must be >= 1, got -3\n")
+
     def test_raised_window_cap(self, capsys):
         code, out, _ = run(
             capsys, "mu", "--distances", "1,23", "--max-window", "23", "--json"
@@ -257,6 +263,13 @@ class TestVerify:
             "--level", "inequality",
         )
         assert code == 3 and "error:" in err
+
+    def test_nonpositive_caps_exit_2(self, capsys):
+        family = ["verify", "--a", "5", "--b", "1", "--k", "1", "--m", "1"]
+        code, out, err = run(capsys, *family, "--enum-cap", "0")
+        assert (code, out, err) == (2, "", "error: enumeration cap must be >= 1, got 0\n")
+        code, out, err = run(capsys, *family, "--max-window", "0")
+        assert (code, out, err) == (2, "", "error: window cap must be >= 1, got 0\n")
 
     def test_refused_oracle_stops_before_the_scan(self, capsys, monkeypatch):
         def no_scan(*args, **kwargs):

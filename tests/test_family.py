@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from densitypack import (
     canonicalize,
     conjectured_density,
     defect,
-    difference_set_of,
     forbidden_differences,
     has_averaging_slack,
     two_gap_set,
@@ -120,9 +120,9 @@ class TestDifferenceSets:
 
     def test_forbidden_equals_pairwise_differences_of_s(self):
         for p in canonical_instances(max_weight=12):
-            assert forbidden_differences(p).elements == difference_set_of(
-                two_gap_set(p)
-            ).elements
+            s = two_gap_set(p)
+            pairwise = {y - x for i, x in enumerate(s) for y in s[i + 1 :]}
+            assert forbidden_differences(p).elements == tuple(sorted(pairwise))
 
     def test_max_element_is_weight(self):
         for p in canonical_instances(max_weight=12):
@@ -133,15 +133,19 @@ class TestDifferenceSets:
             as_difference_set([])
         with pytest.raises(InvalidInput):
             as_difference_set([0, 3])
-        with pytest.raises(InvalidInput):
-            difference_set_of([0])
-        with pytest.raises(InvalidInput):
-            difference_set_of([1, 3])
-        with pytest.raises(InvalidInput):
-            difference_set_of([0, 3, 3])
 
     def test_as_difference_set_sorts_and_dedups(self):
         assert as_difference_set([6, 1, 5, 1]).elements == (1, 5, 6)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", Fraction(3, 2), Fraction(1)])
+    def test_non_integer_distances_are_refused(self, bad):
+        # Truncating 1.5 to 1 would silently answer for {1, 5, 6}.
+        with pytest.raises(InvalidInput, match="cannot read distances"):
+            as_difference_set([bad, 5, 6])
+
+    def test_numpy_integers_are_accepted(self):
+        elems = as_difference_set(np.array([6, 1, 5], dtype=np.int64)).elements
+        assert elems == (1, 5, 6) and all(type(d) is int for d in elems)
 
 
 class TestClosedForm:

@@ -16,16 +16,10 @@ from densitypack import (
     NotInBand,
     UnsupportedRegime,
     Window,
-    build_chain_partition,
     check_k1_machinery,
     check_m1_machinery,
     enumerate_avoiding_windows,
     forbidden_differences,
-    gap_decompose,
-    image_pair,
-    k1_image,
-    k1_trajectory,
-    m1_trajectory,
     profile,
     verify_k1_mapping,
     verify_m1_inequality,
@@ -37,8 +31,14 @@ from densitypack.mappings import (
     _m1_flags,
     _m1_plan,
     _m1_witness,
+    build_chain_partition,
+    gap_decompose,
+    image_pair,
     k1_check,
+    k1_image,
+    k1_trajectory,
     m1_check,
+    m1_trajectory,
 )
 from densitypack.profile import WindowBatch, _profile_masks, scan_windows
 from helpers import canonical_instances

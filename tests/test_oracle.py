@@ -23,7 +23,6 @@ from densitypack import (
     check_periodic_avoiding,
     enumerate_avoiding_windows,
     mu_exact,
-    window_avoids,
 )
 from densitypack import cli, oracle
 from densitypack.oracle import DEFAULT_ENUM_CAP, STATE_CAP_ENV
@@ -91,23 +90,6 @@ class TestPeriodicSet:
         assert not check_periodic_avoiding(PeriodicSet(period=7, residues=(0, 5)), [1, 5, 6])
 
 
-class TestWindowAvoids:
-    def test_examples(self):
-        assert window_avoids(Window.from_members(11, [0, 3, 7, 10]), [1, 5, 6])
-        assert not window_avoids(Window.from_members(11, [0, 5]), [1, 5, 6])
-
-    def test_agrees_with_brute_filter(self):
-        rng = random.Random(101)
-        for _ in range(30):
-            M = random_difference_set(rng)
-            n = rng.randint(1, 10)
-            for mask in range(1 << n):
-                w = Window(n, mask)
-                assert window_avoids(w, M) == all(
-                    mask & (mask >> d) == 0 for d in M
-                )
-
-
 class TestEnumeration:
     def test_matches_brute_force(self):
         rng = random.Random(202)
@@ -150,6 +132,14 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit, match="int64"):
             mu_exact(range(1, 65), max_window=64)
         assert len(list(enumerate_avoiding_windows(range(1, 64), 63, cap=63))) == 1
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_cap_must_be_positive(self, cap):
+        # A cap below 1 is bad input, not a limit that was hit.
+        with pytest.raises(InvalidInput, match=f"enumeration cap must be >= 1, got {cap}"):
+            oracle.check_enum_length(3, cap)
+        with pytest.raises(InvalidInput, match="enumeration cap"):
+            next(enumerate_avoiding_windows([1], 3, cap=cap))
 
     def test_chunks_are_bounded_and_contiguous(self, monkeypatch):
         M = as_difference_set([1, 5, 6])
@@ -195,7 +185,8 @@ class TestMuExact:
             for i, mask in enumerate(masks):
                 assert succ0[i] == index[mask >> 1]
                 # the appended position must avoid the whole old window
-                ok = window_avoids(Window(L + 1, mask | 1 << L), M)
+                new = mask | 1 << L
+                ok = all(new & (new >> d) == 0 for d in M)
                 assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
 
     def test_karp_and_policy_agree(self):
@@ -213,9 +204,21 @@ class TestMuExact:
             mu_exact([1, 23])
         assert mu_exact([1, 23], max_window=23).value > 0
 
-    def test_state_cap_argument(self):
-        with pytest.raises(ResourceLimit):
-            mu_exact([1, 5, 6], max_states=4)
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_window_cap_must_be_positive(self, cap):
+        with pytest.raises(InvalidInput, match=f"window cap must be >= 1, got {cap}"):
+            mu_exact([1, 5, 6], max_window=cap)
+
+    @pytest.mark.parametrize("bad", [[1.5, 5, 6], ["1", 5, 6], [Fraction(1), 5, 6]])
+    def test_non_integer_distances_are_refused(self, bad):
+        # Truncating 1.5 to 1 would return mu({1, 5, 6}) = 2/7.
+        with pytest.raises(InvalidInput):
+            mu_exact(bad)
+
+    def test_state_cap_argument(self, monkeypatch):
+        monkeypatch.setenv(STATE_CAP_ENV, "4")
+        with pytest.raises(ResourceLimit, match=f"set {STATE_CAP_ENV} to raise it"):
+            mu_exact([1, 5, 6])
 
     def test_int64_guard(self, monkeypatch):
         monkeypatch.setattr(oracle, "_INT64_STATE_LIMIT", 17)
@@ -232,8 +235,6 @@ class TestMuExact:
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_state_cap_must_be_positive(self, monkeypatch, capsys, cap):
-        with pytest.raises(InvalidInput, match="max_states must be positive"):
-            mu_exact([1, 5, 6], max_states=cap)
         monkeypatch.setenv(STATE_CAP_ENV, str(cap))
         with pytest.raises(InvalidInput, match=f"{STATE_CAP_ENV} must be positive"):
             mu_exact([1, 5, 6])
@@ -242,16 +243,11 @@ class TestMuExact:
 
     def test_state_cap_is_checked_on_the_full_count(self, monkeypatch):
         # {1, 23} has exactly 75025 avoiding windows of length 23.
-        with pytest.raises(ResourceLimit):
-            mu_exact([1, 23], max_window=23, max_states=75024)
-        assert mu_exact([1, 23], max_window=23, max_states=75025).states_explored == 75025
         monkeypatch.setenv(STATE_CAP_ENV, "75024")
         with pytest.raises(ResourceLimit):
             mu_exact([1, 23], max_window=23)
-
-    def test_explicit_cap_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(STATE_CAP_ENV, "4")
-        assert mu_exact([1, 5, 6], max_states=100).value == Fraction(2, 7)
+        monkeypatch.setenv(STATE_CAP_ENV, "75025")
+        assert mu_exact([1, 23], max_window=23).states_explored == 75025
 
     def test_scaling_invariance(self):
         base = mu_exact([1, 5, 6]).value

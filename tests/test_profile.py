@@ -228,6 +228,22 @@ class TestHaralambis:
         with pytest.raises(ResourceLimit):
             haralambis_certify([1, 5, 6], Fraction(1, 4), (DEFAULT_ENUM_CAP + 1,))
 
+    @pytest.mark.parametrize("bad", [7.9, "x", Fraction(7)])
+    def test_non_integer_candidates_are_refused(self, bad):
+        # Truncating 7.9 would check the prefix of length 7 instead.
+        with pytest.raises(InvalidInput, match="candidates must be positive integers"):
+            haralambis_certify([1, 5, 6], Fraction(2, 7), (bad, 11))
+
+    def test_numpy_candidates_are_accepted(self):
+        cands = np.array([7, 11], dtype=np.int64)
+        assert haralambis_certify([1, 5, 6], Fraction(2, 7), cands).certified
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_enum_cap_must_be_positive(self, cap):
+        # The cap is refused before the candidate length is compared with it.
+        with pytest.raises(InvalidInput, match=f"enumeration cap must be >= 1, got {cap}"):
+            haralambis_certify([1, 5, 6], Fraction(2, 7), (7, 11), enum_cap=cap)
+
 
 class TestDeltaCertificate:
     def test_goldens(self):

@@ -4,12 +4,14 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import densitypack
 
 PACKAGE = Path(densitypack.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_no_assert_statements():
@@ -29,6 +31,15 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"densitypack.{info.name}")
         missing += [f"{mod.__name__}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def test_readme_library_example_runs():
+    # The documented example imports from the package root, so it fails
+    # here if a name it uses leaves the public surface.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_tracer_hooks_exist():
