@@ -25,6 +25,10 @@ resource cap was hit; 4 a computed result failed its own check (a bug);
 Reports go to stdout, diagnostics to stderr.  JSON output (--json) uses
 exact {"num": ..., "den": ...} fractions, a fixed key order, and no floats,
 so parsing and re-serializing with indent=2 is byte-identical.
+
+`main(argv)` may be called repeatedly in one process.  It builds its
+parser on the first call and reuses it; the parser holds only constants
+and the `cmd_*` functions, so reuse changes no output.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -414,6 +419,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole CLI on every call; `main` reuses one."""
     parser = argparse.ArgumentParser(
         prog="densitypack",
         description="Exact packing densities of two-gap difference families.",
@@ -494,8 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on its first call, not at import, so
+    start-up does not pay for it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

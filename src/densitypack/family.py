@@ -56,6 +56,7 @@ __all__ = [
     "DifferenceSet",
     "DensityBreakdown",
     "as_difference_set",
+    "as_int",
     "canonicalize",
     "two_gap_set",
     "forbidden_differences",
@@ -63,6 +64,28 @@ __all__ = [
     "conjectured_density",
     "has_averaging_slack",
 ]
+
+
+def as_int(value, name: str) -> int:
+    """`value` as a Python int: anything `operator.index` accepts, such as a
+    numpy int, except a bool.  A bool, a float, a Fraction or a string is
+    InvalidInput, never truncated or parsed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def _store_positive_ints(obj, names: tuple[str, ...]) -> None:
+    """Read each named field of a frozen dataclass with `as_int`, refuse
+    values below 1, and store the Python int back."""
+    for name in names:
+        v = as_int(getattr(obj, name), name)
+        if v < 1:
+            raise InvalidInput(f"{name} must be a positive integer, got {v!r}")
+        object.__setattr__(obj, name, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +98,7 @@ class RawParams:
     m: int
 
     def __post_init__(self):
-        for name in ("a", "b", "k", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise InvalidInput(f"{name} must be a positive integer, got {v!r}")
+        _store_positive_ints(self, ("a", "b", "k", "m"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,10 +118,7 @@ class CanonicalParams:
     swapped: bool = False
 
     def __post_init__(self):
-        for name in ("a", "b", "k", "m", "g"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise InvalidInput(f"{name} must be a positive integer, got {v!r}")
+        _store_positive_ints(self, ("a", "b", "k", "m", "g"))
         if self.a < self.b:
             raise InvalidInput(f"canonical params need a >= b, got a={self.a} < b={self.b}")
         if math.gcd(self.a, self.b) != 1:
@@ -123,7 +140,8 @@ class CanonicalParams:
 
 @dataclass(frozen=True, slots=True)
 class DifferenceSet:
-    """A finite set of forbidden positive differences, strictly increasing."""
+    """A finite set of forbidden positive differences, strictly increasing
+    Python ints (`as_difference_set` reads other integer types into one)."""
 
     elements: tuple[int, ...]
 
@@ -132,7 +150,7 @@ class DifferenceSet:
             raise InvalidInput("difference set must be nonempty")
         prev = 0
         for d in self.elements:
-            if not isinstance(d, int) or d <= prev:
+            if isinstance(d, bool) or not isinstance(d, int) or d <= prev:
                 raise InvalidInput(
                     f"differences must be positive and strictly increasing, got {self.elements}"
                 )
@@ -155,15 +173,14 @@ class DifferenceSet:
 def as_difference_set(distances: DifferenceSet | Iterable[int]) -> DifferenceSet:
     """Coerce an iterable of integer distances into a validated DifferenceSet.
 
-    Each value must be an integer (anything `operator.index` accepts, such
-    as a numpy int); a float, a Fraction or a string is InvalidInput, never
-    truncated or parsed.
+    Each value is read by `as_int`: a numpy int is accepted, and a bool, a
+    float, a Fraction or a string is InvalidInput.
     """
     if isinstance(distances, DifferenceSet):
         return distances
     try:
-        elems = sorted({operator.index(d) for d in distances})
-    except TypeError as exc:
+        elems = sorted({as_int(d, "distance") for d in distances})
+    except (TypeError, InvalidInput) as exc:
         raise InvalidInput(f"cannot read distances from {distances!r}") from exc
     return DifferenceSet(tuple(elems))
 

@@ -44,7 +44,8 @@ lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
 
 Resource guards: max(M) must stay within a window cap (default 22), the
 admissible-state count within a state cap (default 2**22, set only by the
-DENSITYPACK_MAX_STATES environment variable), and window enumeration
+DENSITYPACK_MAX_STATES environment variable; the graph build checks each
+level's size against it before allocating the level), and window enumeration
 length within an enumeration cap (default 49).  Masks are int64, so no
 window may be longer than 63 positions.  Exceeding any raises
 ResourceLimit; a cap below 1 would refuse everything and is InvalidInput.
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .family import DifferenceSet, as_difference_set
+from .family import DifferenceSet, as_difference_set, as_int
 
 __all__ = [
     "Window",
@@ -204,12 +205,19 @@ def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     _check_mask_bits(n)
 
 
-def _extend(states: np.ndarray, t: int, conflict: int) -> np.ndarray:
+def _extend(states: np.ndarray, t: int, with_t: np.ndarray) -> np.ndarray:
     """One enumeration level: each window is followed by its extension with
-    position t, if that avoids M (excluding a position sorts first)."""
-    with_t = (states & conflict) == 0
-    pairs = np.stack([states, states | (1 << t)], axis=1)
-    return pairs[np.stack([np.ones_like(with_t), with_t], axis=1)]
+    position t where `with_t` allows it (excluding a position sorts first).
+    The (window, extension) pairs and their keep-mask fill preallocated
+    (n, 2) arrays, row-major, so reading the kept entries gives that order."""
+    n = len(states)
+    pairs = np.empty((n, 2), dtype=np.int64)
+    pairs[:, 0] = states
+    pairs[:, 1] = states | (1 << t)
+    keep = np.empty((n, 2), dtype=bool)
+    keep[:, 0] = True
+    keep[:, 1] = with_t
+    return pairs[keep]
 
 
 def avoiding_mask_chunks(
@@ -243,7 +251,7 @@ def avoiding_mask_chunks(
         elif t == n:
             yield states
         else:
-            todo.append((t + 1, _extend(states, t, conflicts[t])))
+            todo.append((t + 1, _extend(states, t, (states & conflicts[t]) == 0)))
 
 
 def enumerate_avoiding_windows(
@@ -303,17 +311,18 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     lexicographic order of `avoiding_mask_chunks` (so the all-zero window is
     state 0), appending a 0 moves state i to succ0[i], and appending a 1
     moves it to succ1[i], or succ1[i] = -1 when that would create a
-    difference in M.  Windows are extended one position per level; level
-    sizes never decrease, so checking each level against the cap stops the
-    build before a level beyond it is extended.
+    difference in M.  Windows are extended one position per level, and each
+    level's size is checked against the cap before the level is allocated,
+    so a refused graph never holds more windows than the cap.
     """
     L = M.max_element
     _check_mask_bits(L)
     conflicts = _conflict_masks(M, L)
     states = np.zeros(1, dtype=np.int64)
     for t in range(L):
-        states = _extend(states, t, conflicts[t])
-        _check_state_count(len(states), cap)
+        with_t = (states & conflicts[t]) == 0
+        _check_state_count(len(states) + int(np.count_nonzero(with_t)), cap)
+        states = _extend(states, t, with_t)
 
     order = np.argsort(states)
     by_value = states[order]
@@ -551,12 +560,13 @@ def mu_exact(
     "PolicyIteration", the name of this certified pipeline.  Raises
     ResourceLimit when max(M) exceeds `max_window` or the admissible state
     count exceeds the state cap (DENSITYPACK_MAX_STATES, default 2**22),
-    InvalidInput when `max_window` or the state cap is below 1, and
-    InternalError if policy iteration's value or the witness fails its
-    check.
+    InvalidInput when `max_window` is not an integer (read by `as_int`) or
+    when it or the state cap is below 1, and InternalError if policy
+    iteration's value or the witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
+    max_window = as_int(max_window, "window cap")
     if max_window < 1:
         raise InvalidInput(f"window cap must be >= 1, got {max_window}")
     if L > max_window:
@@ -602,9 +612,10 @@ def best_periodic_density(
     branch-and-bound maximum independent set in the circulant graph on Z_p
     with connection set M mod p.  Any d divisible by p empties that period.
     Always a lower bound for mu(M); equality is a property the tests probe,
-    not something this function assumes.
+    not something this function assumes.  `max_period` is read by `as_int`.
     """
     M = as_difference_set(distances)
+    max_period = as_int(max_period, "max_period")
     if max_period < 1:
         raise InvalidInput(f"max_period must be >= 1, got {max_period}")
     best = Fraction(0)

@@ -52,7 +52,6 @@ lexicographically-first counterexample.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -64,6 +63,7 @@ from .family import (
     CanonicalParams,
     DifferenceSet,
     as_difference_set,
+    as_int,
     conjectured_density,
     defect,
     forbidden_differences,
@@ -430,14 +430,15 @@ def haralambis_certify(
     lexicographic enumeration order.
 
     Comparisons are exact: count * delta.den <= delta.num * n.  Candidates
-    that are not positive integers (a float is not truncated) and an
+    that are not positive integers (each is read by `as_int`, so a bool or
+    a float is refused, never truncated) and an
     `enum_cap` below 1 are InvalidInput; a largest candidate above
     `enum_cap` is ResourceLimit.
     """
     M = as_difference_set(distances)
     try:
-        cand = sorted({operator.index(n) for n in candidates})
-    except TypeError:
+        cand = sorted({as_int(n, "candidate") for n in candidates})
+    except (TypeError, InvalidInput):
         cand = []  # not integers: reported with the other bad candidate lists
     if not cand or cand[0] < 1:
         raise InvalidInput(f"candidates must be positive integers, got {candidates!r}")

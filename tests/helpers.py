@@ -16,6 +16,11 @@ import numpy as np
 from densitypack import CanonicalParams
 
 
+# One integer-like value of each kind an integer argument may receive: only
+# the numpy int is an integer; the bool, float, Fraction and str are not.
+INTEGER_LIKE = [True, np.int64(3), 1.5, Fraction(3), "3"]
+
+
 def canonical_instances(
     *,
     max_weight: int | None = None,

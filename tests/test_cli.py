@@ -499,6 +499,52 @@ class TestArgparse:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    VERIFY = ["verify", "--a", "5", "--b", "1", "--k", "1", "--m", "1"]
+    CALLS = [VERIFY, ["mu", "--distances", "1,5,6", "--json"], ["verify", "--a", "x"], ["--help"], VERIFY]
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_reused_parser_matches_fresh_parsers(self, monkeypatch):
+        reused = [self.outcome(argv) for argv in self.CALLS]
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+        assert reused[4] == reused[0]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert [self.outcome(argv) for argv in self.CALLS] == reused
+
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["density", "--a", "5", "--b", "1", "--k", "1", "--m", "1"]) == 0
+            assert main(["mu", "--distances", "1,5,6"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        # Building it at import would move its cost into every start-up.
+        env = {**os.environ, "PYTHONPATH": str(Path(densitypack.__file__).parents[1])}
+        script = "import densitypack.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.stdout == "0\n", proc.stderr
+
+
 class TestClosedStdout:
     def test_closed_pipe_exits_141_without_traceback(self):
         # The reader is gone before the first row: every write to stdout

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from densitypack import (
     CanonicalParams,
+    DifferenceSet,
     InvalidInput,
     RawParams,
     as_difference_set,
@@ -21,7 +22,7 @@ from densitypack import (
     has_averaging_slack,
     two_gap_set,
 )
-from helpers import canonical_instances
+from helpers import INTEGER_LIKE, canonical_instances
 
 
 class TestParams:
@@ -34,6 +35,25 @@ class TestParams:
     def test_raw_rejects_non_int(self):
         with pytest.raises(InvalidInput):
             RawParams(a=2.0, b=1, k=1, m=1)
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_raw_reads_integers(self, value):
+        # A bool used to pass as 1, and a numpy int used to be refused.
+        if isinstance(value, np.integer):
+            p = RawParams(a=value, b=1, k=1, m=1)
+            assert p == RawParams(a=3, b=1, k=1, m=1) and type(p.a) is int
+        else:
+            with pytest.raises(InvalidInput, match="a must be an integer"):
+                RawParams(a=value, b=1, k=1, m=1)
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_canonical_reads_integers(self, value):
+        if isinstance(value, np.integer):
+            p = CanonicalParams(a=5, b=1, k=value, m=1)
+            assert p == CanonicalParams(a=5, b=1, k=3, m=1) and type(p.k) is int
+        else:
+            with pytest.raises(InvalidInput, match="k must be an integer"):
+                CanonicalParams(a=5, b=1, k=value, m=1)
 
     def test_canonical_rejects_swapped_order(self):
         with pytest.raises(InvalidInput):
@@ -133,11 +153,13 @@ class TestDifferenceSets:
             as_difference_set([])
         with pytest.raises(InvalidInput):
             as_difference_set([0, 3])
+        with pytest.raises(InvalidInput):
+            DifferenceSet((True, 2))
 
     def test_as_difference_set_sorts_and_dedups(self):
         assert as_difference_set([6, 1, 5, 1]).elements == (1, 5, 6)
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", Fraction(3, 2), Fraction(1)])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", Fraction(3, 2), Fraction(1), True])
     def test_non_integer_distances_are_refused(self, bad):
         # Truncating 1.5 to 1 would silently answer for {1, 5, 6}.
         with pytest.raises(InvalidInput, match="cannot read distances"):

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from densitypack import (
 from densitypack import cli, oracle
 from densitypack.oracle import DEFAULT_ENUM_CAP, STATE_CAP_ENV
 from helpers import (
+    INTEGER_LIKE,
     brute_avoiding_masks,
     brute_best_periodic,
     iter_avoiding_masks,
@@ -142,12 +144,18 @@ class TestEnumeration:
             next(enumerate_avoiding_windows([1], 3, cap=cap))
 
     def test_chunks_are_bounded_and_contiguous(self, monkeypatch):
-        M = as_difference_set([1, 5, 6])
-        whole = list(iter_avoiding_masks(M, 14, True))
+        # Both enumeration routes (with and without position 0 forced in),
+        # on a fixed M and on random ones, give the reference order.
+        rng = random.Random(909)
+        cases = [((1, 5, 6), 14)]
+        cases += [(random_difference_set(rng, max_element=10), rng.randint(6, 14)) for _ in range(6)]
         monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 3)
-        chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, 14)]
-        assert max(map(len, chunks)) <= 3 and len(chunks) > 1
-        assert [mask for c in chunks for mask in c] == whole
+        for M, n in cases:
+            for require_zero in (True, False):
+                whole = list(iter_avoiding_masks(M, n, require_zero))
+                chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, n, require_zero)]
+                assert max(map(len, chunks)) <= 3 and len(chunks) > 1
+                assert [mask for c in chunks for mask in c] == whole
 
 
 class TestMuExact:
@@ -215,6 +223,15 @@ class TestMuExact:
         with pytest.raises(InvalidInput):
             mu_exact(bad)
 
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_window_cap_is_read_as_an_integer(self, value):
+        # A numpy int is accepted; 23.5 used to be compared as a float.
+        if isinstance(value, np.integer):
+            assert mu_exact([1, 2], max_window=value).value == Fraction(1, 3)
+        else:
+            with pytest.raises(InvalidInput, match="window cap must be an integer"):
+                mu_exact([1, 2], max_window=value)
+
     def test_state_cap_argument(self, monkeypatch):
         monkeypatch.setenv(STATE_CAP_ENV, "4")
         with pytest.raises(ResourceLimit, match=f"set {STATE_CAP_ENV} to raise it"):
@@ -248,6 +265,22 @@ class TestMuExact:
             mu_exact([1, 23], max_window=23)
         monkeypatch.setenv(STATE_CAP_ENV, "75025")
         assert mu_exact([1, 23], max_window=23).states_explored == 75025
+
+    def test_refused_graph_never_exceeds_the_cap(self, monkeypatch):
+        # Each level is checked before it is allocated, not after.
+        sizes = []
+        real_extend = oracle._extend
+
+        def extend(*args):
+            level = real_extend(*args)
+            sizes.append(len(level))
+            return level
+
+        monkeypatch.setattr(oracle, "_extend", extend)
+        monkeypatch.setenv(STATE_CAP_ENV, "1000")
+        with pytest.raises(ResourceLimit, match="exceeds cap 1000"):
+            mu_exact([1, 23], max_window=23)
+        assert sizes and max(sizes) <= 1000
 
     def test_scaling_invariance(self):
         base = mu_exact([1, 5, 6]).value
@@ -439,3 +472,12 @@ class TestBestPeriodic:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             best_periodic_density([1, 2], 0)
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_max_period_is_read_as_an_integer(self, value):
+        # 7.5 used to escape as a bare TypeError from range().
+        if isinstance(value, np.integer):
+            assert best_periodic_density([1, 2], value).value == Fraction(1, 3)
+        else:
+            with pytest.raises(InvalidInput, match="max_period must be an integer"):
+                best_periodic_density([1, 2], value)

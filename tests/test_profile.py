@@ -228,7 +228,7 @@ class TestHaralambis:
         with pytest.raises(ResourceLimit):
             haralambis_certify([1, 5, 6], Fraction(1, 4), (DEFAULT_ENUM_CAP + 1,))
 
-    @pytest.mark.parametrize("bad", [7.9, "x", Fraction(7)])
+    @pytest.mark.parametrize("bad", [7.9, "x", Fraction(7), True])
     def test_non_integer_candidates_are_refused(self, bad):
         # Truncating 7.9 would check the prefix of length 7 instead.
         with pytest.raises(InvalidInput, match="candidates must be positive integers"):
