@@ -269,7 +269,7 @@ def _run_verify(args, raw, canon, br):
         }
         if br.r >= 1:
             window_checks["dichotomy"] = dichotomy_check(canon)
-        window_checks["haralambis"] = certificate_check(canon)
+        window_checks["haralambis"] = certificate_check(canon, br.delta)
         if level >= 2 and canon.m == 1:
             window_checks["m1_chains"] = m1_check(canon)
         if level >= 2 and canon.k == 1:

@@ -29,10 +29,12 @@ the periodic witness.  A caller that already holds a likely value (the
 closed form delta) passes it as the candidate, which is certified first.
 Without one, the first proposal is the best cycle mean of the greedy
 policy that appends 1 wherever allowed: a real cycle's mean, so a lower
-bound, and nearly always mu itself.  Howard policy iteration proposes the
-value only when that first proposal is refuted (the potential diverges,
-or no tight cycle exists).  Every way, the same value is proved on the
-same graph, so the witness is the same.
+bound, and nearly always mu itself.  A potential that diverges finds a
+cycle of strict raises, a real cycle with mean above the value, and that
+mean is the next proposal (cycle improvement, as in Dasdan 2004); a
+caller's candidate with no tight cycle is above mu and gives way to the
+greedy proposal.  Every way, the same value is proved on the same graph,
+so the witness is the same.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -53,6 +55,7 @@ ResourceLimit; a cap below 1 would refuse everything and is InvalidInput.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,9 +87,9 @@ DEFAULT_WINDOW_CAP = 22
 DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
-# The solvers' int64 magnitudes stay below about n**2 for n states.
+# For n states a potential stays below (n + 2*log2 n)*den with den <= n, so
+# under 2**61 at this limit: the solver's int64 arithmetic cannot overflow.
 _INT64_STATE_LIMIT = 1 << 30
-_POLICY_ITERATION_CAP = 100_000
 # Window masks are int64, so positions 0..62.
 _MASK_BITS = 63
 # Largest mask array `avoiding_mask_chunks` yields: bounds enumeration memory.
@@ -194,8 +197,10 @@ def _check_mask_bits(n: int) -> None:
 
 def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """Raise what enumerating the windows of length n under `cap` would
-    raise before it starts: InvalidInput for n < 1 or a cap below 1,
-    ResourceLimit above the cap or the 63 bits of an int64 mask."""
+    raise before it starts: InvalidInput when n or the cap is not an
+    integer (read by `as_int`) or is below 1, ResourceLimit above the cap
+    or the 63 bits of an int64 mask."""
+    n, cap = as_int(n, "window length"), as_int(cap, "enumeration cap")
     if n < 1:
         raise InvalidInput(f"window length must be >= 1, got {n}")
     if cap < 1:
@@ -336,106 +341,49 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return states, succ0, succ1
 
 
-def _evaluate(succ, choice):
-    """Cycle gains of a policy: each state's walk on `succ` ends in a cycle.
+def _greedy_cycle_mean(succ0, succ1) -> Fraction:
+    """The best cycle mean of the greedy policy, which appends 1 wherever
+    allowed: the mean of a real cycle, so at most mu, and in practice
+    nearly always mu itself.
 
-    Pointer doubling: after log2 n squarings, land[v] is on v's terminal
-    cycle and low[u] is the smallest state of u's cycle for every cycle
-    state u; that smallest state is the walk's root.  Returns (root, p, q),
-    where p/q is the reduced mean of the root's cycle, whose edge weights
-    are `choice`.
+    The policy is a functional graph, so every state's walk ends in a
+    cycle.  Pointer doubling: after log2 n squarings, land[v] is on v's
+    cycle, every cycle state is some land[v], and low[u] is the smallest
+    state of u's cycle for each cycle state u, which names the cycle.
     """
-    n = len(succ)
-    land, low = succ, np.arange(n)
+    ones = succ1 >= 0
+    n = len(succ0)
+    land, low = np.where(ones, succ1, succ0), np.arange(n)
     for _ in range((n - 1).bit_length()):
         low = np.minimum(low, low[land])
         land = land[land]
-    root = low[land]
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[land] = True
-    length = np.bincount(root[on_cycle], minlength=n)[root]
-    total = np.bincount(root[on_cycle & choice], minlength=n)[root]
-    common = np.gcd(total, length)
-    return root, total // common, length // common
+    length = np.bincount(low[on_cycle], minlength=n)
+    total = np.bincount(low[on_cycle & ones], minlength=n)
+    return max(Fraction(int(total[r]), int(length[r])) for r in np.flatnonzero(length))
 
 
-def _best_gain(root, p, q) -> Fraction:
-    """The largest cycle mean of an evaluated policy."""
-    roots = np.flatnonzero(root == np.arange(len(root)))
-    return max(Fraction(int(p[r]), int(q[r])) for r in roots)
-
-
-def _greedy_cycle_mean(succ0, succ1) -> Fraction:
-    """The best cycle mean of the greedy policy, which appends 1 wherever
-    allowed: policy iteration's starting point.  It is the mean of a real
-    cycle, so at most mu, and in practice it is nearly always mu itself."""
-    choice = succ1 >= 0
-    return _best_gain(*_evaluate(np.where(choice, succ1, succ0), choice))
-
-
-def _policy_iteration(succ0, succ1) -> Fraction:
-    """Howard policy iteration for the maximum cycle mean, exact in int64.
-
-    A policy picks one out-edge per state, starting from the greedy policy
-    of `_greedy_cycle_mean`.  Evaluation (`_evaluate`) works on the policy's
-    functional graph by pointer doubling: every state's walk ends in a cycle
-    whose smallest state is its root, and its gain is the cycle's reduced
-    mean p/q.  Its bias is the sum of w*q - p along the walk to the root.
-    States with equal gains share q, so biases compare as integers, and
-    gains compare by cross-multiplication.  Improvement is the usual
-    two-stage one (gain first, then bias), switching only on strict
-    improvement and to the first best edge, so it terminates.  Returns the
-    best gain, which `_tight_cycle` then certifies.  `mu_exact` runs it only
-    after the greedy proposal (or a caller's candidate) is refuted.
-    """
-    n = len(succ0)
-    index = np.arange(n)
-    has1 = succ1 >= 0
-    succ1_or_0 = np.where(has1, succ1, succ0)
-    rounds = (n - 1).bit_length()  # 2**rounds >= n covers every walk to a cycle
-
-    choice = has1.copy()
-    for _ in range(_POLICY_ITERATION_CAP):
-        succ = np.where(choice, succ1, succ0)
-        weight = choice.astype(np.int64)
-        root, p, q = _evaluate(succ, choice)
-
-        is_root = root == index
-        bias = np.where(is_root, 0, weight * q - p)
-        hop = np.where(is_root, index, succ)
-        for _ in range(rounds):
-            bias = bias + bias[hop]
-            hop = hop[hop]
-
-        p0, q0, p1, q1 = p[succ0], q[succ0], p[succ1_or_0], q[succ1_or_0]
-        gain1_higher = has1 & (p1 * q0 > p0 * q1)
-        best_p = np.where(gain1_higher, p1, p0)
-        best_q = np.where(gain1_higher, q1, q0)
-        gain_up = best_p * q > p * best_q
-        val0 = np.where((p0 == p) & (q0 == q), bias[succ0] - p, bias)
-        val1 = np.where(has1 & (p1 == p) & (q1 == q), bias[succ1_or_0] + q - p, bias)
-        bias0_up = val0 > bias
-        bias1_up = val1 > np.maximum(val0, bias)
-        changed = gain_up | bias0_up | bias1_up
-        if not changed.any():
-            return _best_gain(root, p, q)
-        choice = np.where(gain_up, gain1_higher, np.where(bias0_up | bias1_up, bias1_up, choice))
-    raise InternalError("policy iteration failed to converge")
-
-
-def _has_cycle(parent: np.ndarray) -> bool:
-    """Whether the walk v, parent[v], parent[parent[v]], ... loops for some v,
-    where parent[v] = len(parent) ends a walk.  Pointer doubling, as in
-    `_evaluate`: after log2 n squarings every walk has either
+def _find_cycle(parent: np.ndarray) -> list[int] | None:
+    """The states of one cycle of the walks v, parent[v], parent[parent[v]],
+    ..., where parent[v] = len(parent) ends a walk, or None when every walk
+    ends.  Pointer doubling: after log2 n squarings every walk has either
     reached the end or is on its cycle."""
     n = len(parent)
     hop = np.append(parent, n)
     for _ in range(n.bit_length()):
         hop = hop[hop]
-    return bool((hop[:n] != n).any())
+    looping = np.flatnonzero(hop[:n] != n)
+    if not len(looping):
+        return None
+    start = int(hop[looping[0]])
+    cycle = [start]
+    while (v := int(parent[cycle[-1]])) != start:
+        cycle.append(v)
+    return cycle
 
 
-def _potential(succ0, succ1, value: Fraction) -> np.ndarray | None:
+def _potential(succ0, succ1, value: Fraction) -> np.ndarray | Fraction:
     """The longest-walk potential for w' = den*w - num: the fixpoint of
     pi <- max(pi, relax(pi)) from 0, which exists exactly when no cycle has
     positive w'-weight, i.e. when mu <= value.
@@ -444,9 +392,13 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray | None:
     raised state remembers the in-edge of its last strict raise.  A cycle of
     those edges has positive w'-weight: each raise on it used a value of its
     source no larger than the current one, and the raise that followed the
-    cycle's latest raise used a strictly smaller one.  Finding such a cycle
-    ends the passes at once instead of after n + 1.  Returns None when pi
-    diverges: the value is below mu.
+    cycle's latest raise used a strictly smaller one.  So it is a real cycle
+    of the graph with mean above `value`, and its mean is returned in place
+    of pi.  While those edges form no cycle they form a forest whose roots
+    have not been raised since tracking began, so every potential is at
+    most (n + log2 n)*den after a check, and grows by at most den per pass
+    until the next one: a potential that diverges must close a cycle, and
+    one past that bound without a cycle is InternalError.
     """
     n = len(succ0)
     num, den = value.numerator, value.denominator
@@ -470,21 +422,23 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray | None:
 
     pi = np.zeros(n, dtype=np.int64)
     pred = np.full(n, n, dtype=np.int64)  # n: not raised since tracking began
-    for step in range(1, n + 2):
+    for step in itertools.count(1):
         pi_first, pi_last = pi[first], pi[last]
         best = np.maximum(pi_first, pi_last) + w2
         raised = best > pi
         if not raised.any():
             return pi
+        np.copyto(pi, best, where=raised)
         # Most potentials settle within a few passes, so raises are tracked
         # only after the first `rounds`; the cycle argument holds for the
         # raises of any run of consecutive passes.
         if step > rounds:
             np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
-            if step % rounds == 0 and _has_cycle(pred):
-                break
-        np.copyto(pi, best, where=raised)
-    return None
+            if step % rounds == 0:
+                if (cycle := _find_cycle(pred)) is not None:
+                    return Fraction(int(newest[cycle].sum()), len(cycle))
+                if pi.max() > (n + rounds) * den:
+                    raise InternalError(f"potential for {value} passed its bound without a cycle")
 
 
 def _tight_cycle(states, succ0, succ1, pi, value: Fraction, L: int) -> list[int] | None:
@@ -548,21 +502,27 @@ def mu_exact(
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
 
-    A value is proved by the integer potential of `_potential` and the
-    tight cycle of `_tight_cycle`, which is also the witness.  The first
-    value tried is the given `candidate` (such as the closed form delta of
-    M's family) or, without one, the greedy policy's best cycle mean
-    (`_greedy_cycle_mean`); policy iteration proposes the value only after
-    that first one is refuted.  A candidate outside (0, 1], or with a
-    denominator above the state count, cannot be mu and is not tried.  The
-    witness depends only on the graph and the proved value, so the result
-    is the same whichever value was proposed, and `method` is
-    "PolicyIteration", the name of this certified pipeline.  Raises
-    ResourceLimit when max(M) exceeds `max_window` or the admissible state
-    count exceeds the state cap (DENSITYPACK_MAX_STATES, default 2**22),
-    InvalidInput when `max_window` is not an integer (read by `as_int`) or
-    when it or the state cap is below 1, and InternalError if policy
-    iteration's value or the witness fails its check.
+    One loop proposes and proves the value.  It starts from the given
+    `candidate` (such as the closed form delta of M's family) or, without
+    one, from the greedy policy's best cycle mean (`_greedy_cycle_mean`).
+    The integer potential of `_potential` either converges, and then the
+    tight cycle of `_tight_cycle` proves the value and is the witness, or
+    diverges and returns the mean of a cycle above the value, which is
+    tried next.  A candidate outside (0, 1], or with a denominator above the
+    state count, cannot be mu and is not tried; a candidate with no tight
+    cycle is above mu, and the loop restarts from the greedy value.  Each
+    value after the first is a real cycle's mean, so the values rise
+    through finitely many cycle means to mu.  The witness depends only on
+    the graph and the proved value, so the result is the same whichever
+    value was proposed, and `method` is "PolicyIteration", the name this
+    certified pipeline has always reported, which keeps the output
+    unchanged.  Raises ResourceLimit when max(M) exceeds `max_window` or
+    the admissible state count exceeds the state cap (DENSITYPACK_MAX_STATES,
+    default 2**22), InvalidInput when `max_window` is not an integer (read
+    by `as_int`) or when it or the state cap is below 1, and InternalError
+    when a cycle's mean does not rise above the value it refuted, when a
+    value taken from a cycle has no tight cycle, or when the witness fails
+    its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
@@ -573,22 +533,23 @@ def mu_exact(
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 
     states, succ0, succ1 = _build_state_graph(M, _state_cap())
-    if candidate is None:
-        candidate = _greedy_cycle_mean(succ0, succ1)
-    value, bits = candidate, None
     # mu lies in (0, 1] with denominator at most the state count, so no
     # other candidate is tried; that also keeps the potential within int64.
-    if 0 < candidate <= 1 and candidate.denominator <= len(states):
-        pi = _potential(succ0, succ1, candidate)
-        if pi is not None:
-            bits = _tight_cycle(states, succ0, succ1, pi, candidate, L)
-    if bits is None:
-        value = _policy_iteration(succ0, succ1)
-        pi = _potential(succ0, succ1, value)
-        if pi is None:
-            raise InternalError(f"potential diverges: mu exceeds the proposed {value}")
-        bits = _tight_cycle(states, succ0, succ1, pi, value, L)
-        if bits is None:
+    from_caller = (
+        candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(states)
+    )
+    value = candidate if from_caller else _greedy_cycle_mean(succ0, succ1)
+    while True:
+        pi_or_mean = _potential(succ0, succ1, value)
+        if isinstance(pi_or_mean, Fraction):
+            if pi_or_mean <= value:
+                raise InternalError(f"cycle of raises has mean {pi_or_mean}, not above {value}")
+            value, from_caller = pi_or_mean, False
+        elif (bits := _tight_cycle(states, succ0, succ1, pi_or_mean, value, L)) is not None:
+            break
+        elif from_caller:
+            value, from_caller = _greedy_cycle_mean(succ0, succ1), False
+        else:
             raise InternalError(f"no cycle attains the proposed {value}: mu is below it")
 
     witness = PeriodicSet(

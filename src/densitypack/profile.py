@@ -351,10 +351,10 @@ def _defeats_all(masks: np.ndarray, candidates: list[int], delta: Fraction) -> n
     return defeated
 
 
-def certificate_check(p: CanonicalParams) -> WindowCheck:
+def certificate_check(p: CanonicalParams, delta: Fraction) -> WindowCheck:
     """`delta_certificate` as a window check: a failing window defeats both
-    candidates n1 and n2 at the family's delta."""
-    delta = conjectured_density(p).delta
+    candidates n1 and n2 at `delta`, the family's closed form, which the
+    caller has already computed."""
     candidates = sorted({p.n1, p.n2})
     detail = f"window defeats both candidates n1={p.n1}, n2={p.n2}"
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from densitypack import CanonicalParams
+from densitypack import CanonicalParams, oracle
 
 
 # One integer-like value of each kind an integer argument may receive: only
@@ -61,6 +61,23 @@ def canonical_instances(
                 k += 1
 
 
+def record_potentials(monkeypatch) -> list:
+    """Record each value `oracle._potential` is run for and what it
+    returned: the converged potential ("pi") or the improved value, a
+    cycle's mean.  One run per solve means the first value tried was
+    proved."""
+    runs = []
+    potential = oracle._potential
+
+    def run(succ0, succ1, value):
+        out = potential(succ0, succ1, value)
+        runs.append((value, out if isinstance(out, Fraction) else "pi"))
+        return out
+
+    monkeypatch.setattr(oracle, "_potential", run)
+    return runs
+
+
 def brute_avoiding_masks(distances, n: int, require_zero: bool) -> list[int]:
     """All avoiding bitmasks over [0, n) by checking every subset shift."""
     M = tuple(distances)
@@ -94,8 +111,8 @@ def iter_avoiding_masks(distances, n: int, require_zero: bool):
 
 def karp_max_mean(succ0, succ1) -> Fraction:
     """Maximum cycle mean of a state graph by Karp's recurrence (Karp 1978),
-    exact in int64: the reference proposer for the package's policy
-    iteration, on the same (succ0, succ1) arrays from `_build_state_graph`.
+    exact in int64: the independent reference for the package's oracle,
+    on the same (succ0, succ1) arrays from `_build_state_graph`.
 
     F_j(v) is the largest weight of a j-edge walk from state 0 to v, and the
     answer is max_v min_j (F_n(v) - F_j(v)) / (n - j).  Two relaxation sweeps

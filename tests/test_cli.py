@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import importlib
 import io
 import itertools
 import json
@@ -27,9 +28,9 @@ from densitypack import (
     forbidden_differences,
     mu_exact,
 )
-from densitypack import cli, oracle
+from densitypack import cli
 from densitypack.cli import SWEEP_COLUMNS, main, report_to_json
-from helpers import canonical_instances
+from helpers import canonical_instances, record_potentials
 
 
 def run(capsys, *argv):
@@ -113,12 +114,9 @@ class TestMu:
         assert json.loads(out)["mu"]["den"] > 0
 
     def test_workload_graph_never_runs_policy_iteration(self, capsys, monkeypatch):
-        # The greedy policy's best cycle is mu on {1, 23}, so certifying it
-        # suffices; the output is what policy iteration's value gave.
-        def refuse(succ0, succ1):
-            raise AssertionError("policy iteration ran")
-
-        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        # The greedy policy's best cycle is mu on {1, 23}, so one potential
+        # run certifies it.
+        runs = record_potentials(monkeypatch)
         code, out, err = run(
             capsys, "mu", "--distances", "1,23", "--max-window", "23", "--json"
         )
@@ -129,6 +127,7 @@ class TestMu:
             '  "witness": {\n    "period": 2,\n    "residues": [\n      0\n    ]\n  },\n'
             '  "states_explored": 75025,\n  "method": "PolicyIteration"\n}\n'
         )
+        assert runs == [(Fraction(1, 2), "pi")]
 
     def test_method_flag_is_gone(self, capsys):
         # One solver path: there is no proposer to choose.
@@ -298,17 +297,30 @@ class TestVerify:
         assert (code, out) == (3, "") and "int64 mask" in err
 
     def test_proved_families_certify_delta(self, monkeypatch):
-        # Where delta is mu, the oracle stage proves it without policy
-        # iteration.
-        def refuse(succ0, succ1):
-            raise AssertionError("policy iteration ran")
-
-        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        # Where delta is mu, the oracle stage proves it in one potential run.
+        runs = record_potentials(monkeypatch)
         for p in canonical_instances(max_n2=26, proved_only=True):
             if p.weight > cli.DEFAULT_WINDOW_CAP:
                 continue
             argv = ["verify", "--a", str(p.a), "--b", str(p.b), "--k", str(p.k), "--m", str(p.m)]
+            runs.clear()
             assert json_round_trip(*argv)["checks"]["oracle"] is True
+            assert runs == [(conjectured_density(p).delta, "pi")]
+
+    def test_closed_form_is_computed_once(self, capsys, monkeypatch):
+        # The window checks take the delta the command already holds.
+        def refuse(p):
+            raise AssertionError("profile computed the closed form again")
+
+        # The package root's `profile` is the function; this is the module.
+        profile = importlib.import_module("densitypack.profile")
+        monkeypatch.setattr(profile, "conjectured_density", refuse)
+        code, out, err = run(
+            capsys, "verify", "--a", "5", "--b", "1", "--k", "1", "--m", "1",
+            "--level", "inequality",
+        )
+        assert (code, err) == (0, "")
+        assert "result      PASS" in out
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         # A window check that fails on the first window, {0}.
@@ -439,14 +451,17 @@ class TestSweep:
         assert sorted(calls, key=tuple) == sorted(set(solved + skipped), key=tuple)
 
     def test_workload_box_never_runs_policy_iteration(self, capsys, monkeypatch):
-        # Every M of this box has mu = delta, so certifying delta suffices.
-        def refuse(succ0, succ1):
-            raise AssertionError("policy iteration ran")
-
-        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        # Every M of this box has mu = delta, so one potential run per solve
+        # certifies delta.
+        solves = []
+        monkeypatch.setattr(
+            cli, "mu_exact", lambda M, **kw: solves.append(kw["candidate"]) or mu_exact(M, **kw)
+        )
+        runs = record_potentials(monkeypatch)
         code, out, _ = run(capsys, "sweep", "--max-a", "12", "--weight-cap", "18")
         assert code == 0
         assert len(out.splitlines()) == 180
+        assert len(solves) == 95 and runs == [(delta, "pi") for delta in solves]
 
     def test_lower_bound_violation_exits_1(self, capsys, monkeypatch):
         fake = ExactDensity(

@@ -33,6 +33,7 @@ from helpers import (
     brute_best_periodic,
     iter_avoiding_masks,
     karp_max_mean,
+    record_potentials,
 )
 
 GOLDEN_MU = [
@@ -143,6 +144,19 @@ class TestEnumeration:
         with pytest.raises(InvalidInput, match="enumeration cap"):
             next(enumerate_avoiding_windows([1], 3, cap=cap))
 
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_length_and_cap_are_read_as_integers(self, value):
+        # A length of 7.0 used to escape as a bare TypeError, and a cap of
+        # 7.5 was accepted.
+        if isinstance(value, np.integer):
+            assert [w.mask for w in enumerate_avoiding_windows([1], value)] == [1, 5]
+            assert [w.mask for w in enumerate_avoiding_windows([1], 3, cap=value)] == [1, 5]
+        else:
+            with pytest.raises(InvalidInput, match="window length must be an integer"):
+                next(oracle.avoiding_mask_chunks([1, 5, 6], value))
+            with pytest.raises(InvalidInput, match="enumeration cap must be an integer"):
+                oracle.check_enum_length(3, value)
+
     def test_chunks_are_bounded_and_contiguous(self, monkeypatch):
         # Both enumeration routes (with and without position 0 forced in),
         # on a fixed M and on random ones, give the reference order.
@@ -197,7 +211,7 @@ class TestMuExact:
                 ok = all(new & (new >> d) == 0 for d in M)
                 assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
 
-    def test_karp_and_policy_agree(self):
+    def test_karp_and_oracle_agree(self):
         rng = random.Random(404)
         for _ in range(12):
             M = random_difference_set(rng)
@@ -298,7 +312,7 @@ class TestMuExact:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
-def test_karp_and_policy_identical_with_avoiding_witness(distances):
+def test_karp_and_oracle_identical_with_avoiding_witness(distances):
     M = sorted(distances)
     _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
     out = mu_exact(M)
@@ -309,15 +323,16 @@ def test_karp_and_policy_identical_with_avoiding_witness(distances):
 
 
 class TestCandidate:
-    """A candidate value is certified first; a wrong one falls back."""
+    """A candidate value is certified first; a wrong one is improved or
+    replaced by the greedy start."""
 
     def test_right_candidate_skips_policy_iteration(self, monkeypatch):
-        def refuse(succ0, succ1):
-            raise AssertionError("policy iteration ran")
-
+        # One potential run proves the candidate: no improvement round and
+        # no greedy start.
         expected = mu_exact([1, 5, 6])
-        monkeypatch.setattr(oracle, "_policy_iteration", refuse)
+        runs = record_potentials(monkeypatch)
         assert mu_exact([1, 5, 6], candidate=Fraction(2, 7)) == expected
+        assert runs == [(Fraction(2, 7), "pi")]
 
     @pytest.mark.parametrize(
         "M, wrong",
@@ -331,13 +346,34 @@ class TestCandidate:
     )
     def test_wrong_candidate_gives_the_right_value(self, monkeypatch, M, wrong):
         expected = mu_exact(M)
-        runs = []
-        policy = oracle._policy_iteration
-        monkeypatch.setattr(
-            oracle, "_policy_iteration", lambda *arrays: runs.append(1) or policy(*arrays)
-        )
+        runs = record_potentials(monkeypatch)
         assert mu_exact(M, candidate=wrong) == expected
-        assert runs == [1]
+        assert runs[-1] == (expected.value, "pi")
+        if 0 < wrong <= 1 and wrong.denominator <= expected.states_explored:
+            # Tried and refuted: improved from below, replaced from above.
+            assert runs[0][0] == wrong and len(runs) > 1
+            assert (runs[0][1] == "pi") == (wrong > expected.value)
+        else:
+            # mu cannot have this value, so it is never tried.
+            assert wrong not in [value for value, _ in runs]
+
+    @pytest.mark.parametrize(
+        "M, low, improved",
+        [
+            ((2,), Fraction(1, 4), [Fraction(1, 3), Fraction(1, 2)]),
+            ((1, 4), Fraction(1, 6), [Fraction(1, 3), Fraction(2, 5)]),
+        ],
+    )
+    def test_cycle_of_raises_closes_after_n_plus_one_passes(self, monkeypatch, M, low, improved):
+        # Raises are tracked only after the first log2 n passes, so on these
+        # small graphs a cycle of raises can close only after pass n + 1,
+        # where an n + 1 pass bound would stop without it: {2} (4 states)
+        # at 1/4 closes at pass 6, {1, 4} (8 states) at 1/3 at pass 12.
+        expected = mu_exact(M)
+        runs = record_potentials(monkeypatch)
+        assert mu_exact(M, candidate=low) == expected
+        assert runs == [(low, improved[0]), (improved[0], improved[1]), (improved[1], "pi")]
+        assert improved[-1] == expected.value
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -356,19 +392,44 @@ def test_candidate_never_changes_the_result(distances, ratio):
 class TestGreedyProposal:
     """Without a candidate, the greedy policy's best cycle mean is tried first."""
 
-    def test_refuted_proposal_falls_back_to_policy_iteration(self, monkeypatch):
+    def test_refuted_proposal_is_improved(self, monkeypatch):
         # The greedy policy's best cycle has mean 2/11, below mu = 3/16.
         M = [2, 4, 5, 7, 8, 9]
         _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
         assert oracle._greedy_cycle_mean(succ0, succ1) == Fraction(2, 11)
-        runs = []
-        policy = oracle._policy_iteration
-        monkeypatch.setattr(
-            oracle, "_policy_iteration", lambda *arrays: runs.append(1) or policy(*arrays)
-        )
+        runs = record_potentials(monkeypatch)
         out = mu_exact(M)
         assert out.value == karp_max_mean(succ0, succ1) == Fraction(3, 16)
-        assert runs == [1]
+        # An improvement round ran.
+        assert runs == [(Fraction(2, 11), Fraction(3, 16)), (Fraction(3, 16), "pi")]
+
+    @pytest.mark.parametrize(
+        "M, greedy, mu, witness",
+        [
+            (
+                (4, 9, 12, 15, 16), Fraction(5, 21), Fraction(1, 4),
+                PeriodicSet(56, (0, 1, 3, 6, 8, 11, 14, 25, 28, 31, 33, 36, 38, 39)),
+            ),
+            (
+                (2, 3, 10, 13, 17, 18), Fraction(12, 47), Fraction(4, 15),
+                PeriodicSet(15, (3, 4, 10, 11)),
+            ),
+            (
+                (4, 10, 11, 12, 15), Fraction(22, 87), Fraction(7, 27),
+                PeriodicSet(27, (3, 4, 5, 6, 11, 24, 25)),
+            ),
+        ],
+    )
+    def test_other_refuted_proposals_are_improved(self, monkeypatch, M, greedy, mu, witness):
+        # The witness is pinned: the tight cycle depends only on the graph
+        # and the proved value, not on the values tried before it.
+        _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        assert oracle._greedy_cycle_mean(succ0, succ1) == greedy
+        runs = record_potentials(monkeypatch)
+        out = mu_exact(M)
+        assert out.value == karp_max_mean(succ0, succ1) == mu
+        assert out.witness == witness
+        assert runs[0][0] == greedy and runs[0][1] != "pi" and runs[-1] == (mu, "pi")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -376,43 +437,74 @@ class TestGreedyProposal:
 def test_greedy_proposal_never_changes_the_result(distances):
     M = sorted(distances)
     out = mu_exact(M)
-    # 1 is above every mu (no tight cycle); 1/(max(M) + 2) is below it, as
-    # the multiples of max(M) + 1 avoid M (the potential diverges).
-    for wrong in (Fraction(1), Fraction(1, max(M) + 2)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: wrong)
-            assert mu_exact(M) == out, wrong
+    # 1/(max(M) + 2) is below mu, as the multiples of max(M) + 1 avoid M:
+    # the potential diverges and its cycle of raises improves the value.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: Fraction(1, max(M) + 2))
+        assert mu_exact(M) == out
+    # 1 is above every mu: no cycle attains it, and the greedy start is
+    # the mean of a real cycle, so that is an internal fault.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: Fraction(1))
+        with pytest.raises(InternalError, match="no cycle attains"):
+            mu_exact(M)
 
 
 def propose(monkeypatch, value):
-    """Make both proposers, the greedy policy and policy iteration, return
-    `value`, so that a wrong one reaches the final check."""
-    for name in ("_greedy_cycle_mean", "_policy_iteration"):
-        monkeypatch.setattr(oracle, name, lambda succ0, succ1: value)
+    """Make the greedy start return `value`, so that a wrong one reaches the
+    final check."""
+    monkeypatch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: value)
 
 
 class TestCertificate:
-    """The potential check rejects a wrong proposed value from either side."""
+    """A greedy start above mu, and a cycle of raises that does not improve
+    the value, are internal faults."""
 
-    @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(1, 4)])
+    @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(3, 10)])
     def test_wrong_proposal_is_rejected(self, monkeypatch, capsys, wrong):
         assert mu_exact([1, 5, 6]).value == Fraction(2, 7)
         propose(monkeypatch, wrong)
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match="no cycle attains"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
         assert "internal error:" in capsys.readouterr().err
 
+    def test_non_improving_cycle_is_rejected(self, monkeypatch, capsys):
+        # State 0, the all-zero window, loops to itself with mean 0.
+        propose(monkeypatch, Fraction(1, 4))
+        monkeypatch.setattr(oracle, "_find_cycle", lambda parent: [0])
+        with pytest.raises(InternalError, match="not above 1/4"):
+            mu_exact([1, 5, 6])
+        assert cli.main(["mu", "--distances", "1,5,6"]) == 4
+        assert "internal error:" in capsys.readouterr().err
+
+    def test_diverging_potential_ends_at_its_bound(self, monkeypatch):
+        # With the cycle search blinded, a diverging potential must still
+        # end, through the magnitude check rather than a pass count.
+        propose(monkeypatch, Fraction(1, 4))
+        monkeypatch.setattr(oracle, "_find_cycle", lambda parent: None)
+        with pytest.raises(InternalError, match="passed its bound without a cycle"):
+            mu_exact([1, 5, 6])
+
     def test_too_low_proposal_is_rejected_early(self, monkeypatch):
         # {1, 20} has 17,711 states: waiting out n + 1 relaxation passes took
-        # seconds; a cycle of strict raises rejects the value within a few.
+        # seconds; a cycle of strict raises refutes the value within a few,
+        # and its mean is the next value.
         mu = Fraction(10, 21)
         assert mu_exact([1, 20]).value == mu
         propose(monkeypatch, mu - Fraction(1, 1000))
-        t0 = time.perf_counter()
-        with pytest.raises(InternalError, match="diverges"):
-            mu_exact([1, 20])
-        assert time.perf_counter() - t0 < 0.5
+        seconds = []
+        potential = oracle._potential
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            out = potential(*args)
+            seconds.append(time.perf_counter() - t0)
+            return out
+
+        monkeypatch.setattr(oracle, "_potential", timed)
+        assert mu_exact([1, 20]).value == mu
+        assert len(seconds) == 2 and seconds[0] < 0.5
 
     def test_rejected_under_python_optimize(self):
         script = (
@@ -420,8 +512,7 @@ class TestCertificate:
             "from fractions import Fraction\n"
             "from densitypack import cli, oracle\n"
             "assert False, 'asserts must be disabled'\n"
-            "wrong = lambda succ0, succ1: Fraction(1, 3)\n"
-            "oracle._greedy_cycle_mean = oracle._policy_iteration = wrong\n"
+            "oracle._greedy_cycle_mean = lambda succ0, succ1: Fraction(1, 3)\n"
             "sys.exit(cli.main(['mu', '--distances', '1,5,6']))\n"
         )
         src = os.path.dirname(os.path.dirname(oracle.__file__))
