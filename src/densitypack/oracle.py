@@ -5,12 +5,11 @@ maximal (upper) density of a set A of integers with (A - A) disjoint from
 M.  This module computes mu(M) exactly by the standard reduction to a
 maximum mean cycle:
 
-  * vertices are the M-avoiding 0/1 windows of length L = max(M)
-    (bit j of a state is membership of the j-th oldest position);
-  * appending a new position shifts the window by one; appending a set
-    position is allowed iff no earlier position at distance d in M is set,
-    which is a single AND against a precomputed conflict mask since all
-    d <= L;
+  * vertices are the M-avoiding 0/1 windows of length L = max(M), as
+    keys whose bit L-1 is the oldest position and bit 0 the newest;
+  * appending a position leads from key k to (k << 1) mod 2**L, plus 1 for
+    a set position, allowed iff key bit d-1 is clear for every d in M; so
+    k's predecessors are among k >> 1 and k >> 1 | 2**(L-1);
   * edge weight is the appended bit.
 
 Every periodic avoiding set walks a cycle of this graph with mean equal to
@@ -21,9 +20,9 @@ out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
 One solver path computes it, in int64 numpy arrays throughout: the graph
-is built level by level as window masks with two successor arrays, a value
-p/q is proposed, and a longest-walk potential for the reweighted graph
-w' = q*w - p certifies it.  The potential converging, and satisfying every
+is built level by level in key order, each edge found by a `searchsorted`
+over the sorted keys, a value p/q is proposed, and a longest-walk
+potential for the reweighted graph w' = q*w - p certifies it.  The potential converging, and satisfying every
 edge, proves mu <= p/q; a cycle of its tight edges proves mu >= p/q and is
 the periodic witness.  A caller that already holds a likely value (the
 closed form delta) passes it as the candidate, which is certified first.
@@ -64,7 +63,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .family import DifferenceSet, as_difference_set, as_int
+from .family import DifferenceSet, _store_positive_ints, as_difference_set, as_int
 
 __all__ = [
     "Window",
@@ -98,14 +97,15 @@ _CHUNK_WINDOWS = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class Window:
-    """A finite 0/1 window over positions [0, length).  Bit i <=> i in the set."""
+    """A finite 0/1 window over positions [0, length).  Bit i <=> i in the set.
+    Both fields are read by `as_int` and stored as Python ints."""
 
     length: int
     mask: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise InvalidInput(f"window length must be >= 1, got {self.length}")
+        _store_positive_ints(self, ("length",))
+        object.__setattr__(self, "mask", as_int(self.mask, "mask"))
         if self.mask < 0 or self.mask >> self.length:
             raise InvalidInput("window mask has bits outside [0, length)")
 
@@ -135,21 +135,23 @@ class Window:
 
 @dataclass(frozen=True, slots=True)
 class PeriodicSet:
-    """The periodic set {x + t*period : x in residues, t in Z}."""
+    """The periodic set {x + t*period : x in residues, t in Z}.  The period
+    and each residue are read by `as_int` and stored as Python ints."""
 
     period: int
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        if self.period < 1:
-            raise InvalidInput(f"period must be >= 1, got {self.period}")
+        _store_positive_ints(self, ("period",))
+        residues = tuple(as_int(x, "residue") for x in self.residues)
         prev = -1
-        for x in self.residues:
-            if not isinstance(x, int) or not 0 <= x < self.period or x <= prev:
+        for x in residues:
+            if not 0 <= x < self.period or x <= prev:
                 raise InvalidInput(
                     f"residues must be strictly increasing in [0, period), got {self.residues}"
                 )
             prev = x
+        object.__setattr__(self, "residues", residues)
 
     def density(self) -> Fraction:
         return Fraction(len(self.residues), self.period)
@@ -176,20 +178,6 @@ def check_periodic_avoiding(s: PeriodicSet, distances: DifferenceSet | Iterable[
     return True
 
 
-def _conflict_masks(M: DifferenceSet, n: int) -> list[int]:
-    """masks[t] has bit t-d for each d in M with d <= t: earlier positions
-    that forbid setting position t."""
-    masks = [0] * n
-    for t in range(n):
-        cm = 0
-        for d in M:
-            if d > t:
-                break
-            cm |= 1 << (t - d)
-        masks[t] = cm
-    return masks
-
-
 def _check_mask_bits(n: int) -> None:
     if n > _MASK_BITS:
         raise ResourceLimit(f"window length {n} exceeds the {_MASK_BITS} bits of an int64 mask")
@@ -211,10 +199,12 @@ def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
 
 
 def _extend(states: np.ndarray, t: int, with_t: np.ndarray) -> np.ndarray:
-    """One enumeration level: each window is followed by its extension with
-    position t where `with_t` allows it (excluding a position sorts first).
-    The (window, extension) pairs and their keep-mask fill preallocated
-    (n, 2) arrays, row-major, so reading the kept entries gives that order."""
+    """One level of windows: each entry is followed by itself with bit t set
+    where `with_t` allows it (excluding a position sorts first).  The
+    enumeration sets position t; the graph build shifts its keys left and
+    sets bit 0, the newest position.  The (entry, extension) pairs and their
+    keep-mask fill preallocated (n, 2) arrays, row-major, so reading the
+    kept entries gives that order."""
     n = len(states)
     pairs = np.empty((n, 2), dtype=np.int64)
     pairs[:, 0] = states
@@ -245,7 +235,8 @@ def avoiding_mask_chunks(
     """
     M = as_difference_set(distances)
     check_enum_length(n, cap)
-    conflicts = _conflict_masks(M, n)
+    # conflicts[t]: the earlier positions t - d that forbid setting position t.
+    conflicts = [sum(1 << (t - d) for d in M if d <= t) for t in range(n)]
     start = int(require_zero)
     todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
     while todo:
@@ -312,33 +303,42 @@ def _check_state_count(count: int, cap: int) -> None:
 def _build_state_graph(M: DifferenceSet, cap: int):
     """Avoiding windows of length L = max(M) and their shift edges.
 
-    Returns (states, succ0, succ1): `states` holds the window masks in the
-    lexicographic order of `avoiding_mask_chunks` (so the all-zero window is
-    state 0), appending a 0 moves state i to succ0[i], and appending a 1
-    moves it to succ1[i], or succ1[i] = -1 when that would create a
-    difference in M.  Windows are extended one position per level, and each
-    level's size is checked against the cap before the level is allocated,
-    so a refused graph never holds more windows than the cap.
+    Returns (keys, succ0, succ1, first, last).  Built newest bit last, the
+    keys increase, in the window order of `avoiding_mask_chunks` (state 0 is
+    the all-zero window), so every edge is a `searchsorted` over them.
+    Appending a 0 moves state i to succ0[i], and appending a 1 moves it to
+    succ1[i], or succ1[i] = -1 when that would create a difference in M.
+    v's in-edges come from first[v], keys[v] >> 1, and last[v], the same
+    with the oldest bit set where that window exists and v's newest bit is
+    0, else first[v] again: as L is in M, a window whose oldest position is
+    set cannot append a 1.  Each level's size is checked against the cap
+    before the level is allocated, so a refused graph never holds more
+    windows than the cap.
     """
     L = M.max_element
     _check_mask_bits(L)
-    conflicts = _conflict_masks(M, L)
-    states = np.zeros(1, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)
     for t in range(L):
-        with_t = (states & conflicts[t]) == 0
-        _check_state_count(len(states) + int(np.count_nonzero(with_t)), cap)
-        states = _extend(states, t, with_t)
+        # Position t conflicts with position t - d, which is key bit d - 1.
+        with_t = (keys & sum(1 << (d - 1) for d in M if d <= t)) == 0
+        _check_state_count(len(keys) + int(np.count_nonzero(with_t)), cap)
+        keys = _extend(keys << 1, 0, with_t)
 
-    order = np.argsort(states)
-    by_value = states[order]
-    # Appending position p conflicts with p - d, i.e. bit L - d of the old window.
-    append_conflicts = sum(1 << (L - d) for d in M)
-    shifted = states >> 1
-    succ0 = order[np.searchsorted(by_value, shifted)]
-    succ1 = np.full(len(states), -1, dtype=np.int64)
-    can_append = (states & append_conflicts) == 0
-    succ1[can_append] = order[np.searchsorted(by_value, shifted[can_append] | (1 << (L - 1)))]
-    return states, succ0, succ1
+    top = 1 << (L - 1)
+    shifted = (keys << 1) & (2 * top - 1)
+    succ0 = np.searchsorted(keys, shifted)
+    succ1 = np.full(len(keys), -1, dtype=np.int64)
+    can_append = (keys & sum(1 << (d - 1) for d in M)) == 0
+    succ1[can_append] = np.searchsorted(keys, shifted[can_append] | 1)
+    older = keys >> 1
+    first = np.searchsorted(keys, older)
+    if (keys[first] != older).any():
+        raise InternalError("a window has no shift predecessor")
+    older |= top
+    last = np.searchsorted(keys, older)
+    has_last = (keys.take(last, mode="clip") == older) & ((keys & 1) == 0)
+    np.copyto(last, first, where=~has_last)
+    return keys, succ0, succ1, first, last
 
 
 def _greedy_cycle_mean(succ0, succ1) -> Fraction:
@@ -383,10 +383,14 @@ def _find_cycle(parent: np.ndarray) -> list[int] | None:
     return cycle
 
 
-def _potential(succ0, succ1, value: Fraction) -> np.ndarray | Fraction:
+def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
     """The longest-walk potential for w' = den*w - num: the fixpoint of
     pi <- max(pi, relax(pi)) from 0, which exists exactly when no cycle has
-    positive w'-weight, i.e. when mu <= value.
+    positive w'-weight, i.e. when mu <= value.  Each state v is relaxed
+    over its in-edges from first[v] and last[v] (`_build_state_graph`),
+    both weighted by its newest bit, keys[v] & 1.  The caller checks every
+    out-edge against the result, so the certificate stays sound whatever
+    is relaxed here.
 
     A value below mu makes pi diverge.  After the first log2 n passes, each
     raised state remembers the in-edge of its last strict raise.  A cycle of
@@ -400,23 +404,9 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray | Fraction:
     until the next one: a potential that diverges must close a cycle, and
     one past that bound without a cycle is InternalError.
     """
-    n = len(succ0)
+    n = len(keys)
     num, den = value.numerator, value.denominator
-    # A window's predecessors differ only in the position shifted out, so it
-    # has one or two in-edges, both weighted by its newest bit; first[v] and
-    # last[v] are their sources (the same one twice if there is one).  The
-    # caller checks every edge against the result, so the certificate stays
-    # sound whatever is relaxed here.
-    ones = np.flatnonzero(succ1 >= 0)
-    src = np.concatenate([np.arange(n), ones])
-    dst = np.concatenate([succ0, succ1[ones]])
-    first, last = np.full(n, n), np.full(n, -1)
-    np.minimum.at(first, dst, src)
-    np.maximum.at(last, dst, src)
-    if last.min() < 0:
-        raise InternalError("a window has no shift predecessor")
-    newest = np.zeros(n, dtype=np.int64)
-    newest[succ1[ones]] = 1
+    newest = keys & 1
     w2 = newest * den - num
     rounds = n.bit_length()
 
@@ -441,19 +431,21 @@ def _potential(succ0, succ1, value: Fraction) -> np.ndarray | Fraction:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
 
 
-def _tight_cycle(states, succ0, succ1, pi, value: Fraction, L: int) -> list[int] | None:
+def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
     """Certify that mu(M) = value and return an optimal cycle's appended bits.
 
     With w' = den*w - num the claim is that the maximum cycle mean becomes
     0.  `pi` is the converged longest-walk potential of `_potential`, so no
     cycle has positive w'-weight, and pi[u] + w' <= pi[v] on every edge,
-    which is checked explicitly: this proves mu <= value.  Every cycle of
-    tight edges (pi[u] + w' = pi[v]) telescopes to w'-weight 0, so the first
-    one a depth-first search meets attains value: that proves mu >= value
-    and is the witness.  Returns None when there is no such cycle: the
-    value is above mu.
+    which is checked explicitly on the out-edges succ0 and succ1, found
+    apart from the in-edges `_potential` relaxed: this proves mu <= value.
+    Every cycle of tight edges (pi[u] + w' = pi[v]) telescopes to w'-weight
+    0, so the first one a depth-first search meets attains value: that
+    proves mu >= value and is the witness, read as each state's newest bit,
+    keys[v] & 1.  Returns None when there is no such cycle: the value is
+    above mu.
     """
-    n = len(states)
+    n = len(keys)
     num, den = value.numerator, value.denominator
     has1 = succ1 >= 0
     slack0 = pi[succ0] - pi + num
@@ -486,7 +478,7 @@ def _tight_cycle(states, succ0, succ1, pi, value: Fraction, L: int) -> list[int]
             elif color[u] == 1:
                 cycle = path[path.index(u) :]
                 cycle = cycle[1:] + cycle[:1]
-                return [int(states[v]) >> (L - 1) & 1 for v in cycle]
+                return [keys.item(v) & 1 for v in cycle]
             elif color[u] == 0:
                 color[u] = 1
                 path.append(u)
@@ -532,20 +524,20 @@ def mu_exact(
     if L > max_window:
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 
-    states, succ0, succ1 = _build_state_graph(M, _state_cap())
+    keys, succ0, succ1, first, last = _build_state_graph(M, _state_cap())
     # mu lies in (0, 1] with denominator at most the state count, so no
     # other candidate is tried; that also keeps the potential within int64.
     from_caller = (
-        candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(states)
+        candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(keys)
     )
     value = candidate if from_caller else _greedy_cycle_mean(succ0, succ1)
     while True:
-        pi_or_mean = _potential(succ0, succ1, value)
+        pi_or_mean = _potential(keys, first, last, value)
         if isinstance(pi_or_mean, Fraction):
             if pi_or_mean <= value:
                 raise InternalError(f"cycle of raises has mean {pi_or_mean}, not above {value}")
             value, from_caller = pi_or_mean, False
-        elif (bits := _tight_cycle(states, succ0, succ1, pi_or_mean, value, L)) is not None:
+        elif (bits := _tight_cycle(keys, succ0, succ1, pi_or_mean, value)) is not None:
             break
         elif from_caller:
             value, from_caller = _greedy_cycle_mean(succ0, succ1), False
@@ -560,7 +552,7 @@ def mu_exact(
     if not check_periodic_avoiding(witness, M):
         raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
     return ExactDensity(
-        value=value, witness=witness, states_explored=len(states), method="PolicyIteration"
+        value=value, witness=witness, states_explored=len(keys), method="PolicyIteration"
     )
 
 

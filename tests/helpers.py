@@ -69,8 +69,8 @@ def record_potentials(monkeypatch) -> list:
     runs = []
     potential = oracle._potential
 
-    def run(succ0, succ1, value):
-        out = potential(succ0, succ1, value)
+    def run(keys, first, last, value):
+        out = potential(keys, first, last, value)
         runs.append((value, out if isinstance(out, Fraction) else "pi"))
         return out
 

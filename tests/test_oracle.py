@@ -49,6 +49,30 @@ def random_difference_set(rng: random.Random, max_element: int = 9) -> tuple[int
     return tuple(sorted(rng.sample(range(1, max_element + 1), size)))
 
 
+def check_state_graph(M):
+    """`_build_state_graph` against the recursive enumeration, in which bit
+    j of a mask is the j-th oldest position: the keys are those masks
+    bit-reversed, succ0/succ1 their shifts, and first/last the smallest and
+    largest source of each window's in-edges."""
+    L = max(M)
+    keys, succ0, succ1, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    masks = list(iter_avoiding_masks(M, L, False))
+    assert keys.tolist() == [int(format(mask, f"0{L}b")[::-1], 2) for mask in masks]
+    index = {mask: i for i, mask in enumerate(masks)}
+    sources = [[] for _ in masks]
+    for i, mask in enumerate(masks):
+        assert succ0[i] == index[mask >> 1]
+        sources[succ0[i]].append(i)
+        # the appended position must avoid the whole old window
+        new = mask | 1 << L
+        ok = all(new & (new >> d) == 0 for d in M)
+        assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
+        if ok:
+            sources[succ1[i]].append(i)
+    assert first.tolist() == [min(s) for s in sources]
+    assert last.tolist() == [max(s) for s in sources]
+
+
 class TestWindow:
     def test_round_trip(self):
         w = Window.from_members(11, [0, 3, 7, 10])
@@ -70,6 +94,20 @@ class TestWindow:
         with pytest.raises(InvalidInput):
             Window.from_members(3, [-1])
 
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_fields_are_read_as_integers(self, value):
+        # Window(True, 1) used to be accepted, and Window(3.0, 1) escaped as
+        # a bare TypeError.
+        if isinstance(value, np.integer):
+            w = Window(value, value)
+            assert (type(w.length), type(w.mask)) == (int, int)
+            assert w == Window(3, 3)
+        else:
+            with pytest.raises(InvalidInput, match="length must be an integer"):
+                Window(value, 1)
+            with pytest.raises(InvalidInput, match="mask must be an integer"):
+                Window(3, value)
+
 
 class TestPeriodicSet:
     def test_density(self):
@@ -85,6 +123,19 @@ class TestPeriodicSet:
             PeriodicSet(period=5, residues=(3, 1))
         with pytest.raises(InvalidInput):
             PeriodicSet(period=5, residues=(1, 1))
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_fields_are_read_as_integers(self, value):
+        # PeriodicSet(True, (0,)) used to be accepted.
+        if isinstance(value, np.integer):
+            s = PeriodicSet(period=value, residues=(0, value - 1))
+            assert type(s.period) is int and list(map(type, s.residues)) == [int, int]
+            assert s == PeriodicSet(period=3, residues=(0, 2))
+        else:
+            with pytest.raises(InvalidInput, match="period must be an integer"):
+                PeriodicSet(period=value, residues=(0,))
+            with pytest.raises(InvalidInput, match="residue must be an integer"):
+                PeriodicSet(period=5, residues=(0, value))
 
     def test_avoiding_check_wraps_modulo_period(self):
         # 0 and 0+5 coincide mod 5, so {0} with period 5 fails against d=5.
@@ -150,6 +201,7 @@ class TestEnumeration:
         # 7.5 was accepted.
         if isinstance(value, np.integer):
             assert [w.mask for w in enumerate_avoiding_windows([1], value)] == [1, 5]
+            assert all(type(w.length) is int for w in enumerate_avoiding_windows([1], value))
             assert [w.mask for w in enumerate_avoiding_windows([1], 3, cap=value)] == [1, 5]
         else:
             with pytest.raises(InvalidInput, match="window length must be an integer"):
@@ -198,24 +250,13 @@ class TestMuExact:
     def test_state_graph_matches_recursive_enumeration(self):
         rng = random.Random(707)
         for _ in range(20):
-            M = random_difference_set(rng, max_element=12)
-            L = max(M)
-            states, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-            masks = list(iter_avoiding_masks(M, L, False))
-            assert states.tolist() == masks
-            index = {mask: i for i, mask in enumerate(masks)}
-            for i, mask in enumerate(masks):
-                assert succ0[i] == index[mask >> 1]
-                # the appended position must avoid the whole old window
-                new = mask | 1 << L
-                ok = all(new & (new >> d) == 0 for d in M)
-                assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
+            check_state_graph(random_difference_set(rng, max_element=12))
 
     def test_karp_and_oracle_agree(self):
         rng = random.Random(404)
         for _ in range(12):
             M = random_difference_set(rng)
-            _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+            _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
             out = mu_exact(M)
             assert karp_max_mean(succ0, succ1) == out.value
             assert check_periodic_avoiding(out.witness, M)
@@ -312,9 +353,15 @@ class TestMuExact:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
+def test_state_graph_edges_match_recursive_enumeration(distances):
+    check_state_graph(sorted(distances))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
 def test_karp_and_oracle_identical_with_avoiding_witness(distances):
     M = sorted(distances)
-    _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
     out = mu_exact(M)
     assert karp_max_mean(succ0, succ1) == out.value
     period, residues = out.witness.period, out.witness.residues
@@ -395,7 +442,7 @@ class TestGreedyProposal:
     def test_refuted_proposal_is_improved(self, monkeypatch):
         # The greedy policy's best cycle has mean 2/11, below mu = 3/16.
         M = [2, 4, 5, 7, 8, 9]
-        _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
         assert oracle._greedy_cycle_mean(succ0, succ1) == Fraction(2, 11)
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
@@ -423,7 +470,7 @@ class TestGreedyProposal:
     def test_other_refuted_proposals_are_improved(self, monkeypatch, M, greedy, mu, witness):
         # The witness is pinned: the tight cycle depends only on the graph
         # and the proved value, not on the values tried before it.
-        _, succ0, succ1 = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
         assert oracle._greedy_cycle_mean(succ0, succ1) == greedy
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
@@ -457,8 +504,8 @@ def propose(monkeypatch, value):
 
 
 class TestCertificate:
-    """A greedy start above mu, and a cycle of raises that does not improve
-    the value, are internal faults."""
+    """A greedy start above mu, a cycle of raises that does not improve the
+    value, and a potential that violates an edge are internal faults."""
 
     @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(3, 10)])
     def test_wrong_proposal_is_rejected(self, monkeypatch, capsys, wrong):
@@ -486,6 +533,23 @@ class TestCertificate:
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 
+    def test_potential_violating_an_edge_is_rejected(self, monkeypatch, capsys):
+        # The out-edges are found apart from the in-edges `_potential`
+        # relaxes, and each one is checked against the potential.
+        M, value = as_difference_set([1, 5, 6]), Fraction(2, 7)
+        keys, succ0, succ1, first, last = oracle._build_state_graph(M, 1 << 22)
+        pi = oracle._potential(keys, first, last, value)
+        assert oracle._tight_cycle(keys, succ0, succ1, pi, value) is not None
+        pi[succ1[0]] -= len(keys) * value.denominator  # breaks the edge 0 -> succ1[0]
+        with pytest.raises(InternalError, match="potential violates an edge"):
+            oracle._tight_cycle(keys, succ0, succ1, pi, value)
+        # A potential of zeros violates every edge that appends a 1.
+        monkeypatch.setattr(oracle, "_potential", lambda keys, *_: np.zeros_like(keys))
+        with pytest.raises(InternalError, match="potential violates an edge"):
+            mu_exact(M)
+        assert cli.main(["mu", "--distances", "1,5,6"]) == 4
+        assert "potential violates an edge" in capsys.readouterr().err
+
     def test_too_low_proposal_is_rejected_early(self, monkeypatch):
         # {1, 20} has 17,711 states: waiting out n + 1 relaxation passes took
         # seconds; a cycle of strict raises refutes the value within a few,
@@ -507,21 +571,28 @@ class TestCertificate:
         assert len(seconds) == 2 and seconds[0] < 0.5
 
     def test_rejected_under_python_optimize(self):
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from densitypack import cli, oracle\n"
-            "assert False, 'asserts must be disabled'\n"
-            "oracle._greedy_cycle_mean = lambda succ0, succ1: Fraction(1, 3)\n"
-            "sys.exit(cli.main(['mu', '--distances', '1,5,6']))\n"
-        )
+        # A greedy start above mu and a potential that violates an edge are
+        # caught by real checks, which -O does not strip.
         src = os.path.dirname(os.path.dirname(oracle.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 4, proc.stderr
-        assert "internal error:" in proc.stderr
+        for patch, message in [
+            ("oracle._greedy_cycle_mean = lambda succ0, succ1: Fraction(1, 3)", "no cycle attains"),
+            ("oracle._potential = lambda keys, *_: np.zeros_like(keys)", "violates an edge"),
+        ]:
+            script = (
+                "import sys\n"
+                "from fractions import Fraction\n"
+                "import numpy as np\n"
+                "from densitypack import cli, oracle\n"
+                "assert False, 'asserts must be disabled'\n"
+                f"{patch}\n"
+                "sys.exit(cli.main(['mu', '--distances', '1,5,6']))\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 4, proc.stderr
+            assert "internal error:" in proc.stderr and message in proc.stderr
 
 
 class TestBestPeriodic:
