@@ -57,6 +57,7 @@ __all__ = [
     "DensityBreakdown",
     "as_difference_set",
     "as_int",
+    "as_fraction",
     "canonicalize",
     "two_gap_set",
     "forbidden_differences",
@@ -76,6 +77,15 @@ def as_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def as_fraction(value, name: str) -> Fraction:
+    """`value` as a Fraction: a Fraction, or an integer read by `as_int`.  A
+    bool, a float or a string is InvalidInput, never rounded or parsed."""
+    try:
+        return value if isinstance(value, Fraction) else Fraction(as_int(value, name))
+    except InvalidInput:
+        raise InvalidInput(f"{name} must be a Fraction or an integer, got {value!r}") from None
 
 
 def _store_positive_ints(obj, names: tuple[str, ...]) -> None:
@@ -146,15 +156,12 @@ class DifferenceSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.elements:
+        e = self.elements
+        if not e:
             raise InvalidInput("difference set must be nonempty")
-        prev = 0
-        for d in self.elements:
-            if isinstance(d, bool) or not isinstance(d, int) or d <= prev:
-                raise InvalidInput(
-                    f"differences must be positive and strictly increasing, got {self.elements}"
-                )
-            prev = d
+        ints = all(isinstance(d, int) and not isinstance(d, bool) for d in e)
+        if not ints or sorted(set(e)) != list(e) or e[0] < 1:
+            raise InvalidInput(f"differences must be positive and strictly increasing, got {e}")
 
     @property
     def max_element(self) -> int:

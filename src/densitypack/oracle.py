@@ -63,7 +63,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .family import DifferenceSet, _store_positive_ints, as_difference_set, as_int
+from .family import DifferenceSet, _store_positive_ints, as_difference_set, as_fraction, as_int
 
 __all__ = [
     "Window",
@@ -91,14 +91,16 @@ STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
 _INT64_STATE_LIMIT = 1 << 30
 # Window masks are int64, so positions 0..62.
 _MASK_BITS = 63
-# Largest mask array `avoiding_mask_chunks` yields: bounds enumeration memory.
+# Largest mask array `avoiding_mask_chunks` yields.  Each chunk is also one
+# `profile.WindowBatch`, so this is the one bound on a window scan's memory.
 _CHUNK_WINDOWS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
 class Window:
     """A finite 0/1 window over positions [0, length).  Bit i <=> i in the set.
-    Both fields are read by `as_int` and stored as Python ints."""
+    Both fields are read by `as_int` and stored as Python ints; `x in window`
+    reads x by `as_int` too, so a bool or a non-integer is never in it."""
 
     length: int
     mask: int
@@ -122,11 +124,15 @@ class Window:
         return tuple(i for i in range(self.length) if self.mask >> i & 1)
 
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, int) and 0 <= x < self.length and bool(self.mask >> x & 1)
+        try:
+            x = as_int(x, "position")
+        except InvalidInput:
+            return False
+        return 0 <= x < self.length and bool(self.mask >> x & 1)
 
     def count_below(self, n: int) -> int:
-        """|A intersect [0, n)| for n up to the window length."""
-        n = min(n, self.length)
+        """|A intersect [0, n)|, n read by `as_int`; a prefix n <= 0 counts 0."""
+        n = min(max(as_int(n, "prefix length"), 0), self.length)
         return (self.mask & ((1 << n) - 1)).bit_count()
 
     def __repr__(self) -> str:  # keep pytest failure output readable
@@ -144,13 +150,11 @@ class PeriodicSet:
     def __post_init__(self):
         _store_positive_ints(self, ("period",))
         residues = tuple(as_int(x, "residue") for x in self.residues)
-        prev = -1
-        for x in residues:
-            if not 0 <= x < self.period or x <= prev:
-                raise InvalidInput(
-                    f"residues must be strictly increasing in [0, period), got {self.residues}"
-                )
-            prev = x
+        increasing = sorted(set(residues)) == list(residues)
+        if not increasing or not all(0 <= x < self.period for x in residues):
+            raise InvalidInput(
+                f"residues must be strictly increasing in [0, period), got {self.residues}"
+            )
         object.__setattr__(self, "residues", residues)
 
     def density(self) -> Fraction:
@@ -490,7 +494,7 @@ def mu_exact(
     distances: DifferenceSet | Iterable[int],
     *,
     max_window: int = DEFAULT_WINDOW_CAP,
-    candidate: Fraction | None = None,
+    candidate: Fraction | int | None = None,
 ) -> ExactDensity:
     """Exact mu(M) with a periodic witness.
 
@@ -511,16 +515,17 @@ def mu_exact(
     unchanged.  Raises ResourceLimit when max(M) exceeds `max_window` or
     the admissible state count exceeds the state cap (DENSITYPACK_MAX_STATES,
     default 2**22), InvalidInput when `max_window` is not an integer (read
-    by `as_int`) or when it or the state cap is below 1, and InternalError
-    when a cycle's mean does not rise above the value it refuted, when a
-    value taken from a cycle has no tight cycle, or when the witness fails
-    its check.
+    by `as_int`), `candidate` not a Fraction or integer (`as_fraction`), or
+    either cap below 1, and InternalError when a cycle's mean does not rise
+    above the value it refuted, when a value taken from a cycle has no
+    tight cycle, or when the witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element
     max_window = as_int(max_window, "window cap")
     if max_window < 1:
         raise InvalidInput(f"window cap must be >= 1, got {max_window}")
+    candidate = None if candidate is None else as_fraction(candidate, "candidate")
     if L > max_window:
         raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
 

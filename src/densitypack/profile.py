@@ -37,8 +37,9 @@ suffice because every quantity above only reads positions below n2
 exercise with randomized extensions).
 
 The exhaustive checks share one enumeration.  `scan_windows` walks a
-family's avoiding windows once, in lexicographic order and in bounded
-batches (`WindowBatch`), and hands every batch to each requested check.
+family's avoiding windows once, in lexicographic order: each chunk that
+`oracle.avoiding_mask_chunks` yields becomes one `WindowBatch`, which goes
+to every requested check, so the chunk bound is the scan's one bound.
 A batch holds int64 masks and arrays derived from them, never Window
 objects; a Window is built only for a reported counterexample (and by the
 `mappings` harnesses for the rows they re-check one by one).  The counting
@@ -54,7 +55,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -63,13 +64,14 @@ from .family import (
     CanonicalParams,
     DifferenceSet,
     as_difference_set,
+    as_fraction,
     as_int,
     conjectured_density,
     defect,
     forbidden_differences,
     two_gap_set,
 )
-from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks, check_enum_length
+from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 __all__ = [
@@ -95,10 +97,7 @@ class Profile:
 
     @property
     def band_all(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for part in self.band_parts:
-            out |= part
-        return out
+        return frozenset().union(*self.band_parts)
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -191,13 +190,10 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-# Windows per WindowBatch: bounds the arrays a scan holds at once.
-_BATCH_WINDOWS = 1 << 16
-
-
 class WindowBatch:
-    """A lexicographically contiguous run of a family's avoiding windows of
-    [0, n2) containing 0, as int64 masks only, with arrays derived from
+    """One chunk of a family's avoiding windows of [0, n2) containing 0, as
+    `avoiding_mask_chunks` yields it (a lexicographically contiguous run of
+    at most `oracle._CHUNK_WINDOWS` int64 masks), with arrays derived from
     them: per window |I|, |T|, |U| and the prefix counts
     |A intersect [0, n1)|, |A intersect [0, n2)| (int64, one entry per
     window), and `in_i[x]`, the bool row of windows for which offset x is an
@@ -240,14 +236,6 @@ def _first(fails: np.ndarray) -> int | None:
     return int(np.argmax(fails)) if fails.any() else None
 
 
-def _window_batches(p: CanonicalParams, enum_cap: int) -> Iterator[WindowBatch]:
-    """The family's avoiding windows of [0, n2) containing 0, from one
-    enumeration, in batches of at most _BATCH_WINDOWS masks."""
-    for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2, cap=enum_cap):
-        for start in range(0, len(masks), _BATCH_WINDOWS):
-            yield WindowBatch(p, masks[start : start + _BATCH_WINDOWS])
-
-
 def scan_windows(
     p: CanonicalParams,
     checks: dict[str, WindowCheck],
@@ -255,7 +243,8 @@ def scan_windows(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> dict[str, VerificationReport]:
     """Run every check over one enumeration of the avoiding windows of
-    [0, n2) containing 0, and report each as `check_main_inequality` does.
+    [0, n2) containing 0, one `WindowBatch` per chunk of the enumeration,
+    and report each as `check_main_inequality` does.
 
     A check stops at its first failing window: the counterexample is the
     lexicographically-first one and windows_checked is its index + 1.  A
@@ -263,7 +252,8 @@ def scan_windows(
     """
     failed: dict[str, tuple[int, Window, str]] = {}
     total = 0
-    for batch in _window_batches(p, enum_cap):
+    for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2, cap=enum_cap):
+        batch = WindowBatch(p, masks)
         for name, check in checks.items():
             if name not in failed and (hit := check(batch)) is not None:
                 row, detail = hit
@@ -338,28 +328,26 @@ def dichotomy_check(p: CanonicalParams) -> WindowCheck:
     return check
 
 
-def _defeats_all(masks: np.ndarray, candidates: list[int], delta: Fraction) -> np.ndarray:
-    """Which windows have |A intersect [0, n)| > delta*n at every candidate n.
+def _defeats_all(prefixes: Iterable[tuple[int, np.ndarray]], delta: Fraction) -> np.ndarray:
+    """Which windows have count > delta*n at every (n, count) pair, the
+    counts being the windows' |A intersect [0, n)|.
 
     For an integer count, count*den > num*n iff count > floor(num*n/den);
     a count never exceeds n, so clamping the floor to n keeps it in int64.
     """
-    defeated = np.ones(len(masks), dtype=bool)
-    for n in candidates:
-        bound = min(n * delta.numerator // delta.denominator, n)
-        defeated &= _popcount(masks & _span(0, n)) > bound
-    return defeated
+    return np.logical_and.reduce(
+        [counts > min(n * delta.numerator // delta.denominator, n) for n, counts in prefixes]
+    )
 
 
 def certificate_check(p: CanonicalParams, delta: Fraction) -> WindowCheck:
     """`delta_certificate` as a window check: a failing window defeats both
     candidates n1 and n2 at `delta`, the family's closed form, which the
-    caller has already computed."""
-    candidates = sorted({p.n1, p.n2})
+    caller has already computed.  The prefix counts are the batch's own."""
     detail = f"window defeats both candidates n1={p.n1}, n2={p.n2}"
 
     def check(batch: WindowBatch):
-        row = _first(_defeats_all(batch.masks, candidates, delta))
+        row = _first(_defeats_all([(p.n1, batch.below_n1), (p.n2, batch.below_n2)], delta))
         return None if row is None else (row, detail)
 
     return check
@@ -414,7 +402,7 @@ def check_dichotomy(
 
 def haralambis_certify(
     distances: DifferenceSet | Iterable[int],
-    delta: Fraction,
+    delta: Fraction | int,
     candidates: Iterable[int],
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
@@ -431,9 +419,9 @@ def haralambis_certify(
 
     Comparisons are exact: count * delta.den <= delta.num * n.  Candidates
     that are not positive integers (each is read by `as_int`, so a bool or
-    a float is refused, never truncated) and an
-    `enum_cap` below 1 are InvalidInput; a largest candidate above
-    `enum_cap` is ResourceLimit.
+    a float is refused, never truncated), a `delta` that is not a positive
+    Fraction or integer (read by `as_fraction`) and an `enum_cap` below 1
+    are InvalidInput; a largest candidate above `enum_cap` is ResourceLimit.
     """
     M = as_difference_set(distances)
     try:
@@ -442,13 +430,12 @@ def haralambis_certify(
         cand = []  # not integers: reported with the other bad candidate lists
     if not cand or cand[0] < 1:
         raise InvalidInput(f"candidates must be positive integers, got {candidates!r}")
-    if not isinstance(delta, Fraction) or delta <= 0:
+    if (delta := as_fraction(delta, "delta")) <= 0:
         raise InvalidInput(f"delta must be a positive Fraction, got {delta!r}")
     length = cand[-1]
-    check_enum_length(length, enum_cap)
     count = 0
     for masks in avoiding_mask_chunks(M, length, cap=enum_cap):
-        row = _first(_defeats_all(masks, cand, delta))
+        row = _first(_defeats_all([(n, _popcount(masks & _span(0, n))) for n in cand], delta))
         if row is not None:
             return CertifyResult(
                 certified=False,
@@ -461,7 +448,5 @@ def haralambis_certify(
 
 def delta_certificate(p: CanonicalParams, *, enum_cap: int = DEFAULT_ENUM_CAP) -> CertifyResult:
     """haralambis_certify at the family's own delta with candidates {n1, n2}."""
-    breakdown = conjectured_density(p)
-    return haralambis_certify(
-        forbidden_differences(p), breakdown.delta, (p.n1, p.n2), enum_cap=enum_cap
-    )
+    delta = conjectured_density(p).delta
+    return haralambis_certify(forbidden_differences(p), delta, (p.n1, p.n2), enum_cap=enum_cap)

@@ -391,10 +391,13 @@ def reference_failures(p, masks, check_window):
 
 
 def scan_masks(p, masks, checks, batch_size):
-    """scan_windows over the given masks in place of the family's enumeration."""
-    with mock.patch.object(
-        profile_module, "avoiding_mask_chunks", lambda *args, **kwargs: iter([masks])
-    ), mock.patch.object(profile_module, "_BATCH_WINDOWS", batch_size):
+    """scan_windows over the given masks, in chunks of batch_size, in place
+    of the family's enumeration."""
+
+    def chunks(*args, **kwargs):
+        return (masks[i : i + batch_size] for i in range(0, len(masks), batch_size))
+
+    with mock.patch.object(profile_module, "avoiding_mask_chunks", chunks):
         return scan_windows(p, checks)
 
 

@@ -81,8 +81,25 @@ class TestWindow:
         assert 3 in w and 4 not in w and 11 not in w and "3" not in w
 
     def test_count_below(self):
+        # A prefix of length -1 used to raise a bare ValueError.
         w = Window.from_members(11, [0, 3, 7, 10])
-        assert [w.count_below(n) for n in (1, 3, 4, 11, 99)] == [1, 1, 2, 4, 4]
+        assert [w.count_below(n) for n in (-1, 0, 1, 3, 4, 11, 99)] == [0, 0, 1, 1, 2, 4, 4]
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_count_below_reads_an_integer(self, value):
+        w = Window.from_members(11, [0, 3, 7, 10])
+        if isinstance(value, np.integer):
+            assert w.count_below(value) == 1 and type(w.count_below(value)) is int
+            assert w.count_below(-value) == 0
+        else:
+            with pytest.raises(InvalidInput, match="prefix length must be an integer"):
+                w.count_below(value)
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_membership_reads_an_integer(self, value):
+        # np.int64(3) used to be reported missing; True is not position 1.
+        w = Window.from_members(5, [1, 3])
+        assert (value in w) is isinstance(value, np.integer)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -372,6 +389,16 @@ def test_karp_and_oracle_identical_with_avoiding_witness(distances):
 class TestCandidate:
     """A candidate value is certified first; a wrong one is improved or
     replaced by the greedy start."""
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE + [0.25])
+    def test_candidate_is_read_as_a_fraction(self, value):
+        # 0.25 used to escape as an AttributeError, "1/3" as a TypeError,
+        # and True was accepted.
+        if isinstance(value, (np.integer, Fraction)):
+            assert mu_exact([1, 5, 6], candidate=value) == mu_exact([1, 5, 6])
+        else:
+            with pytest.raises(InvalidInput, match="candidate must be a Fraction or an integer"):
+                mu_exact([1, 5, 6], candidate=value)
 
     def test_right_candidate_skips_policy_iteration(self, monkeypatch):
         # One potential run proves the candidate: no improvement round and

@@ -1,7 +1,6 @@
 """Window profiles, counting identities, the main inequality, dichotomy,
 and prefix-average certificates."""
 
-import importlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -31,14 +30,17 @@ from densitypack import (
     profile,
 )
 from densitypack import oracle
-from densitypack.mappings import check_m1_machinery
+from densitypack.mappings import check_m1_machinery, k1_check, m1_check
 from densitypack.oracle import DEFAULT_ENUM_CAP
-from densitypack.profile import main_inequality_check, scan_windows
-from helpers import canonical_instances, iter_avoiding_masks
-
-# The package root re-exports the function `profile`, which shadows the
-# module of the same name as an attribute.
-profile_module = importlib.import_module("densitypack.profile")
+from densitypack.profile import (
+    WindowBatch,
+    certificate_check,
+    dichotomy_check,
+    identities_check,
+    main_inequality_check,
+    scan_windows,
+)
+from helpers import INTEGER_LIKE, canonical_instances, iter_avoiding_masks
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=1, m=1)
@@ -238,6 +240,19 @@ class TestHaralambis:
         cands = np.array([7, 11], dtype=np.int64)
         assert haralambis_certify([1, 5, 6], Fraction(2, 7), cands).certified
 
+    @pytest.mark.parametrize("value", INTEGER_LIKE + [0.25])
+    def test_delta_is_read_as_a_fraction(self, value):
+        # A plain int delta used to be refused, unlike mu_exact's candidate.
+        if isinstance(value, (np.integer, Fraction)):
+            res = haralambis_certify([1, 5, 6], value, (7,))
+            assert res.certified and res == haralambis_certify([1, 5, 6], Fraction(3), (7,))
+        else:
+            with pytest.raises(InvalidInput, match="delta must be a Fraction or an integer"):
+                haralambis_certify([1, 5, 6], value, (7,))
+        assert haralambis_certify([1, 5, 6], 1, (7,)).certified
+        with pytest.raises(InvalidInput, match="delta must be a positive Fraction"):
+            haralambis_certify([1, 5, 6], 0, (7,))
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_enum_cap_must_be_positive(self, cap):
         # The cap is refused before the candidate length is compared with it.
@@ -267,7 +282,6 @@ class TestDeltaCertificate:
 class TestWindowScan:
     def test_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 3)
-        monkeypatch.setattr(profile_module, "_BATCH_WINDOWS", 3)
         res = haralambis_certify([1, 5, 6], Fraction(1, 4), (7, 11))
         assert res.counterexample.members() == (0, 4, 8)
         assert res.windows_checked == 10
@@ -276,8 +290,7 @@ class TestWindowScan:
     def test_first_failure_per_check_across_chunks(self, monkeypatch):
         # Synthetic checks failing on every window that holds position x:
         # each must report the first such window of the full enumeration.
-        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 4)
-        monkeypatch.setattr(profile_module, "_BATCH_WINDOWS", 3)
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 3)
         p = CanonicalParams(a=3, b=2, k=2, m=1)
         masks = list(iter_avoiding_masks(forbidden_differences(p), p.n2, True))
 
@@ -304,26 +317,46 @@ class TestWindowScan:
         assert reports["main_inequality"].passed
         assert reports["main_inequality"].windows_checked == len(masks)
 
+    def test_verify_checks_do_not_depend_on_the_chunk_bound(self, monkeypatch):
+        # The window checks of `verify --level machinery` report the same
+        # whether the scan runs in 4 chunks (the default bound) or in
+        # chunks of at most 1000 windows.
+        p = CanonicalParams(a=15, b=4, k=1, m=1)
+        delta = conjectured_density(p).delta
+
+        def scan():
+            checks = {
+                "identities": identities_check(p),
+                "main_inequality": main_inequality_check(p),
+                "dichotomy": dichotomy_check(p),
+                "haralambis": certificate_check(p, delta),
+                "m1_chains": m1_check(p),
+                "k1_mapping": k1_check(p),
+            }
+            return scan_windows(p, checks)
+
+        chunks = oracle.avoiding_mask_chunks(forbidden_differences(p), p.n2)
+        sizes = [len(masks) for masks in chunks]
+        assert len(sizes) == 4 and sum(sizes) == 163_273
+        reports = scan()
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", 1000)
+        assert scan() == reports
+        assert all(rep.passed and rep.windows_checked == 163_273 for rep in reports.values())
+
 
 FAMILIES_UP_TO_20 = list(canonical_instances(max_n2=20, include_equal=True))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(
-    st.sampled_from(FAMILIES_UP_TO_20),
-    st.sampled_from([1, 5, 1 << 16]),
-    st.sampled_from([1, 7, 1 << 12]),
-)
-def test_window_table_matches_per_window_code(p, chunk, batch_size):
+@given(st.sampled_from(FAMILIES_UP_TO_20), st.sampled_from([1, 5, 7, 1 << 12, 1 << 16]))
+def test_window_table_matches_per_window_code(p, chunk):
     M = forbidden_differences(p)
-    with mock.patch.object(oracle, "_CHUNK_WINDOWS", chunk), mock.patch.object(
-        profile_module, "_BATCH_WINDOWS", batch_size
-    ):
-        batches = list(profile_module._window_batches(p, DEFAULT_ENUM_CAP))
+    with mock.patch.object(oracle, "_CHUNK_WINDOWS", chunk):
+        batches = [WindowBatch(p, masks) for masks in oracle.avoiding_mask_chunks(M, p.n2)]
     masks = [mask for batch in batches for mask in batch.masks.tolist()]
     assert masks == list(iter_avoiding_masks(M, p.n2, True))
     for batch in batches:
-        assert len(batch) <= batch_size
+        assert len(batch) <= chunk
         for row in range(len(batch)):
             w = batch.window(row)
             assert w == Window(p.n2, int(batch.masks[row]))
