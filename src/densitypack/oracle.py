@@ -113,8 +113,11 @@ class Window:
 
     @classmethod
     def from_members(cls, length: int, members: Iterable[int]) -> "Window":
-        mask = 0
+        """The window of `length` whose set positions are `members`, each
+        read by `as_int` before its range is checked."""
+        length, mask = as_int(length, "length"), 0
         for x in members:
+            x = as_int(x, "member")
             if not 0 <= x < length:
                 raise InvalidInput(f"member {x} outside [0, {length})")
             mask |= 1 << x
@@ -326,21 +329,29 @@ def _build_state_graph(M: DifferenceSet, cap: int):
         # Position t conflicts with position t - d, which is key bit d - 1.
         with_t = (keys & sum(1 << (d - 1) for d in M if d <= t)) == 0
         _check_state_count(len(keys) + int(np.count_nonzero(with_t)), cap)
-        keys = _extend(keys << 1, 0, with_t)
+        keys <<= 1
+        keys = _extend(keys, 0, with_t)
+    del with_t
 
     top = 1 << (L - 1)
-    shifted = (keys << 1) & (2 * top - 1)
+    shifted = keys << 1
+    shifted &= 2 * top - 1
     succ0 = np.searchsorted(keys, shifted)
     succ1 = np.full(len(keys), -1, dtype=np.int64)
     can_append = (keys & sum(1 << (d - 1) for d in M)) == 0
-    succ1[can_append] = np.searchsorted(keys, shifted[can_append] | 1)
+    shifted = shifted[can_append]
+    shifted |= 1
+    succ1[can_append] = np.searchsorted(keys, shifted)
+    del shifted, can_append
     older = keys >> 1
     first = np.searchsorted(keys, older)
     if (keys[first] != older).any():
         raise InternalError("a window has no shift predecessor")
     older |= top
     last = np.searchsorted(keys, older)
-    has_last = (keys.take(last, mode="clip") == older) & ((keys & 1) == 0)
+    has_last = keys.take(last, mode="clip") == older
+    del older
+    has_last &= (keys & 1) == 0
     np.copyto(last, first, where=~has_last)
     return keys, succ0, succ1, first, last
 
@@ -354,29 +365,41 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     cycle.  Pointer doubling: after log2 n squarings, land[v] is on v's
     cycle, every cycle state is some land[v], and low[u] is the smallest
     state of u's cycle for each cycle state u, which names the cycle.
+    Beside the graph it holds three int64 arrays of the state count, land,
+    low and one gather buffer, reused by every squaring, and two bool
+    arrays; each cycle's length and count of ones are tallied over the
+    cycle states alone.
     """
     ones = succ1 >= 0
     n = len(succ0)
-    land, low = np.where(ones, succ1, succ0), np.arange(n)
+    land, low, buf = np.where(ones, succ1, succ0), np.arange(n), np.empty(n, dtype=np.int64)
     for _ in range((n - 1).bit_length()):
-        low = np.minimum(low, low[land])
-        land = land[land]
+        np.take(low, land, out=buf, mode="wrap")
+        np.minimum(low, buf, out=low)
+        np.take(land, land, out=buf, mode="wrap")
+        land, buf = buf, land
+    del buf
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[land] = True
-    length = np.bincount(low[on_cycle], minlength=n)
-    total = np.bincount(low[on_cycle & ones], minlength=n)
-    return max(Fraction(int(total[r]), int(length[r])) for r in np.flatnonzero(length))
+    del land
+    cycle_states = np.flatnonzero(on_cycle)
+    _, cycle, length = np.unique(low[cycle_states], return_inverse=True, return_counts=True)
+    total = np.bincount(cycle[ones[cycle_states]], minlength=len(length))
+    return max(Fraction(t, q) for t, q in zip(total.tolist(), length.tolist()))
 
 
 def _find_cycle(parent: np.ndarray) -> list[int] | None:
     """The states of one cycle of the walks v, parent[v], parent[parent[v]],
     ..., where parent[v] = len(parent) ends a walk, or None when every walk
     ends.  Pointer doubling: after log2 n squarings every walk has either
-    reached the end or is on its cycle."""
+    reached the end or is on its cycle.  The squarings alternate between
+    two arrays of n + 1 entries."""
     n = len(parent)
-    hop = np.append(parent, n)
+    hop, buf = np.append(parent, n), np.empty(n + 1, dtype=np.int64)
     for _ in range(n.bit_length()):
-        hop = hop[hop]
+        np.take(hop, hop, out=buf, mode="wrap")
+        hop, buf = buf, hop
+    del buf
     looping = np.flatnonzero(hop[:n] != n)
     if not len(looping):
         return None
@@ -396,43 +419,69 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
     out-edge against the result, so the certificate stays sound whatever
     is relaxed here.
 
+    Beside the graph it holds four int64 arrays of the state count, pi, the
+    weights w2 and the two gathers pi[first] and pi[last], and one bool
+    array of raises; every pass reuses them.  The gathers use mode="wrap",
+    as the default mode="raise" buffers its output; first and last are in
+    range.
+
     A value below mu makes pi diverge.  After the first log2 n passes, each
-    raised state remembers the in-edge of its last strict raise.  A cycle of
-    those edges has positive w'-weight: each raise on it used a value of its
-    source no larger than the current one, and the raise that followed the
-    cycle's latest raise used a strictly smaller one.  So it is a real cycle
-    of the graph with mean above `value`, and its mean is returned in place
-    of pi.  While those edges form no cycle they form a forest whose roots
-    have not been raised since tracking began, so every potential is at
-    most (n + log2 n)*den after a check, and grows by at most den per pass
-    until the next one: a potential that diverges must close a cycle, and
-    one past that bound without a cycle is InternalError.
+    raised state remembers the in-edge of its last strict raise, in `pred`,
+    allocated then with one more bool array; the two gathers are released
+    while `_find_cycle` searches `pred`.  A cycle of those edges has
+    positive w'-weight: each raise on it used a value of its source no
+    larger than the current one, and the raise that followed the cycle's
+    latest raise used a strictly smaller one.  So it is a real cycle of the
+    graph with mean above `value`, and its mean is returned in place of pi.
+    While those edges form no cycle they form a forest whose roots have not
+    been raised since tracking began, so every potential is at most
+    (n + log2 n)*den after a check, and grows by at most den per pass until
+    the next one: a potential that diverges must close a cycle, and one
+    past that bound without a cycle is InternalError.
     """
     n = len(keys)
     num, den = value.numerator, value.denominator
-    newest = keys & 1
-    w2 = newest * den - num
+    w2 = keys & 1
+    w2 *= den
+    w2 -= num
     rounds = n.bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
-    pred = np.full(n, n, dtype=np.int64)  # n: not raised since tracking began
+    pi_first, pi_last = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    raised = np.empty(n, dtype=bool)
+    pred = from_first = None
     for step in itertools.count(1):
-        pi_first, pi_last = pi[first], pi[last]
-        best = np.maximum(pi_first, pi_last) + w2
-        raised = best > pi
-        if not raised.any():
-            return pi
-        np.copyto(pi, best, where=raised)
+        np.take(pi, first, out=pi_first, mode="wrap")
+        np.take(pi, last, out=pi_last, mode="wrap")
         # Most potentials settle within a few passes, so raises are tracked
         # only after the first `rounds`; the cycle argument holds for the
         # raises of any run of consecutive passes.
-        if step > rounds:
-            np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
+        tracking = step > rounds
+        if tracking:
+            if pred is None:
+                pred = np.full(n, n, dtype=np.int64)  # n: not raised since tracking began
+                from_first = np.empty(n, dtype=bool)
+            np.greater_equal(pi_first, pi_last, out=from_first)
+        best = np.maximum(pi_first, pi_last, out=pi_first)
+        best += w2
+        np.greater(best, pi, out=raised)
+        if not raised.any():
+            return pi
+        np.maximum(pi, best, out=pi)
+        if tracking:
+            # pi_last is free again: it holds each state's better in-edge.
+            np.copyto(pi_last, last)
+            np.copyto(pi_last, first, where=from_first)
+            np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
+                # The gathers are free until the next pass: release them
+                # while `_find_cycle` holds its two arrays.
+                del best, pi_first, pi_last
                 if (cycle := _find_cycle(pred)) is not None:
-                    return Fraction(int(newest[cycle].sum()), len(cycle))
+                    return Fraction(int((keys[cycle] & 1).sum()), len(cycle))
                 if pi.max() > (n + rounds) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
+                pi_first, pi_last = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
 
 
 def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
@@ -448,16 +497,29 @@ def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
     proves mu >= value and is the witness, read as each state's newest bit,
     keys[v] & 1.  Returns None when there is no such cycle: the value is
     above mu.
+
+    Beside the graph and pi it holds one int64 array of the state count,
+    the slack of one edge kind at a time, and the two bool arrays of tight
+    edges.
     """
     n = len(keys)
     num, den = value.numerator, value.denominator
-    has1 = succ1 >= 0
-    slack0 = pi[succ0] - pi + num
-    slack1 = np.where(has1, pi[succ1] - pi - den + num, 0)
-    if slack0.min() < 0 or slack1.min() < 0:
+    slack = pi[succ0]
+    slack -= pi
+    slack += num
+    if slack.min() < 0:
         raise InternalError("potential violates an edge")
-    tight0 = slack0 == 0
-    tight1 = has1 & (slack1 == 0)
+    tight0 = slack == 0
+    # succ1 = -1 (no edge) gathers pi[n - 1]; its slack is set to 1, which
+    # is neither violated nor tight.
+    np.take(pi, succ1, out=slack, mode="wrap")
+    slack -= pi
+    slack += num - den
+    np.copyto(slack, 1, where=succ1 < 0)
+    if slack.min() < 0:
+        raise InternalError("potential violates an edge")
+    tight1 = slack == 0
+    del slack
 
     def tight_out(v: int) -> Iterator[int]:
         # index order: succ0[v] < succ1[v], as a window with its newest
@@ -545,6 +607,7 @@ def mu_exact(
         elif (bits := _tight_cycle(keys, succ0, succ1, pi_or_mean, value)) is not None:
             break
         elif from_caller:
+            del pi_or_mean  # not held through the greedy stage and the next potential
             value, from_caller = _greedy_cycle_mean(succ0, succ1), False
         else:
             raise InternalError(f"no cycle attains the proposed {value}: mu is below it")

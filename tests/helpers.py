@@ -2,18 +2,21 @@
 
 The brute-force routines here deliberately use a different algorithm from
 the package (itertools subset filtering instead of recursive pruning) so
-that agreement between the two is meaningful.
+that agreement between the two is meaningful.  The `reference_` routines
+are the oracle's earlier allocate-per-pass stages, which the reused-buffer
+stages must match exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from densitypack import CanonicalParams, oracle
+from densitypack import CanonicalParams, InternalError, oracle
 
 
 # One integer-like value of each kind an integer argument may receive: only
@@ -76,6 +79,67 @@ def record_potentials(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle, "_potential", run)
     return runs
+
+
+def reference_greedy_cycle_mean(succ0, succ1) -> Fraction:
+    """`oracle._greedy_cycle_mean` as it was before its buffers were reused:
+    each squaring allocates new arrays, and each cycle's length and count of
+    ones are tallied in two `bincount` arrays of the state count."""
+    ones = succ1 >= 0
+    n = len(succ0)
+    land, low = np.where(ones, succ1, succ0), np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[land])
+        land = land[land]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[land] = True
+    length = np.bincount(low[on_cycle], minlength=n)
+    total = np.bincount(low[on_cycle & ones], minlength=n)
+    return max(Fraction(int(total[r]), int(length[r])) for r in np.flatnonzero(length))
+
+
+def _reference_find_cycle(parent):
+    n = len(parent)
+    hop = np.append(parent, n)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    looping = np.flatnonzero(hop[:n] != n)
+    if not len(looping):
+        return None
+    start = int(hop[looping[0]])
+    cycle = [start]
+    while (v := int(parent[cycle[-1]])) != start:
+        cycle.append(v)
+    return cycle
+
+
+def reference_potential(keys, first, last, value: Fraction):
+    """`oracle._potential` (with `oracle._find_cycle`) as it was before its
+    buffers were reused: every pass allocates pi[first], pi[last], their
+    maximum, the weighted maximum and the raised mask, and `pred` and the
+    newest bits are allocated up front."""
+    n = len(keys)
+    num, den = value.numerator, value.denominator
+    newest = keys & 1
+    w2 = newest * den - num
+    rounds = n.bit_length()
+
+    pi = np.zeros(n, dtype=np.int64)
+    pred = np.full(n, n, dtype=np.int64)
+    for step in itertools.count(1):
+        pi_first, pi_last = pi[first], pi[last]
+        best = np.maximum(pi_first, pi_last) + w2
+        raised = best > pi
+        if not raised.any():
+            return pi
+        np.copyto(pi, best, where=raised)
+        if step > rounds:
+            np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
+            if step % rounds == 0:
+                if (cycle := _reference_find_cycle(pred)) is not None:
+                    return Fraction(int(newest[cycle].sum()), len(cycle))
+                if pi.max() > (n + rounds) * den:
+                    raise InternalError(f"potential for {value} passed its bound without a cycle")
 
 
 def brute_avoiding_masks(distances, n: int, require_zero: bool) -> list[int]:

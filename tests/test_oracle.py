@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,8 @@ from helpers import (
     iter_avoiding_masks,
     karp_max_mean,
     record_potentials,
+    reference_greedy_cycle_mean,
+    reference_potential,
 )
 
 GOLDEN_MU = [
@@ -110,6 +113,18 @@ class TestWindow:
             Window.from_members(3, [3])
         with pytest.raises(InvalidInput):
             Window.from_members(3, [-1])
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_members_are_read_as_integers(self, value):
+        # [1.5] and ["2"] used to escape as bare TypeErrors, and [True] was
+        # accepted as position 1.
+        if isinstance(value, np.integer):
+            w = Window.from_members(5, [1, value])
+            assert w == Window(5, 0b1010) and type(w.mask) is int
+            assert Window.from_members(value + 1, [value]) == Window(4, 0b1000)
+        else:
+            with pytest.raises(InvalidInput, match="member must be an integer"):
+                Window.from_members(5, [value])
 
     @pytest.mark.parametrize("value", INTEGER_LIKE)
     def test_fields_are_read_as_integers(self, value):
@@ -386,6 +401,22 @@ def test_karp_and_oracle_identical_with_avoiding_witness(distances):
     assert out.witness.density() == out.value
 
 
+def test_peak_memory_per_state():
+    # tracemalloc sees numpy's buffers, so the peak repeats to a few kB.  The
+    # graph's five int64 arrays are 40 B per state; each stage holds a few
+    # more arrays of the state count and reuses them on every pass.  The
+    # allocate-per-pass stages peaked at 113 B per state (8.48 MB).
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = mu_exact((1, 23), max_window=23)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.states_explored == 75_025 and out.value == Fraction(1, 2)
+    assert peak <= 80 * out.states_explored, peak / out.states_explored
+
+
 class TestCandidate:
     """A candidate value is certified first; a wrong one is improved or
     replaced by the greedy start."""
@@ -522,6 +553,44 @@ def test_greedy_proposal_never_changes_the_result(distances):
         patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: Fraction(1))
         with pytest.raises(InternalError, match="no cycle attains"):
             mu_exact(M)
+
+
+def test_reused_buffers_match_the_reference():
+    # The potential and the greedy stage reuse their arrays; the results must
+    # be those of the allocate-per-pass reference, on values above mu (pi
+    # converges), at mu, and below it, where raises are tracked after the
+    # first log2 n passes and a cycle of them is returned.
+    cycle_searches = []
+    find_cycle = oracle._find_cycle
+
+    def counted(parent):
+        cycle_searches.append(len(parent))
+        return find_cycle(parent)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        st.sets(st.integers(1, 14), min_size=1, max_size=5),
+        st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+    )
+    def check(distances, ratio):
+        M = sorted(distances)
+        keys, succ0, succ1, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        greedy = oracle._greedy_cycle_mean(succ0, succ1)
+        assert greedy == reference_greedy_cycle_mean(succ0, succ1)
+        mu = mu_exact(M).value
+        step = Fraction(1, 997)
+        for value in (mu, greedy, mu - step, mu + step, Fraction(1, max(M) + 2), Fraction(*ratio)):
+            expected = reference_potential(keys, first, last, value)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_find_cycle", counted)
+                out = oracle._potential(keys, first, last, value)
+            if isinstance(expected, Fraction):
+                assert isinstance(out, Fraction) and out == expected, (M, value)
+            else:
+                assert out.dtype == expected.dtype and np.array_equal(out, expected), (M, value)
+
+    check()
+    assert cycle_searches, "no example tracked its raises"
 
 
 def propose(monkeypatch, value):
