@@ -3,7 +3,7 @@
 Subcommands:
 
   density   closed-form candidate density of a family (a, b, k, m)
-  mu        exact optimal density of an explicit difference set
+  mu        exact optimal density of a difference set (`witness`'s handler)
   witness   optimal periodic set for a family or a difference set
   verify    run the verification pipeline on one family at a chosen level
   sweep     formula-versus-oracle CSV table over a parameter box
@@ -22,6 +22,7 @@ Exit codes: 0 all requested checks pass; 1 a verification failure or a
 lower-bound violation; 2 invalid input (including regime refusals); 3 a
 resource cap was hit; 4 a computed result failed its own check (a bug);
 141 (128 + SIGPIPE) stdout was closed before the report was written.
+An error exits with its class's `exit_code` (errors.py).
 Reports go to stdout, diagnostics to stderr.  JSON output (--json) uses
 exact {"num": ..., "den": ...} fractions, a fixed key order, and no floats,
 so parsing and re-serializing with indent=2 is byte-identical.
@@ -42,13 +43,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    InternalError,
-    InvalidInput,
-    LemmaViolation,
-    ResourceLimit,
-    UnsupportedRegime,
-)
+from .errors import DensityPackError, InvalidInput, ResourceLimit, UnsupportedRegime
 from .family import (
     CanonicalParams,
     DensityBreakdown,
@@ -200,13 +195,6 @@ def _oracle_lines(distances, res: ExactDensity) -> list[str]:
 def cmd_density(args) -> int:
     raw, canon, br = _raw_family(args)
     _emit(_instance_report(raw, canon, br), args.json, _family_lines(raw, canon, br))
-    return 0
-
-
-def cmd_mu(args) -> int:
-    M = _parse_distances(args.distances)
-    res = mu_exact(M, max_window=args.max_window)
-    _emit(_oracle_report(M, res), args.json, _oracle_lines(M, res))
     return 0
 
 
@@ -435,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def add_oracle_args(p):
+    def add_oracle_args(p, stage=""):
         p.add_argument(
             "--max-window",
             type=int,
             default=DEFAULT_WINDOW_CAP,
-            help=f"cap on max(M) (default {DEFAULT_WINDOW_CAP})",
+            help=f"cap on max(M){stage} (default {DEFAULT_WINDOW_CAP})",
         )
 
     p = sub.add_parser("density", help="closed-form candidate density of a family")
@@ -452,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distances", required=True, help="comma-separated, e.g. 1,5,6")
     add_oracle_args(p)
     add_json(p)
-    p.set_defaults(func=cmd_mu)
+    p.set_defaults(func=cmd_witness, a=None, b=None, k=None, m=None)
 
     p = sub.add_parser("witness", help="optimal periodic set for a family or distances")
     p.add_argument("--distances", help="comma-separated difference set")
@@ -475,12 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENUM_CAP,
         help=f"cap on enumeration window length n2 (default {DEFAULT_ENUM_CAP})",
     )
-    p.add_argument(
-        "--max-window",
-        type=int,
-        default=DEFAULT_WINDOW_CAP,
-        help=f"cap on max(M) for the oracle stage (default {DEFAULT_WINDOW_CAP})",
-    )
+    add_oracle_args(p, " for the oracle stage")
     add_json(p)
     p.set_defaults(func=cmd_verify)
 
@@ -521,18 +504,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except LemmaViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except DensityPackError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

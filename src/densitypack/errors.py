@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: InvalidInput (and its
+Each class carries its CLI exit code and stderr label: InvalidInput (and its
 subclasses) exit 2, ResourceLimit exits 3, InternalError exits 4, and a
 LemmaViolation or any failed verification exits 1.
 """
@@ -11,9 +11,14 @@ from __future__ import annotations
 class DensityPackError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+    label = "error"
+
 
 class InvalidInput(DensityPackError):
     """Malformed or out-of-domain arguments (exit code 2)."""
+
+    exit_code = 2
 
 
 class WindowTooShort(InvalidInput):
@@ -31,12 +36,17 @@ class UnsupportedRegime(InvalidInput):
 class ResourceLimit(DensityPackError):
     """A configured state/window/enumeration cap would be exceeded (exit 3)."""
 
+    exit_code = 3
+
 
 class InternalError(DensityPackError):
     """A computed result failed its own check: a bug, not bad input (exit 4).
 
     Raised instead of `assert` so that the check survives `python -O`.
     """
+
+    exit_code = 4
+    label = "internal error"
 
 
 class LemmaViolation(DensityPackError):

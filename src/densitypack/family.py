@@ -298,8 +298,9 @@ def has_averaging_slack(k: int, m: int, r: int) -> bool:
     For 1 <= r <= m the condition is k + m > k*r; for m+1 <= r <= k+m it is
     k + m > m*(k+m+1-r).  It holds for every admissible r when k = 1 or
     m = 1.  r = 0 is rejected: that case is settled directly and the
-    condition is not formulated for it.
+    condition is not formulated for it.  k, m and r are read by `as_int`.
     """
+    k, m, r = as_int(k, "k"), as_int(m, "m"), as_int(r, "r")
     if k < 1 or m < 1:
         raise InvalidInput(f"k and m must be positive, got k={k}, m={m}")
     if r == 0:

@@ -77,7 +77,7 @@ from .errors import (
     NotInBand,
     UnsupportedRegime,
 )
-from .family import CanonicalParams
+from .family import CanonicalParams, as_int
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 from .profile import (
@@ -174,7 +174,9 @@ class ChainPartition:
 
 
 def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
-    """Locate alpha in its inter-gap band and split off its b-quotient."""
+    """Locate alpha, read by `as_int`, in its inter-gap band and split off
+    its b-quotient."""
+    alpha = as_int(alpha, "alpha")
     for i in range(p.k):
         if i * p.a + p.b + 1 <= alpha <= (i + 1) * p.a - 1:
             q, off = divmod(alpha - i * p.a, p.b)

@@ -116,6 +116,10 @@ class Window:
         """The window of `length` whose set positions are `members`, each
         read by `as_int` before its range is checked."""
         length, mask = as_int(length, "length"), 0
+        try:
+            members = iter(members)
+        except TypeError:
+            raise InvalidInput(f"cannot read members from {members!r}") from None
         for x in members:
             x = as_int(x, "member")
             if not 0 <= x < length:
@@ -152,7 +156,10 @@ class PeriodicSet:
 
     def __post_init__(self):
         _store_positive_ints(self, ("period",))
-        residues = tuple(as_int(x, "residue") for x in self.residues)
+        try:
+            residues = tuple(as_int(x, "residue") for x in self.residues)
+        except TypeError:
+            raise InvalidInput(f"cannot read residues from {self.residues!r}") from None
         increasing = sorted(set(residues)) == list(residues)
         if not increasing or not all(0 <= x < self.period for x in residues):
             raise InvalidInput(

@@ -20,9 +20,15 @@ from hypothesis import strategies as st
 import densitypack
 from densitypack import (
     ExactDensity,
+    InternalError,
+    InvalidInput,
+    LemmaViolation,
+    NotInBand,
     PeriodicSet,
     RawParams,
     ResourceLimit,
+    UnsupportedRegime,
+    WindowTooShort,
     canonicalize,
     conjectured_density,
     forbidden_differences,
@@ -170,14 +176,16 @@ class TestWitness:
     )
     def test_family_output_equals_distances_output(self, capsys, family, distances):
         # The family route certifies delta of the canonical family for the
-        # raw, scaled or swapped M; the distances route runs policy
-        # iteration.  Both prove the same value on the same graph.
+        # raw, scaled or swapped M; the distances route, which `mu` shares,
+        # certifies the greedy cycle mean.  Both prove the same value on the
+        # same graph.
         a, b, k, m = map(str, family)
         code, out, _ = run(
             capsys, "witness", "--a", a, "--b", b, "--k", k, "--m", m, "--json"
         )
         assert code == 0
         assert (0, out, "") == run(capsys, "witness", "--distances", distances, "--json")
+        assert (0, out, "") == run(capsys, "mu", "--distances", distances, "--json")
 
     def test_both_sources_rejected(self, capsys):
         code, _, err = run(
@@ -189,6 +197,27 @@ class TestWitness:
     def test_neither_source_rejected(self, capsys):
         code, _, err = run(capsys, "witness", "--a", "5", "--b", "1")
         assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (LemmaViolation("check", "detail"), (1, "error: check: detail\n")),
+        (InvalidInput("bad"), (2, "error: bad\n")),
+        (WindowTooShort("bad"), (2, "error: bad\n")),
+        (NotInBand("bad"), (2, "error: bad\n")),
+        (UnsupportedRegime("bad"), (2, "error: bad\n")),
+        (ResourceLimit("cap"), (3, "error: cap\n")),
+        (InternalError("bug"), (4, "internal error: bug\n")),
+    ],
+)
+def test_error_class_sets_exit_code_and_label(capsys, monkeypatch, error, expected):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "mu_exact", fail)
+    code, out, err = run(capsys, "mu", "--distances", "1,5,6")
+    assert (code, err) == expected and out == ""
 
 
 class TestVerify:

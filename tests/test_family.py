@@ -274,6 +274,17 @@ class TestAveragingSlack:
                 for r in range(1, k + m + 1):
                     assert has_averaging_slack(k, m, r)
 
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_reads_integers(self, value):
+        # True and 1.5 used to pass the range checks and return True.
+        for args in [(value, 1, 1), (1, value, 1), (2, 2, value)]:
+            if isinstance(value, np.integer):
+                plain = tuple(3 if x is value else x for x in args)
+                assert has_averaging_slack(*args) == has_averaging_slack(*plain)
+            else:
+                with pytest.raises(InvalidInput, match="must be an integer"):
+                    has_averaging_slack(*args)
+
     def test_known_failure_outside_proved_regime(self):
         # k = m = 2, r = 2: the low-branch condition reads 4 > 4.
         assert not has_averaging_slack(2, 2, 2)

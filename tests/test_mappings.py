@@ -41,7 +41,7 @@ from densitypack.mappings import (
     m1_trajectory,
 )
 from densitypack.profile import WindowBatch, _profile_masks, scan_windows
-from helpers import canonical_instances
+from helpers import INTEGER_LIKE, canonical_instances
 
 # The package root re-exports the function `profile`, which shadows the
 # module of the same name as an attribute.
@@ -76,6 +76,16 @@ class TestGapDecompose:
         for alpha in [1, 2, 5, 7, 10, 14]:
             with pytest.raises(NotInBand):
                 gap_decompose(alpha, P521)
+
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_reads_an_integer(self, value):
+        # 2.5 used to give GapDecomposition(alpha=2.5, band=0, quotient=2.0, ...).
+        if isinstance(value, np.integer):
+            d = gap_decompose(value, P521)
+            assert d == gap_decompose(3, P521) and type(d.alpha) is int
+        else:
+            with pytest.raises(InvalidInput, match="alpha must be an integer"):
+                gap_decompose(value, P521)
 
 
 class TestM1Trajectory:

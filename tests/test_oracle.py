@@ -113,6 +113,8 @@ class TestWindow:
             Window.from_members(3, [3])
         with pytest.raises(InvalidInput):
             Window.from_members(3, [-1])
+        with pytest.raises(InvalidInput, match="cannot read members from 3"):
+            Window.from_members(5, 3)
 
     @pytest.mark.parametrize("value", INTEGER_LIKE)
     def test_members_are_read_as_integers(self, value):
@@ -155,6 +157,8 @@ class TestPeriodicSet:
             PeriodicSet(period=5, residues=(3, 1))
         with pytest.raises(InvalidInput):
             PeriodicSet(period=5, residues=(1, 1))
+        with pytest.raises(InvalidInput, match="cannot read residues from 3"):
+            PeriodicSet(5, 3)
 
     @pytest.mark.parametrize("value", INTEGER_LIKE)
     def test_fields_are_read_as_integers(self, value):
