@@ -64,6 +64,7 @@ __all__ = [
     "defect",
     "conjectured_density",
     "has_averaging_slack",
+    "require_type",
 ]
 
 
@@ -86,6 +87,17 @@ def as_fraction(value, name: str) -> Fraction:
         return value if isinstance(value, Fraction) else Fraction(as_int(value, name))
     except InvalidInput:
         raise InvalidInput(f"{name} must be a Fraction or an integer, got {value!r}") from None
+
+
+def require_type(value, kinds: type | tuple[type, ...], name: str):
+    """`value` itself when it is an instance of `kinds`; anything else is
+    InvalidInput, where reading its fields would raise AttributeError."""
+    if not isinstance(value, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        raise InvalidInput(
+            f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, got {value!r}"
+        )
+    return value
 
 
 def _store_positive_ints(obj, names: tuple[str, ...]) -> None:
@@ -217,6 +229,7 @@ def canonicalize(p: RawParams) -> CanonicalParams:
     scales an optimal avoiding set the same way, and reflecting S reverses
     signs of differences, leaving the set of |differences| unchanged.
     """
+    require_type(p, RawParams, "params")
     g = math.gcd(p.a, p.b)
     a, b, k, m = p.a // g, p.b // g, p.k, p.m
     swapped = a < b
@@ -227,6 +240,7 @@ def canonicalize(p: RawParams) -> CanonicalParams:
 
 def two_gap_set(p: CanonicalParams) -> tuple[int, ...]:
     """The k+m+1 elements of S = {0, a, ..., ka, ka+b, ..., ka+mb}."""
+    require_type(p, CanonicalParams, "params")
     head = [i * p.a for i in range(p.k + 1)]
     tail = [p.k * p.a + j * p.b for j in range(1, p.m + 1)]
     return tuple(head + tail)
@@ -238,6 +252,7 @@ def forbidden_differences(p: CanonicalParams | RawParams) -> DifferenceSet:
     Raw parameters give the family's own differences, before the gcd is
     divided out or the reflection applied.
     """
+    require_type(p, (CanonicalParams, RawParams), "params")
     out = {
         i * p.a + j * p.b
         for i in range(p.k + 1)
@@ -249,6 +264,7 @@ def forbidden_differences(p: CanonicalParams | RawParams) -> DifferenceSet:
 
 def defect(p: CanonicalParams) -> tuple[int, int]:
     """Euclidean division a - b = d*(k+m+1) + r with 0 <= r <= k+m."""
+    require_type(p, CanonicalParams, "params")
     return divmod(p.a - p.b, p.k + p.m + 1)
 
 
@@ -259,6 +275,7 @@ def conjectured_density(p: CanonicalParams) -> DensityBreakdown:
     formula applied to the unscaled pair gives a wrong answer (positions
     scale by g but density does not).
     """
+    require_type(p, CanonicalParams, "params")
     a, b, k, m = p.a, p.b, p.k, p.m
     d, r = defect(p)
     n1, n2 = p.n1, p.n2

@@ -77,7 +77,7 @@ from .errors import (
     NotInBand,
     UnsupportedRegime,
 )
-from .family import CanonicalParams, as_int
+from .family import CanonicalParams, as_int, require_type
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 from .profile import (
@@ -781,6 +781,7 @@ def check_m1_machinery(
     """Exhaustive m = 1 harness: chains, their three properties, the count
     bound, and a translate witness at every trajectory step, over every
     avoiding window of [0, n2) containing 0."""
+    require_type(p, CanonicalParams, "params")
     return scan_windows(p, {"m1": m1_check(p)}, enum_cap=enum_cap)["m1"]
 
 
@@ -790,4 +791,5 @@ def check_k1_machinery(
     """Exhaustive k = 1 harness: block images, their disjointness and size,
     the count bound, and a translate witness at every trajectory step, over
     every avoiding window of [0, n2) containing 0."""
+    require_type(p, CanonicalParams, "params")
     return scan_windows(p, {"k1": k1_check(p)}, enum_cap=enum_cap)["k1"]

@@ -20,8 +20,8 @@ out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
 One solver path computes it, in int64 numpy arrays throughout: the graph
-is built level by level in key order, each edge found by a `searchsorted`
-over the sorted keys, a value p/q is proposed, and a longest-walk
+is built level by level in key order, each edge read off the last level
+by position, a value p/q is proposed, and a longest-walk
 potential for the reweighted graph w' = q*w - p certifies it.  The potential converging, and satisfying every
 edge, proves mu <= p/q; a cycle of its tight edges proves mu >= p/q and is
 the periodic witness.  A caller that already holds a likely value (the
@@ -63,7 +63,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .family import DifferenceSet, _store_positive_ints, as_difference_set, as_fraction, as_int
+from .family import (
+    DifferenceSet,
+    _store_positive_ints,
+    as_difference_set,
+    as_fraction,
+    as_int,
+    require_type,
+)
 
 __all__ = [
     "Window",
@@ -184,7 +191,7 @@ class ExactDensity:
 def check_periodic_avoiding(s: PeriodicSet, distances: DifferenceSet | Iterable[int]) -> bool:
     """Whether the periodic set avoids every difference in M (checked mod period)."""
     M = as_difference_set(distances)
-    residues = set(s.residues)
+    residues = set(require_type(s, PeriodicSet, "periodic set").residues)
     for d in M:
         dm = d % s.period
         if any((x + dm) % s.period in residues for x in residues):
@@ -319,47 +326,76 @@ def _build_state_graph(M: DifferenceSet, cap: int):
 
     Returns (keys, succ0, succ1, first, last).  Built newest bit last, the
     keys increase, in the window order of `avoiding_mask_chunks` (state 0 is
-    the all-zero window), so every edge is a `searchsorted` over them.
-    Appending a 0 moves state i to succ0[i], and appending a 1 moves it to
-    succ1[i], or succ1[i] = -1 when that would create a difference in M.
-    v's in-edges come from first[v], keys[v] >> 1, and last[v], the same
-    with the oldest bit set where that window exists and v's newest bit is
-    0, else first[v] again: as L is in M, a window whose oldest position is
-    set cannot append a 1.  Each level's size is checked against the cap
-    before the level is allocated, so a refused graph never holds more
-    windows than the cap.
+    the all-zero window).  Appending a 0 moves state i to succ0[i], and
+    appending a 1 moves it to succ1[i], or succ1[i] = -1 when that would
+    create a difference in M.  v's in-edges come from first[v], keys[v] >> 1,
+    and last[v], the same with the oldest bit set where that window exists
+    and v's newest bit is 0, else first[v] again: as L is in M, a window
+    whose oldest position is set cannot append a 1.  Each level's size is
+    checked against the cap before the level is allocated, so a refused
+    graph never holds more windows than the cap.
     """
+    # Every edge is read off the last level.  Let P be the p keys before it,
+    # w its `with_t`, top = 2**(L-1) and C = sum of 2**(L-1-d) for d in M
+    # below L.  (A) keys[:p] == P: a window whose oldest position is empty
+    # avoids M exactly when its newer positions do.  (B) keys[p:] == top |
+    # P[ok], ok = (P & C) == 0.  P[i] extended by 0 lands at c0[i] = i + (ones
+    # of w before i), by 1 right after, so shifting out the oldest position
+    # gives succ0 = c0 followed by c0[ok], and succ1 = succ0 + 1 where a 1
+    # may be appended.  first[v] is the P[i] that v extends, state i by (A),
+    # and last[v] the top-half state whose succ0 is v.  succ0, succ1 and
+    # first are checked against the keys by checks that -O keeps.
     L = M.max_element
     _check_mask_bits(L)
+    # Key bit d - 1 lies at distance d from the next position appended.
+    # Position t conflicts only with such bits below t; a full window's
+    # next position conflicts with them all.
+    conflicts = sum(1 << (d - 1) for d in M)
     keys = np.zeros(1, dtype=np.int64)
     for t in range(L):
-        # Position t conflicts with position t - d, which is key bit d - 1.
-        with_t = (keys & sum(1 << (d - 1) for d in M if d <= t)) == 0
+        with_t = (keys & (conflicts & ((1 << t) - 1))) == 0
         _check_state_count(len(keys) + int(np.count_nonzero(with_t)), cap)
         keys <<= 1
         keys = _extend(keys, 0, with_t)
-    del with_t
 
-    top = 1 << (L - 1)
-    shifted = keys << 1
-    shifted &= 2 * top - 1
-    succ0 = np.searchsorted(keys, shifted)
-    succ1 = np.full(len(keys), -1, dtype=np.int64)
-    can_append = (keys & sum(1 << (d - 1) for d in M)) == 0
-    shifted = shifted[can_append]
-    shifted |= 1
-    succ1[can_append] = np.searchsorted(keys, shifted)
-    del shifted, can_append
-    older = keys >> 1
-    first = np.searchsorted(keys, older)
-    if (keys[first] != older).any():
+    p, n = len(with_t), len(keys)
+    # Allocated before any temporary, so that none leaves a hole below
+    # them; each is scratch until filled.  mode="wrap": see `_potential`.
+    succ0, succ1, first, last = (np.empty(n, dtype=np.int64) for _ in range(4))
+    c0 = succ0[:p]  # the exclusive cumsum of 1 + w
+    np.copyto(c0, with_t)
+    c0 += 1
+    np.cumsum(c0, out=c0)
+    c0 -= 1
+    c0 -= with_t
+    del with_t
+    np.bitwise_and(keys[:p], sum(1 << (L - 1 - d) for d in M if d < L), out=last[:p])
+    np.compress(last[:p] == 0, c0, out=succ0[p:])
+    np.left_shift(keys, 1, out=first)
+    first &= (1 << L) - 1
+    if (np.take(keys, succ0, out=last, mode="wrap") != first).any():
+        raise InternalError("a window's 0-edge does not lead to its shift")
+    first |= 1
+    can_append = np.bitwise_and(keys, conflicts, out=last) == 0
+    succ1.fill(-1)
+    np.add(succ0, 1, out=succ1, where=can_append)
+    if ((np.take(keys, succ1, out=last, mode="wrap") != first) & can_append).any():
+        raise InternalError("a window's 1-edge does not lead to its shift")
+    del can_append
+    # first[v] + 1 counts the windows up to v whose newest position is empty.
+    np.bitwise_and(keys, 1, out=first)
+    first ^= 1
+    np.cumsum(first, out=first)
+    first -= 1
+    # keys[first] == keys >> 1 iff (keys[first] << 1) ^ keys is 0 or 1.
+    np.take(keys, first, out=last, mode="wrap")
+    last <<= 1
+    last ^= keys
+    last >>= 1
+    if last.any():
         raise InternalError("a window has no shift predecessor")
-    older |= top
-    last = np.searchsorted(keys, older)
-    has_last = keys.take(last, mode="clip") == older
-    del older
-    has_last &= (keys & 1) == 0
-    np.copyto(last, first, where=~has_last)
+    np.copyto(last, first)
+    last[succ0[p:]] = np.arange(p, n)
     return keys, succ0, succ1, first, last
 
 
@@ -369,29 +405,53 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     nearly always mu itself.
 
     The policy is a functional graph, so every state's walk ends in a
-    cycle.  Pointer doubling: after log2 n squarings, land[v] is on v's
-    cycle, every cycle state is some land[v], and low[u] is the smallest
-    state of u's cycle for each cycle state u, which names the cycle.
-    Beside the graph it holds three int64 arrays of the state count, land,
-    low and one gather buffer, reused by every squaring, and two bool
-    arrays; each cycle's length and count of ones are tallied over the
-    cycle states alone.
+    cycle.  Pointer doubling in two phases, each stopping once done.
+    First land = step^(2^r) is squared alone.  Its images are nested, and
+    once one is as large as the one before, step^(2^r) maps that image onto
+    itself: it is exactly the set of cycle states.  Then, on those m states
+    only, numbered by a `cumsum` rank, low[u], the least rank among u and
+    its next 2^r - 1 successors, is squared until it stops changing: then
+    low[u] <= low[step^(2^r) u] around every orbit, so low is constant on
+    it; the orbit's runs of 2^r steps cover u's cycle, so low[u] is the
+    cycle's least rank.
+    Beside the graph it holds land and one gather buffer of the state
+    count, reused by every squaring, and two bool arrays; then three int64
+    arrays of the cycle-state count, over which each cycle's length and
+    count of ones are tallied.
     """
     ones = succ1 >= 0
     n = len(succ0)
-    land, low, buf = np.where(ones, succ1, succ0), np.arange(n), np.empty(n, dtype=np.int64)
-    for _ in range((n - 1).bit_length()):
-        np.take(low, land, out=buf, mode="wrap")
-        np.minimum(low, buf, out=low)
+    land, buf = np.where(ones, succ1, succ0), np.empty(n, dtype=np.int64)
+    on_cycle = np.empty(n, dtype=bool)
+    count = n
+    while True:
+        on_cycle.fill(False)
+        on_cycle[land] = True
+        count, before = np.count_nonzero(on_cycle), count
+        if count == before:
+            break
         np.take(land, land, out=buf, mode="wrap")
         land, buf = buf, land
-    del buf
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[land] = True
-    del land
-    cycle_states = np.flatnonzero(on_cycle)
-    _, cycle, length = np.unique(low[cycle_states], return_inverse=True, return_counts=True)
-    total = np.bincount(cycle[ones[cycle_states]], minlength=len(length))
+    # land takes the step again and buf the ranks (a cumsum of bools would
+    # allocate a cast copy).
+    np.copyto(land, succ0)
+    np.copyto(land, succ1, where=ones)
+    np.copyto(buf, on_cycle)
+    np.cumsum(buf, out=buf)
+    buf -= 1
+    hop = buf[land[on_cycle]]
+    del land, buf
+    low, buf = np.arange(count), np.empty(count, dtype=np.int64)
+    while True:
+        np.take(low, hop, out=buf, mode="wrap")
+        if not (buf < low).any():
+            break
+        np.minimum(low, buf, out=low)
+        np.take(hop, hop, out=buf, mode="wrap")
+        hop, buf = buf, hop
+    del hop, buf
+    _, cycle, length = np.unique(low, return_inverse=True, return_counts=True)
+    total = np.bincount(cycle[ones[on_cycle]], minlength=len(length))
     return max(Fraction(t, q) for t, q in zip(total.tolist(), length.tolist()))
 
 

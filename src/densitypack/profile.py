@@ -69,6 +69,7 @@ from .family import (
     conjectured_density,
     defect,
     forbidden_differences,
+    require_type,
     two_gap_set,
 )
 from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks
@@ -148,14 +149,19 @@ def _profile_masks(p: CanonicalParams) -> tuple[int, tuple[int, ...], int]:
     return s_mask, bands, _span(p.n1, p.n2)
 
 
-# The m = 1 / k = 1 checks of one window each ask for its profile in turn.
-@functools.lru_cache(maxsize=1)
 def profile(window: Window, p: CanonicalParams) -> Profile:
     """Compute (I, T_i, U) for an M-avoiding window containing 0.
 
     The window must cover [0, n2); longer windows are fine, the extra
     positions are never read.
     """
+    window = require_type(window, Window, "window")
+    return _profile(window, require_type(p, CanonicalParams, "params"))
+
+
+# The m = 1 / k = 1 checks of one window each ask for its profile in turn.
+@functools.lru_cache(maxsize=1)
+def _profile(window: Window, p: CanonicalParams) -> Profile:
     if window.length < p.n2:
         raise WindowTooShort(
             f"profile needs window length >= n2 = {p.n2}, got {window.length}"
@@ -365,6 +371,7 @@ def check_main_inequality(
     allow_conjecture=True, and a counterexample would refute only this
     inequality, not any established result.
     """
+    require_type(p, CanonicalParams, "params")
     if p.k >= 2 and p.m >= 2 and not allow_conjecture:
         raise UnsupportedRegime(
             f"k = {p.k}, m = {p.m}: the inequality is conjectural there; "
@@ -393,6 +400,7 @@ def check_dichotomy(
     this is the dichotomy behind the closed-form bound.  r = 0 is rejected:
     no dichotomy is formulated there.
     """
+    require_type(p, CanonicalParams, "params")
     if p.k >= 2 and p.m >= 2 and not allow_conjecture:
         raise UnsupportedRegime(
             f"k = {p.k}, m = {p.m}: conjectural regime; pass allow_conjecture=True"

@@ -3,8 +3,9 @@
 The brute-force routines here deliberately use a different algorithm from
 the package (itertools subset filtering instead of recursive pruning) so
 that agreement between the two is meaningful.  The `reference_` routines
-are the oracle's earlier allocate-per-pass stages, which the reused-buffer
-stages must match exactly.
+are the oracle's earlier stages (searched edges, allocate-per-pass
+solvers, fixed-round pointer doubling), which the current stages must
+match exactly.
 """
 
 from __future__ import annotations
@@ -79,6 +80,30 @@ def record_potentials(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle, "_potential", run)
     return runs
+
+
+def reference_state_graph(M):
+    """`oracle._build_state_graph` as it was before its edges were read off
+    the last level: the same level loop, then every edge a `searchsorted`
+    over the sorted keys."""
+    L = max(M)
+    keys = np.zeros(1, dtype=np.int64)
+    for t in range(L):
+        with_t = (keys & sum(1 << (d - 1) for d in M if d <= t)) == 0
+        keys = oracle._extend(keys << 1, 0, with_t)
+    top = 1 << (L - 1)
+    shifted = (keys << 1) & (2 * top - 1)
+    succ0 = np.searchsorted(keys, shifted)
+    succ1 = np.full(len(keys), -1, dtype=np.int64)
+    can_append = (keys & sum(1 << (d - 1) for d in M)) == 0
+    succ1[can_append] = np.searchsorted(keys, shifted[can_append] | 1)
+    older = keys >> 1
+    first = np.searchsorted(keys, older)
+    assert (keys[first] == older).all()
+    last = np.searchsorted(keys, older | top)
+    has_last = (keys.take(last, mode="clip") == older | top) & ((keys & 1) == 0)
+    last = np.where(has_last, last, first)
+    return keys, succ0, succ1, first, last
 
 
 def reference_greedy_cycle_mean(succ0, succ1) -> Fraction:

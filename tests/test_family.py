@@ -55,6 +55,21 @@ class TestParams:
             with pytest.raises(InvalidInput, match="k must be an integer"):
                 CanonicalParams(a=5, b=1, k=value, m=1)
 
+    @pytest.mark.parametrize(
+        "reader, kinds",
+        [
+            (canonicalize, "RawParams"),
+            (conjectured_density, "CanonicalParams"),
+            (forbidden_differences, "CanonicalParams or RawParams"),
+            (two_gap_set, "CanonicalParams"),
+            (defect, "CanonicalParams"),
+        ],
+    )
+    def test_readers_refuse_other_objects(self, reader, kinds):
+        # Each used to raise a bare AttributeError for a plain int.
+        with pytest.raises(InvalidInput, match=f"params must be a {kinds}, got 5"):
+            reader(5)
+
     def test_canonical_rejects_swapped_order(self):
         with pytest.raises(InvalidInput):
             CanonicalParams(a=3, b=5, k=1, m=1)

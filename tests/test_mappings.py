@@ -341,6 +341,23 @@ class TestK1Mapping:
         assert profile(Window.from_members(16, [0]), P532).top_holes == frozenset({14, 15})
 
 
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (verify_m1_inequality, (Window.from_members(P511.n2, [0]), 5), "params must be a"),
+        (verify_m1_inequality, (5, P511), "window must be a Window, got 5"),
+        (verify_k1_mapping, (5, P512), "window must be a Window, got 5"),
+        (verify_k1_mapping, (Window.from_members(P512.n2, [0]), 5), "params must be a"),
+        (check_m1_machinery, (5,), "params must be a CanonicalParams, got 5"),
+        (check_k1_machinery, (5,), "params must be a CanonicalParams, got 5"),
+    ],
+)
+def test_arguments_of_other_types_are_refused(func, args, message):
+    # These used to raise a bare AttributeError.
+    with pytest.raises(InvalidInput, match=message):
+        func(*args)
+
+
 class TestTranslateWitness:
     def test_vacuous_when_offset_in_translates(self):
         # I = {1, 2} for (5,3,1,2).  Offset 1 has no witness (1 + a = 6 is not

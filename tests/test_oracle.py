@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitypack import (
@@ -37,6 +37,7 @@ from helpers import (
     record_potentials,
     reference_greedy_cycle_mean,
     reference_potential,
+    reference_state_graph,
 )
 
 GOLDEN_MU = [
@@ -159,6 +160,9 @@ class TestPeriodicSet:
             PeriodicSet(period=5, residues=(1, 1))
         with pytest.raises(InvalidInput, match="cannot read residues from 3"):
             PeriodicSet(5, 3)
+        # This used to raise a bare AttributeError.
+        with pytest.raises(InvalidInput, match="periodic set must be a PeriodicSet, got 5"):
+            check_periodic_avoiding(5, [1])
 
     @pytest.mark.parametrize("value", INTEGER_LIKE)
     def test_fields_are_read_as_integers(self, value):
@@ -393,6 +397,46 @@ def test_state_graph_edges_match_recursive_enumeration(distances):
     check_state_graph(sorted(distances))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sets(st.integers(1, 20), min_size=1, max_size=5))
+@example({20})
+@example({1, 20})
+def test_state_graph_equals_the_searched_reference(distances):
+    # The edges read off the last level are the searched ones, byte for byte.
+    M = sorted(distances)
+    built = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    for got, expected in zip(built, reference_state_graph(M), strict=True):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class _OneWrongEdge:
+    """numpy as `oracle` sees it, except that its `which`-th `take` first
+    changes entry 0 of its indices: one edge of the array being checked."""
+
+    def __init__(self, which: int):
+        self.which = which
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, indices, *args, **kwargs):
+        if self.which == 0:
+            indices[0] = 1 - indices[0]
+        self.which -= 1
+        return np.take(a, indices, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "which, message",
+    [(0, "0-edge does not lead"), (1, "1-edge does not lead"), (2, "no shift predecessor")],
+)
+def test_state_graph_checks_every_edge_it_reads_off(monkeypatch, which, message):
+    # The build gathers succ0, succ1 and first, in that order, to check them.
+    monkeypatch.setattr(oracle, "np", _OneWrongEdge(which))
+    with pytest.raises(InternalError, match=message):
+        oracle._build_state_graph(as_difference_set([1, 5, 6]), 1 << 22)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
 def test_karp_and_oracle_identical_with_avoiding_witness(distances):
@@ -419,6 +463,28 @@ def test_peak_memory_per_state():
         tracemalloc.stop()
     assert out.states_explored == 75_025 and out.value == Fraction(1, 2)
     assert peak <= 80 * out.states_explored, peak / out.states_explored
+
+
+def test_peak_memory_per_state_of_the_set_up_stages():
+    # Peaks above the start, so both count the graph's 40 B per state.  The
+    # build fills its four edge arrays in place, each one scratch for the
+    # checks until its turn; the greedy stage holds two int64 arrays of the
+    # state count and two bool arrays.  The searched build peaked at 57 B
+    # per state, and the fixed-round greedy stage at 65.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        keys, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
+        build = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        value = oracle._greedy_cycle_mean(succ0, succ1)
+        greedy = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n = len(keys)
+    assert n == 75_025 and value == Fraction(1, 2)
+    assert build <= 50 * n, build / n
+    assert greedy <= 60 * n, greedy / n
 
 
 class TestCandidate:
@@ -559,6 +625,25 @@ def test_greedy_proposal_never_changes_the_result(distances):
             mu_exact(M)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.sets(st.integers(1, 18), min_size=1, max_size=5))
+@example({2, 3, 5})
+@example({3, 6})
+@example({1, 4, 5})
+def test_greedy_cycle_mean_equals_the_fixed_round_reference(distances):
+    # Both phases stop early; on {2, 3, 5}, {3, 6} and {1, 4, 5} every state
+    # is on a greedy cycle, so the first phase stops at once.
+    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(distances), 1 << 22)
+    assert oracle._greedy_cycle_mean(succ0, succ1) == reference_greedy_cycle_mean(succ0, succ1)
+
+
+@pytest.mark.parametrize("M", [(2, 3, 5), (3, 6), (1, 4, 5)])
+def test_greedy_step_is_a_permutation(M):
+    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    step = np.where(succ1 >= 0, succ1, succ0)
+    assert np.array_equal(np.sort(step), np.arange(len(step)))
+
+
 def test_reused_buffers_match_the_reference():
     # The potential and the greedy stage reuse their arrays; the results must
     # be those of the allocate-per-pass reference, on values above mu (pi
@@ -671,13 +756,24 @@ class TestCertificate:
         assert len(seconds) == 2 and seconds[0] < 0.5
 
     def test_rejected_under_python_optimize(self):
-        # A greedy start above mu and a potential that violates an edge are
-        # caught by real checks, which -O does not strip.
+        # A greedy start above mu, a potential that violates an edge and a
+        # wrong edge of the state graph are caught by real checks, which -O
+        # does not strip.  The last patch changes succ0[0] as it is checked.
         src = os.path.dirname(os.path.dirname(oracle.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        wrong_edge = (
+            "class OneWrongEdge:\n"
+            "    def __getattr__(self, name):\n"
+            "        return getattr(np, name)\n"
+            "    def take(self, a, indices, *args, **kwargs):\n"
+            "        oracle.np, indices[0] = np, 1 - indices[0]\n"
+            "        return np.take(a, indices, *args, **kwargs)\n"
+            "oracle.np = OneWrongEdge()"
+        )
         for patch, message in [
             ("oracle._greedy_cycle_mean = lambda succ0, succ1: Fraction(1, 3)", "no cycle attains"),
             ("oracle._potential = lambda keys, *_: np.zeros_like(keys)", "violates an edge"),
+            (wrong_edge, "0-edge does not lead to its shift"),
         ]:
             script = (
                 "import sys\n"

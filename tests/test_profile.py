@@ -44,6 +44,7 @@ from helpers import INTEGER_LIKE, canonical_instances, iter_avoiding_masks
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=1, m=1)
+W511 = Window.from_members(P511.n2, [0])
 
 
 class TestProfile:
@@ -82,6 +83,24 @@ class TestProfile:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             profile(Window.from_members(10, [0]), P511)
+
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (profile, (W511, 5), "params must be a CanonicalParams, got 5"),
+            (profile, (5, P511), "window must be a Window, got 5"),
+            (profile, (W511, [P511]), "params must be a CanonicalParams, got \\["),
+            (check_counting_identities, (W511, 5), "params must be a CanonicalParams"),
+            (check_counting_identities, (5, P511), "window must be a Window"),
+            (check_main_inequality, (5,), "params must be a CanonicalParams"),
+            (check_dichotomy, (5,), "params must be a CanonicalParams"),
+            (delta_certificate, (5,), "params must be a CanonicalParams"),
+        ],
+    )
+    def test_arguments_of_other_types_are_refused(self, func, args, message):
+        # These used to raise a bare AttributeError, or TypeError for a list.
+        with pytest.raises(InvalidInput, match=message):
+            func(*args)
 
     def test_longer_window_extra_positions_ignored(self):
         short = profile(Window.from_members(11, [0, 3]), P511)
