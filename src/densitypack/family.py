@@ -57,6 +57,7 @@ __all__ = [
     "DensityBreakdown",
     "as_difference_set",
     "as_int",
+    "as_bool",
     "as_fraction",
     "canonicalize",
     "two_gap_set",
@@ -78,6 +79,16 @@ def as_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def as_bool(value, name: str) -> bool:
+    """`value` as a Python bool: a bool or a numpy bool.  Anything else,
+    an int or None included, is InvalidInput, never read for its truth."""
+    import numpy as np  # here, so that importing this pure-Python module loads no numpy
+
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise InvalidInput(f"{name} must be a bool, got {value!r}")
 
 
 def as_fraction(value, name: str) -> Fraction:
@@ -128,8 +139,8 @@ class CanonicalParams:
     """Parameters with gcd(a, b) = 1 and a >= b.
 
     `g` is the gcd divided out of the raw pair and `swapped` records whether
-    the reflection (a, k) <-> (b, m) was applied.  Only `canonicalize`
-    should normally construct these.
+    the reflection (a, k) <-> (b, m) was applied; it is read by `as_bool`.
+    Only `canonicalize` should normally construct these.
     """
 
     a: int
@@ -141,6 +152,7 @@ class CanonicalParams:
 
     def __post_init__(self):
         _store_positive_ints(self, ("a", "b", "k", "m", "g"))
+        object.__setattr__(self, "swapped", as_bool(self.swapped, "swapped"))
         if self.a < self.b:
             raise InvalidInput(f"canonical params need a >= b, got a={self.a} < b={self.b}")
         if math.gcd(self.a, self.b) != 1:

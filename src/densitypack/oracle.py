@@ -66,6 +66,7 @@ from .errors import InternalError, InvalidInput, ResourceLimit
 from .family import (
     DifferenceSet,
     _store_positive_ints,
+    as_bool,
     as_difference_set,
     as_fraction,
     as_int,
@@ -252,13 +253,13 @@ def avoiding_mask_chunks(
     counterexample.  Prefixes are extended one position per level; a run
     longer than the chunk is split in two and the halves are finished one
     after the other, so memory stays within about n chunks whatever the
-    total count.
+    total count.  `require_zero` is read by `as_bool`.
     """
     M = as_difference_set(distances)
     check_enum_length(n, cap)
     # conflicts[t]: the earlier positions t - d that forbid setting position t.
     conflicts = [sum(1 << (t - d) for d in M if d <= t) for t in range(n)]
-    start = int(require_zero)
+    start = int(as_bool(require_zero, "require_zero"))
     todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
     while todo:
         t, states = todo.pop()
@@ -399,21 +400,43 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return keys, succ0, succ1, first, last
 
 
+def _cycle_states(land, buf, on_cycle) -> int:
+    """Square the functional graph `land` in place, land = step^(2^r),
+    until its image stops shrinking, and return the image's size.  Then
+    `on_cycle` marks the cycle states and land[v] lies on v's cycle.
+
+    The images are nested, as step^(2^(r+1)) maps through step^(2^r).  Once
+    one, S, is as large as the one before, step^(2^r) maps S onto itself,
+    so it permutes S and S holds only cycle states; each cycle state is the
+    image of the state 2^r steps behind it, so S holds them all, and the
+    stop is exact.  The squarings alternate between land and `buf`.
+    """
+    hop, spare, count = land, buf, len(land)
+    while True:
+        on_cycle.fill(False)
+        on_cycle[hop] = True
+        count, before = np.count_nonzero(on_cycle), count
+        if count == before:
+            break
+        np.take(hop, hop, out=spare, mode="wrap")
+        hop, spare = spare, hop
+    if hop is not land:
+        np.copyto(land, hop)
+    return count
+
+
 def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     """The best cycle mean of the greedy policy, which appends 1 wherever
     allowed: the mean of a real cycle, so at most mu, and in practice
     nearly always mu itself.
 
-    The policy is a functional graph, so every state's walk ends in a
-    cycle.  Pointer doubling in two phases, each stopping once done.
-    First land = step^(2^r) is squared alone.  Its images are nested, and
-    once one is as large as the one before, step^(2^r) maps that image onto
-    itself: it is exactly the set of cycle states.  Then, on those m states
-    only, numbered by a `cumsum` rank, low[u], the least rank among u and
-    its next 2^r - 1 successors, is squared until it stops changing: then
-    low[u] <= low[step^(2^r) u] around every orbit, so low is constant on
-    it; the orbit's runs of 2^r steps cover u's cycle, so low[u] is the
-    cycle's least rank.
+    The policy is a functional graph.  Pointer doubling in two phases,
+    each stopping once done.  First `_cycle_states` marks its m cycle
+    states.  Then, on those states only, numbered by a `cumsum` rank,
+    low[u], the least rank among u and its next 2^r - 1 successors, is
+    squared until it stops changing: then low[u] <= low[step^(2^r) u]
+    around every orbit, so low is constant on it; the orbit's runs of 2^r
+    steps cover u's cycle, so low[u] is the cycle's least rank.
     Beside the graph it holds land and one gather buffer of the state
     count, reused by every squaring, and two bool arrays; then three int64
     arrays of the cycle-state count, over which each cycle's length and
@@ -423,15 +446,7 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     n = len(succ0)
     land, buf = np.where(ones, succ1, succ0), np.empty(n, dtype=np.int64)
     on_cycle = np.empty(n, dtype=bool)
-    count = n
-    while True:
-        on_cycle.fill(False)
-        on_cycle[land] = True
-        count, before = np.count_nonzero(on_cycle), count
-        if count == before:
-            break
-        np.take(land, land, out=buf, mode="wrap")
-        land, buf = buf, land
+    count = _cycle_states(land, buf, on_cycle)
     # land takes the step again and buf the ranks (a cumsum of bools would
     # allocate a cast copy).
     np.copyto(land, succ0)
@@ -455,24 +470,31 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     return max(Fraction(t, q) for t, q in zip(total.tolist(), length.tolist()))
 
 
-def _find_cycle(parent: np.ndarray) -> list[int] | None:
-    """The states of one cycle of the walks v, parent[v], parent[parent[v]],
-    ..., where parent[v] = len(parent) ends a walk, or None when every walk
-    ends.  Pointer doubling: after log2 n squarings every walk has either
-    reached the end or is on its cycle.  The squarings alternate between
-    two arrays of n + 1 entries."""
-    n = len(parent)
-    hop, buf = np.append(parent, n), np.empty(n + 1, dtype=np.int64)
-    for _ in range(n.bit_length()):
-        np.take(hop, hop, out=buf, mode="wrap")
-        hop, buf = buf, hop
-    del buf
-    looping = np.flatnonzero(hop[:n] != n)
-    if not len(looping):
+def _find_cycle(pred, land, buf, on_cycle) -> list[int] | None:
+    """The states of the cycle that the least walk v, pred[v],
+    pred[pred[v]], ... not ending at a fixed point reaches, or None when
+    every walk ends at one.  land, buf (int64) and on_cycle (bool), of the
+    state count, are scratch: `_cycle_states` puts land[v] on v's cycle,
+    and on_cycle marks the walks whose cycle is not a fixed point.
+
+    In `_potential`, pred[v] == v exactly when v has not been raised since
+    tracking began, so every cycle of raises has at least 2 states.  A
+    strict raise of v uses the in-edge from first[v] or from last[v], and
+    neither is v.  first[v] == v only for state 0, the all-zero key, whose
+    edge to itself has weight w' = -num < 0 and so never strictly raises
+    it: when pi[first] >= pi[last] state 0 is not raised at all, and
+    otherwise its raise uses last[0], the key with only its oldest bit set.
+    last[v] == v never holds: last[v] differs from first[v] only where v's
+    newest bit is 0, and there it is the top-half key (key >> 1) | top,
+    which equals v's key only when that is all ones, whose newest bit is 1.
+    """
+    np.copyto(land, pred)
+    _cycle_states(land, buf, on_cycle)
+    np.take(pred, land, out=buf, mode="wrap")
+    if not np.not_equal(buf, land, out=on_cycle).any():
         return None
-    start = int(hop[looping[0]])
-    cycle = [start]
-    while (v := int(parent[cycle[-1]])) != start:
+    cycle = [int(land[on_cycle.argmax()])]
+    while (v := int(pred[cycle[-1]])) != cycle[0]:
         cycle.append(v)
     return cycle
 
@@ -494,17 +516,19 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
 
     A value below mu makes pi diverge.  After the first log2 n passes, each
     raised state remembers the in-edge of its last strict raise, in `pred`,
-    allocated then with one more bool array; the two gathers are released
-    while `_find_cycle` searches `pred`.  A cycle of those edges has
-    positive w'-weight: each raise on it used a value of its source no
-    larger than the current one, and the raise that followed the cycle's
-    latest raise used a strictly smaller one.  So it is a real cycle of the
-    graph with mean above `value`, and its mean is returned in place of pi.
-    While those edges form no cycle they form a forest whose roots have not
-    been raised since tracking began, so every potential is at most
-    (n + log2 n)*den after a check, and grows by at most den per pass until
-    the next one: a potential that diverges must close a cycle, and one
-    past that bound without a cycle is InternalError.
+    allocated then with one more bool array; a state not raised since then
+    is a fixed point of `pred`.  Every log2 n passes `_find_cycle` searches
+    `pred` in the two gathers and the raises, which are free until the next
+    pass, so nothing is released or allocated for it.  A cycle of those
+    edges has positive w'-weight: each raise on it used a value of its
+    source no larger than the current one, and the raise that followed the
+    cycle's latest raise used a strictly smaller one.  So it is a real cycle
+    of the graph with mean above `value`, and its mean is returned in place
+    of pi.  While those edges form no cycle they form a forest whose roots,
+    the fixed points, have not been raised since tracking began, so every
+    potential is at most (n + log2 n)*den after a check, and grows by at
+    most den per pass until the next one: a potential that diverges must
+    close a cycle, and one past that bound without a cycle is InternalError.
     """
     n = len(keys)
     num, den = value.numerator, value.denominator
@@ -526,7 +550,7 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
         tracking = step > rounds
         if tracking:
             if pred is None:
-                pred = np.full(n, n, dtype=np.int64)  # n: not raised since tracking began
+                pred = np.arange(n)  # a fixed point: not raised since tracking began
                 from_first = np.empty(n, dtype=bool)
             np.greater_equal(pi_first, pi_last, out=from_first)
         best = np.maximum(pi_first, pi_last, out=pi_first)
@@ -541,14 +565,11 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
             np.copyto(pi_last, first, where=from_first)
             np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
-                # The gathers are free until the next pass: release them
-                # while `_find_cycle` holds its two arrays.
-                del best, pi_first, pi_last
-                if (cycle := _find_cycle(pred)) is not None:
+                # The gathers and the raises are free until the next pass.
+                if (cycle := _find_cycle(pred, pi_first, pi_last, raised)) is not None:
                     return Fraction(int((keys[cycle] & 1).sum()), len(cycle))
                 if pi.max() > (n + rounds) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
-                pi_first, pi_last = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
 
 
 def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:

@@ -23,7 +23,8 @@ On top of the identities sit three checks, each quantified over every
 avoiding window of [0, n2) containing 0:
 
   * the band-count inequality (k+m)|T| <= (k+m)|I| + k|U|, proved for
-    k = 1 or m = 1 and otherwise conjectural (opt in via allow_conjecture);
+    k = 1 or m = 1 and otherwise conjectural (opt in via allow_conjecture,
+    a bool read by `as_bool`);
   * a two-branch dichotomy bounding one of the two prefix counts by the
     matching closed-form numerator (requires r >= 1);
   * the short-prefix certificate (Haralambis): if every avoiding window
@@ -63,6 +64,7 @@ from .errors import InvalidInput, UnsupportedRegime, WindowTooShort
 from .family import (
     CanonicalParams,
     DifferenceSet,
+    as_bool,
     as_difference_set,
     as_fraction,
     as_int,
@@ -372,7 +374,7 @@ def check_main_inequality(
     inequality, not any established result.
     """
     require_type(p, CanonicalParams, "params")
-    if p.k >= 2 and p.m >= 2 and not allow_conjecture:
+    if not as_bool(allow_conjecture, "allow_conjecture") and p.k >= 2 and p.m >= 2:
         raise UnsupportedRegime(
             f"k = {p.k}, m = {p.m}: the inequality is conjectural there; "
             "pass allow_conjecture=True to probe it anyway"
@@ -401,7 +403,7 @@ def check_dichotomy(
     no dichotomy is formulated there.
     """
     require_type(p, CanonicalParams, "params")
-    if p.k >= 2 and p.m >= 2 and not allow_conjecture:
+    if not as_bool(allow_conjecture, "allow_conjecture") and p.k >= 2 and p.m >= 2:
         raise UnsupportedRegime(
             f"k = {p.k}, m = {p.m}: conjectural regime; pass allow_conjecture=True"
         )

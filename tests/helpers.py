@@ -23,6 +23,8 @@ from densitypack import CanonicalParams, InternalError, oracle
 # One integer-like value of each kind an integer argument may receive: only
 # the numpy int is an integer; the bool, float, Fraction and str are not.
 INTEGER_LIKE = [True, np.int64(3), 1.5, Fraction(3), "3"]
+# Values that a truth test would read, but that a Boolean argument refuses.
+NOT_BOOLS = [1, 2, 8, np.int64(1), None, "no"]
 
 
 def canonical_instances(

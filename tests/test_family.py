@@ -54,6 +54,13 @@ class TestParams:
         else:
             with pytest.raises(InvalidInput, match="k must be an integer"):
                 CanonicalParams(a=5, b=1, k=value, m=1)
+        # `swapped` is a bool: "yes" used to be stored as it came.
+        if isinstance(value, bool):
+            assert CanonicalParams(a=5, b=1, k=1, m=1, swapped=value).swapped is value
+            assert CanonicalParams(a=5, b=1, k=1, m=1, swapped=np.bool_(False)).swapped is False
+        else:
+            with pytest.raises(InvalidInput, match="swapped must be a bool"):
+                CanonicalParams(a=5, b=1, k=1, m=1, swapped=value)
 
     @pytest.mark.parametrize(
         "reader, kinds",

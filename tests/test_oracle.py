@@ -30,6 +30,8 @@ from densitypack import cli, oracle
 from densitypack.oracle import DEFAULT_ENUM_CAP, STATE_CAP_ENV
 from helpers import (
     INTEGER_LIKE,
+    NOT_BOOLS,
+    _reference_find_cycle,
     brute_avoiding_masks,
     brute_best_periodic,
     iter_avoiding_masks,
@@ -220,6 +222,14 @@ class TestEnumeration:
             next(enumerate_avoiding_windows([1], DEFAULT_ENUM_CAP + 1))
         # the cap is adjustable
         assert sum(1 for _ in enumerate_avoiding_windows([1], 27, cap=27)) > 0
+        # require_zero is a bool: 2 used to yield windows holding 1 and not 0,
+        # and None, "no" and 8 escaped as TypeError, ValueError and IndexError.
+        for flag in (True, False):
+            masks = [w.mask for w in enumerate_avoiding_windows([1, 5, 6], 7, flag)]
+            assert [w.mask for w in enumerate_avoiding_windows([1, 5, 6], 7, np.bool_(flag))] == masks
+        for bad in NOT_BOOLS:
+            with pytest.raises(InvalidInput, match="require_zero must be a bool"):
+                next(enumerate_avoiding_windows([1, 5, 6], 7, require_zero=bad))
         # masks are int64, so 63 positions at most, whatever the caps
         with pytest.raises(ResourceLimit, match="int64"):
             list(enumerate_avoiding_windows(range(1, 65), 64, cap=64))
@@ -652,9 +662,9 @@ def test_reused_buffers_match_the_reference():
     cycle_searches = []
     find_cycle = oracle._find_cycle
 
-    def counted(parent):
+    def counted(parent, *scratch):
         cycle_searches.append(len(parent))
-        return find_cycle(parent)
+        return find_cycle(parent, *scratch)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(
@@ -682,6 +692,47 @@ def test_reused_buffers_match_the_reference():
     assert cycle_searches, "no example tracked its raises"
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(1, 200).flatmap(lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
+@example([4, 0, 1, 2])  # every walk ends
+@example([1, 0])  # one 2-cycle
+@example([3, 2, 1, 4, 3])  # walk 0 reaches {3, 4}, not the smaller cycle {1, 2}
+def test_find_cycle_matches_the_sentinel_search(draws):
+    # In the sentinel encoding pred[v] = n ends a walk; a self-loop, which
+    # no cycle of raises is, is read as an end too.  `_find_cycle` takes
+    # the fixed point pred[v] = v as the end instead.
+    n = len(draws)
+    sentinel = np.array(draws, dtype=np.int64)
+    sentinel[sentinel == np.arange(n)] = n
+    pred = np.where(sentinel == n, np.arange(n), sentinel)
+    scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    cycle = oracle._find_cycle(pred, *scratch)
+    expected = _reference_find_cycle(sentinel)
+    if expected is None:
+        assert cycle is None
+    else:
+        assert cycle is not None and sorted(cycle) == sorted(expected)
+        assert len(cycle) == len(set(cycle)) >= 2
+
+
+def test_peak_memory_per_state_of_a_diverging_potential():
+    # 1/25 is below mu = 1/2 on {1, 23}: raises are tracked, and the cycle
+    # search runs in the potential's own gathers and raises, so the peak is
+    # pi, w2, the two gathers and pred (8 B per state each) and two bool
+    # arrays.  The search in arrays of its own peaked at 43.0 B per state.
+    keys, _, _, first, last = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = oracle._potential(keys, first, last, Fraction(1, 25))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n = len(keys)
+    assert n == 75_025 and value == Fraction(1, 2)
+    assert peak <= 42.5 * n, peak / n
+
+
 def propose(monkeypatch, value):
     """Make the greedy start return `value`, so that a wrong one reaches the
     final check."""
@@ -704,7 +755,7 @@ class TestCertificate:
     def test_non_improving_cycle_is_rejected(self, monkeypatch, capsys):
         # State 0, the all-zero window, loops to itself with mean 0.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_find_cycle", lambda parent: [0])
+        monkeypatch.setattr(oracle, "_find_cycle", lambda parent, *scratch: [0])
         with pytest.raises(InternalError, match="not above 1/4"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -714,7 +765,7 @@ class TestCertificate:
         # With the cycle search blinded, a diverging potential must still
         # end, through the magnitude check rather than a pass count.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_find_cycle", lambda parent: None)
+        monkeypatch.setattr(oracle, "_find_cycle", lambda parent, *scratch: None)
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 

@@ -40,7 +40,7 @@ from densitypack.profile import (
     main_inequality_check,
     scan_windows,
 )
-from helpers import INTEGER_LIKE, canonical_instances, iter_avoiding_masks
+from helpers import INTEGER_LIKE, NOT_BOOLS, canonical_instances, iter_avoiding_masks
 
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=1, m=1)
@@ -155,12 +155,20 @@ class TestMainInequality:
         p = CanonicalParams(a=7, b=2, k=2, m=2)
         with pytest.raises(UnsupportedRegime):
             check_main_inequality(p)
+        # allow_conjecture is a bool: "no" used to probe the conjecture.
+        for bad in NOT_BOOLS:
+            for q in (p, P511):
+                with pytest.raises(InvalidInput, match="allow_conjecture must be a bool"):
+                    check_main_inequality(q, allow_conjecture=bad)
 
     def test_conjecture_probe(self):
         report = check_main_inequality(
             CanonicalParams(a=4, b=3, k=2, m=2), allow_conjecture=True
         )
         assert report.passed
+        assert check_main_inequality(
+            CanonicalParams(a=4, b=3, k=2, m=2), allow_conjecture=np.bool_(True)
+        ) == report
 
     def test_enum_cap(self):
         p = CanonicalParams(a=29, b=1, k=1, m=1)
@@ -178,6 +186,12 @@ class TestDichotomy:
     def test_gate_precedes_remainder_check(self):
         with pytest.raises(UnsupportedRegime):
             check_dichotomy(CanonicalParams(a=7, b=2, k=2, m=2))
+        with pytest.raises(UnsupportedRegime):
+            check_dichotomy(CanonicalParams(a=7, b=2, k=2, m=2), allow_conjecture=np.bool_(False))
+        for bad in NOT_BOOLS:
+            for p in (CanonicalParams(a=7, b=2, k=2, m=2), P511):
+                with pytest.raises(InvalidInput, match="allow_conjecture must be a bool"):
+                    check_dichotomy(p, allow_conjecture=bad)
 
     def test_passes_in_proved_regime(self):
         # (5,2,1,1) is excluded: its remainder is 0.
