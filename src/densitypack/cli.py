@@ -218,23 +218,25 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _run_verify(args, raw, canon, br):
-    """All checks for cmd_verify.  Returns (checks, counterexamples, oracle)."""
+def cmd_verify(args) -> int:
+    raw, canon, br = _raw_family(args)
     level = LEVELS.index(args.level)
     checks: dict[str, bool] = {}
     counterexamples: list[dict] = []
 
-    def record(name: str, window: Window | None, detail: str | None) -> None:
-        entry: dict = {"check": name}
-        if window is not None:
-            entry["window"] = _window_dump(window)
-        if detail:
-            entry["detail"] = detail
-        counterexamples.append(entry)
+    def record(name: str, passed: bool, detail: str | None = None, window: Window | None = None):
+        checks[name] = passed
+        if not passed:
+            entry: dict = {"check": name}
+            if window is not None:
+                entry["window"] = _window_dump(window)
+            if detail:
+                entry["detail"] = detail
+            counterexamples.append(entry)
 
     # The breakdown's construction already checks the branch-glue identities
     # and the r = 0 collapse; reaching this point certifies them.
-    checks["identities"] = True
+    record("identities", True)
 
     oracle = None
     if level >= 1:
@@ -262,37 +264,18 @@ def _run_verify(args, raw, canon, br):
             window_checks["m1_chains"] = m1_check(canon)
         if level >= 2 and canon.k == 1:
             window_checks["k1_mapping"] = k1_check(canon)
-        reports = scan_windows(canon, window_checks, enum_cap=args.enum_cap)
-        for name, rep in reports.items():
-            checks[name] = rep.passed
-            if not rep.passed:
-                record(name, rep.counterexample, rep.detail)
+        for name, rep in scan_windows(canon, window_checks, enum_cap=args.enum_cap).items():
+            record(name, rep.passed, rep.detail, rep.counterexample)
 
     if oracle is not None:
+        failure = None
         if oracle.value < br.delta:
-            checks["oracle"] = False
-            record(
-                "oracle",
-                None,
-                f"mu = {oracle.value} < delta = {br.delta}: lower-bound violation",
-            )
+            failure = f"mu = {oracle.value} < delta = {br.delta}: lower-bound violation"
         elif br.theorem_status != "Conjectured" and oracle.value != br.delta:
-            checks["oracle"] = False
-            record(
-                "oracle",
-                None,
-                f"mu = {oracle.value} != delta = {br.delta} despite status "
-                f"{br.theorem_status}",
+            failure = (
+                f"mu = {oracle.value} != delta = {br.delta} despite status {br.theorem_status}"
             )
-        else:
-            checks["oracle"] = True
-
-    return checks, counterexamples, oracle
-
-
-def cmd_verify(args) -> int:
-    raw, canon, br = _raw_family(args)
-    checks, counterexamples, oracle = _run_verify(args, raw, canon, br)
+        record("oracle", failure is None, failure)
     passed = all(checks.values())
 
     lines = _family_lines(raw, canon, br)
@@ -300,7 +283,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{name:<16}{'pass' if ok else 'FAIL'}")
     if oracle is not None:
         residues = ", ".join(str(x) for x in oracle.witness.residues)
-        rel = "=" if oracle.value == br.delta else ">"
+        rel = "<" if oracle.value < br.delta else "=" if oracle.value == br.delta else ">"
         lines.append(
             f"oracle mu   {oracle.value} {rel} delta"
             f"  (witness period {oracle.witness.period}, residues {{{residues}}})"

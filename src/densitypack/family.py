@@ -197,9 +197,6 @@ class DifferenceSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, d: object) -> bool:
-        return d in self.elements
-
 
 def as_difference_set(distances: DifferenceSet | Iterable[int]) -> DifferenceSet:
     """Coerce an iterable of integer distances into a validated DifferenceSet.

@@ -80,13 +80,7 @@ from .errors import (
 from .family import CanonicalParams, as_int, require_type
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
-from .profile import (
-    VerificationReport,
-    WindowBatch,
-    WindowCheck,
-    profile,
-    scan_windows,
-)
+from .profile import VerificationReport, WindowBatch, WindowCheck, _scan_one, profile
 
 __all__ = [
     "GapDecomposition",
@@ -782,7 +776,7 @@ def check_m1_machinery(
     bound, and a translate witness at every trajectory step, over every
     avoiding window of [0, n2) containing 0."""
     require_type(p, CanonicalParams, "params")
-    return scan_windows(p, {"m1": m1_check(p)}, enum_cap=enum_cap)["m1"]
+    return _scan_one(p, m1_check(p), enum_cap)
 
 
 def check_k1_machinery(
@@ -792,4 +786,4 @@ def check_k1_machinery(
     the count bound, and a translate witness at every trajectory step, over
     every avoiding window of [0, n2) containing 0."""
     require_type(p, CanonicalParams, "params")
-    return scan_windows(p, {"k1": k1_check(p)}, enum_cap=enum_cap)["k1"]
+    return _scan_one(p, k1_check(p), enum_cap)

@@ -19,21 +19,21 @@ all-zero window reaches and is reached by every state), every state has an
 out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
-One solver path computes it, in int64 numpy arrays throughout: the graph
-is built level by level in key order, each edge read off the last level
-by position, a value p/q is proposed, and a longest-walk
-potential for the reweighted graph w' = q*w - p certifies it.  The potential converging, and satisfying every
-edge, proves mu <= p/q; a cycle of its tight edges proves mu >= p/q and is
-the periodic witness.  A caller that already holds a likely value (the
-closed form delta) passes it as the candidate, which is certified first.
-Without one, the first proposal is the best cycle mean of the greedy
-policy that appends 1 wherever allowed: a real cycle's mean, so a lower
-bound, and nearly always mu itself.  A potential that diverges finds a
-cycle of strict raises, a real cycle with mean above the value, and that
-mean is the next proposal (cycle improvement, as in Dasdan 2004); a
+One solver path computes it, in int64 numpy arrays throughout: the graph is
+built level by level in key order, each edge read off the last level by
+position, a value p/q is proposed, and a longest-walk potential for the
+reweighted graph w' = q*w - p certifies it.  The potential converging, and
+satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
+mu >= p/q and is the periodic witness.  A caller that already holds a
+likely value (the closed form delta) passes it as the candidate, which is
+certified first.  Without one, the first proposal is the best cycle mean of
+the greedy policy that appends 1 wherever allowed: a real cycle's mean, so
+a lower bound, and nearly always mu itself.  A potential that diverges
+finds a cycle of strict raises, a real cycle with mean above the value, and
+that mean is the next proposal (cycle improvement, as in Dasdan 2004); a
 caller's candidate with no tight cycle is above mu and gives way to the
-greedy proposal.  Every way, the same value is proved on the same graph,
-so the witness is the same.
+greedy proposal.  Every way, the same value is proved on the same graph, so
+the witness is the same.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to

@@ -283,6 +283,7 @@ def scan_windows(
 
 
 def _scan_one(p: CanonicalParams, check: WindowCheck, enum_cap: int) -> VerificationReport:
+    """The report of one check, from a scan of its own."""
     return scan_windows(p, {"check": check}, enum_cap=enum_cap)["check"]
 
 
@@ -361,6 +362,17 @@ def certificate_check(p: CanonicalParams, delta: Fraction) -> WindowCheck:
     return check
 
 
+def _require_proved(p: CanonicalParams, allow_conjecture: bool) -> None:
+    """The gate of the library's conjecture-bearing checks: `p` must be
+    CanonicalParams, and k, m >= 2 needs allow_conjecture=True (a bool)."""
+    require_type(p, CanonicalParams, "params")
+    if not as_bool(allow_conjecture, "allow_conjecture") and p.k >= 2 and p.m >= 2:
+        raise UnsupportedRegime(
+            f"k = {p.k}, m = {p.m}: this check is conjectural there; "
+            "pass allow_conjecture=True to probe it anyway"
+        )
+
+
 def check_main_inequality(
     p: CanonicalParams,
     *,
@@ -373,12 +385,7 @@ def check_main_inequality(
     allow_conjecture=True, and a counterexample would refute only this
     inequality, not any established result.
     """
-    require_type(p, CanonicalParams, "params")
-    if not as_bool(allow_conjecture, "allow_conjecture") and p.k >= 2 and p.m >= 2:
-        raise UnsupportedRegime(
-            f"k = {p.k}, m = {p.m}: the inequality is conjectural there; "
-            "pass allow_conjecture=True to probe it anyway"
-        )
+    _require_proved(p, allow_conjecture)
     return _scan_one(p, main_inequality_check(p), enum_cap)
 
 
@@ -402,11 +409,7 @@ def check_dichotomy(
     this is the dichotomy behind the closed-form bound.  r = 0 is rejected:
     no dichotomy is formulated there.
     """
-    require_type(p, CanonicalParams, "params")
-    if not as_bool(allow_conjecture, "allow_conjecture") and p.k >= 2 and p.m >= 2:
-        raise UnsupportedRegime(
-            f"k = {p.k}, m = {p.m}: conjectural regime; pass allow_conjecture=True"
-        )
+    _require_proved(p, allow_conjecture)
     return _scan_one(p, dichotomy_check(p), enum_cap)
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import errno
 import importlib
 import io
@@ -101,6 +102,8 @@ class TestMu:
     def test_junk_distances_exit_2(self, capsys):
         code, _, err = run(capsys, "mu", "--distances", "one,two")
         assert code == 2 and "error:" in err
+        code, out, err = run(capsys, "mu", "--distances", ",")
+        assert (code, out, err) == (2, "", "error: no distances given\n")
 
     def test_window_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "mu", "--distances", "1,23")
@@ -367,6 +370,38 @@ class TestVerify:
         entry = next(e for e in rep["counterexamples"] if e["check"] == "main_inequality")
         assert entry["window"]["members"] == [0]
         assert "synthetic" in entry["detail"]
+
+    P511 = ["--a", "5", "--b", "1", "--k", "1", "--m", "1"]
+    P3122 = ["--a", "3", "--b", "1", "--k", "2", "--m", "2", "--conjecture"]
+
+    @pytest.mark.parametrize("family, shift, mu_line, detail", [
+        # Below delta is a lower-bound violation, in either regime.
+        (P511, Fraction(-1, 100), "193/700 < delta  (witness period 7, residues {0, 4})",
+         "mu = 193/700 < delta = 2/7: lower-bound violation"),
+        (P3122, Fraction(-1, 100), "91/900 < delta  (witness period 9, residues {0})",
+         "mu = 91/900 < delta = 1/9: lower-bound violation"),
+        # Above delta contradicts a proved status, and not a conjectured one.
+        (P511, Fraction(1, 100), "207/700 > delta  (witness period 7, residues {0, 4})",
+         "mu = 207/700 != delta = 2/7 despite status ProvedTheorem"),
+        (P3122, Fraction(1, 100), "109/900 > delta  (witness period 9, residues {0})", None),
+    ], ids=["proved-below", "conjectured-below", "proved-above", "conjectured-above"])
+    def test_oracle_verdict(self, capsys, monkeypatch, family, shift, mu_line, detail):
+        def shifted(*args, **kwargs):
+            res = mu_exact(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value + shift)
+
+        monkeypatch.setattr(cli, "mu_exact", shifted)
+        passed = detail is None
+        code, out, _ = run(capsys, "verify", *family)
+        tail = [f"oracle          {'pass' if passed else 'FAIL'}", f"oracle mu   {mu_line}"]
+        tail += [] if passed else [f"counterexample [oracle] {detail}"]
+        tail += [f"result      {'PASS' if passed else 'FAIL'}"]
+        assert (code, out.splitlines()[-len(tail):]) == (0 if passed else 1, tail)
+        code, out, _ = run(capsys, "verify", *family, "--json")
+        rep = json.loads(out)
+        assert (code, rep["checks"]["oracle"]) == (0 if passed else 1, passed)
+        entries = None if passed else [{"check": "oracle", "detail": detail}]
+        assert rep.get("counterexamples") == entries
 
 
 class TestSweep:

@@ -177,6 +177,10 @@ class TestDifferenceSets:
             as_difference_set([0, 3])
         with pytest.raises(InvalidInput):
             DifferenceSet((True, 2))
+        # Membership is the elements' `==`, as iteration gives it.
+        M = as_difference_set([1, 5, 6])
+        assert 5 in M and np.int64(6) in M and 1.0 in M
+        assert 2 not in M and 5.5 not in M and "5" not in M and None not in M
 
     def test_as_difference_set_sorts_and_dedups(self):
         assert as_difference_set([6, 1, 5, 1]).elements == (1, 5, 6)

@@ -45,6 +45,11 @@ from helpers import INTEGER_LIKE, NOT_BOOLS, canonical_instances, iter_avoiding_
 P511 = CanonicalParams(a=5, b=1, k=1, m=1)
 P521 = CanonicalParams(a=5, b=2, k=1, m=1)
 W511 = Window.from_members(P511.n2, [0])
+# {0} and a window that is not M-avoiding, with |I| = 0, |T| = 3, |U| = 0:
+# the band-count inequality and the dichotomy fail on its row and only there.
+CRAFTED511 = WindowBatch(
+    P511, np.array([W511.mask, Window.from_members(P511.n2, [0, 2, 3, 4, 7, 8, 9, 10]).mask])
+)
 
 
 class TestProfile:
@@ -175,6 +180,10 @@ class TestMainInequality:
         with pytest.raises(ResourceLimit):
             check_main_inequality(p, enum_cap=20).passed
 
+    def test_counterexample_detail(self):
+        assert CRAFTED511.sizes(1) == (0, 3, 0)
+        assert main_inequality_check(P511)(CRAFTED511) == (1, "(1+1)*3 = 6 > 0 = (1+1)*0 + 1*0")
+
 
 class TestDichotomy:
     def test_zero_remainder_rejected(self):
@@ -215,6 +224,10 @@ class TestDichotomy:
         for w in enumerate_avoiding_windows(M, p.n2):
             n_i, n_t, n_u = profile(w, p).sizes
             assert p.b - n_i + n_t <= 1 or p.a - n_u - n_i + n_t <= 2
+
+    def test_counterexample_detail(self):
+        # Low branch of (5,1,1,1), bounds (2, 3): the prefix counts are 4 and 8.
+        assert dichotomy_check(P511)(CRAFTED511) == (1, "both 4 > 2 and 8 > 3")
 
 
 class TestHaralambis:
