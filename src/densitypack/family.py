@@ -175,17 +175,22 @@ class CanonicalParams:
 @dataclass(frozen=True, slots=True)
 class DifferenceSet:
     """A finite set of forbidden positive differences, strictly increasing
-    Python ints (`as_difference_set` reads other integer types into one)."""
+    Python ints (`as_difference_set` reads other integer types into one).
+    Any iterable of them is stored as a tuple."""
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        e = self.elements
+        try:
+            e = tuple(self.elements)
+        except TypeError:
+            raise InvalidInput(f"differences must be iterable, got {self.elements!r}") from None
         if not e:
             raise InvalidInput("difference set must be nonempty")
         ints = all(isinstance(d, int) and not isinstance(d, bool) for d in e)
         if not ints or sorted(set(e)) != list(e) or e[0] < 1:
             raise InvalidInput(f"differences must be positive and strictly increasing, got {e}")
+        object.__setattr__(self, "elements", e)
 
     @property
     def max_element(self) -> int:

@@ -53,19 +53,28 @@ harnesses (`m1_check`, `k1_check`, run by `profile.scan_windows`) do not
 call them on every window.  In a fixed family each band position alpha
 walks a fixed sequence of offsets, owes a fixed witness stride at each, and
 has a fixed image for each stop step; a window decides only where the walk
-stops (its first offset in I) and which membership facts hold.  So the
-harnesses precompute the walks once per family and evaluate them as array
-filters over a whole batch of window masks: I-membership rows, witness
-strides ANDed with the masks, running ORs of the images for disjointness,
-and pairwise tests for the m = 1 chain edges.  A filter flags a superset of
-the windows on which the reference raises, and every flagged window is
-re-checked by the reference, in order; only a reference failure counts.
-The first counterexample, its index and its violation text are therefore
-exactly those of running the reference on every window.
+stops (its first offset in I) and which membership facts hold.  These
+window-free parts are written once (`_m1_walk`, `_k1_steps`, the
+`_*_witnesses` positions, `_k1_blocks` and `_k1_union`), and both the
+reference and the harnesses' plans read them.  The plans evaluate the
+walks as array filters over a whole batch of window masks: I-membership
+rows, witness strides ANDed with the masks, running ORs of the images for
+disjointness, and pairwise tests for the m = 1 chain edges.  A filter flags
+a superset of the windows on which the reference raises, and every flagged
+window is re-checked by the reference, in order; only a reference failure
+counts.  The first counterexample, its index and its violation text are
+therefore exactly those of running the reference on every window.  The
+filter-versus-reference tests check the flag logic; the pinned
+trajectories and images and the tests that the maps hold on every window
+of small families guard the shared definitions.
+
+Every reader of a route first refuses a family outside its regime (m = 1
+for the chain route, k = 1 for the block route) with UnsupportedRegime.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -170,6 +179,7 @@ class ChainPartition:
 def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     """Locate alpha, read by `as_int`, in its inter-gap band and split off
     its b-quotient."""
+    require_type(p, CanonicalParams, "params")
     alpha = as_int(alpha, "alpha")
     for i in range(p.k):
         if i * p.a + p.b + 1 <= alpha <= (i + 1) * p.a - 1:
@@ -182,35 +192,140 @@ def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     raise NotInBand(f"{alpha} lies in no band (i*a + b, (i+1)*a) of {p}")
 
 
+def _require_route(p: CanonicalParams, param: str) -> None:
+    """Refuse a family outside the regime of a route: param "m" for the
+    m = 1 chain route, "k" for the k = 1 block route."""
+    require_type(p, CanonicalParams, "params")
+    if getattr(p, param) != 1:
+        route = "chain" if param == "m" else "block"
+        raise UnsupportedRegime(
+            f"{param} = {getattr(p, param)}: the {route} route needs {param} = 1"
+        )
+
+
+def _require_band_member(alpha: int, window: Window, p: CanonicalParams) -> GapDecomposition:
+    require_type(window, Window, "window")
+    dec = gap_decompose(alpha, p)
+    if alpha not in window:
+        raise NotInBand(f"{alpha} is not an element of the window")
+    return dec
+
+
+# The walks, witness positions and blocks below depend on the family and the
+# band position alone.  The per-window reference and the array filter's
+# plans both read them, so each is written once.
+
+
+def _m1_walk(dec: GapDecomposition, p: CanonicalParams) -> tuple[tuple[int, ...], int, int | None]:
+    """(offsets, v, w) of alpha = dec.alpha under the m = 1 map.
+
+    offsets are the trajectory terms off, off + (a-b), ... up to the first
+    one reaching 2*b - a (none for quotient >= 2).  w is the image alpha
+    gets when no offset lies in I: alpha + (k - band)*a for quotient >= 2,
+    last offset + (k+1)*a otherwise, or None when the walk runs past the
+    cap of n2 + 1 steps.
+    """
+    lift = (p.k - dec.band) * p.a
+    v = dec.alpha + lift + p.b
+    if dec.quotient >= 2:
+        return (), v, dec.alpha + lift
+    x, offsets = dec.offset, []
+    for _ in range(p.n2 + 1):
+        offsets.append(x)
+        if x >= 2 * p.b - p.a:
+            return tuple(offsets), v, x + (p.k + 1) * p.a
+        x += p.a - p.b
+    return tuple(offsets), v, None
+
+
+def _m1_witnesses(offset: int, band: int, p: CanonicalParams) -> list[int]:
+    """The positions offset + k'*a, band < k' <= k, of which the m = 1 route
+    promises A one for a trajectory offset outside I."""
+    return [offset + kp * p.a for kp in range(band + 1, p.k + 1)]
+
+
 def _m1_witness(offset: int, band: int, window: Window, p: CanonicalParams) -> int:
     """The element offset + k'*a of A, band < k' <= k, that the m = 1 route
     promises for a trajectory offset outside I."""
-    for kp in range(band + 1, p.k + 1):
-        if offset + kp * p.a in window:
-            return offset + kp * p.a
+    for x in _m1_witnesses(offset, band, p):
+        if x in window:
+            return x
     raise LemmaViolation(
         "witness-missing",
         f"offset {offset} (band {band}): no offset + k'*a in A for {band} < k' <= {p.k}",
     )
 
 
+def _k1_steps(alpha: int, p: CanonicalParams) -> tuple[tuple[tuple[int, int], ...], int | None]:
+    """(steps, next) of a k = 1 band position with quotient <= m.
+
+    steps[n] = (eta_n, off_n), the Euclidean pair of alpha + n*(a-b) by b,
+    up to the first n whose upcoming quotient eta_{n+1} reaches m + 1;
+    next is that eta_{n+1}, unclamped, or None when the walk runs past the
+    cap of n2 + 1 steps.
+    """
+    x, steps = alpha, []
+    for _ in range(p.n2 + 1):
+        steps.append(divmod(x, p.b))
+        x += p.a - p.b
+        if x // p.b >= p.m + 1:
+            return tuple(steps), x // p.b
+    return tuple(steps), None
+
+
+def _k1_witnesses(offset: int, quotient: int, p: CanonicalParams) -> list[int]:
+    """The positions offset + a + m'*b, 0 <= m' < quotient (= eta_n), of
+    which the k = 1 route promises A one for a trajectory offset outside I."""
+    return [offset + p.a + mp * p.b for mp in range(quotient)]
+
+
 def _k1_witness(offset: int, quotient: int, window: Window, p: CanonicalParams) -> int:
     """The element offset + a + m'*b of A, 0 <= m' < quotient (= eta_n), that
     the k = 1 route promises for a trajectory offset outside I."""
-    for mp in range(quotient):
-        if offset + p.a + mp * p.b in window:
-            return offset + p.a + mp * p.b
+    for x in _k1_witnesses(offset, quotient, p):
+        if x in window:
+            return x
     raise LemmaViolation(
         "witness-missing",
         f"offset {offset}: no offset + a + m'*b in A for 0 <= m' < {quotient}",
     )
 
 
-def _require_band_member(alpha: int, window: Window, p: CanonicalParams) -> GapDecomposition:
-    dec = gap_decompose(alpha, p)
-    if alpha not in window:
-        raise NotInBand(f"{alpha} is not an element of the window")
-    return dec
+def _k1_blocks(
+    alpha: int, j0: int, steps: tuple[tuple[int, int], ...], p: CanonicalParams
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """The primary block {alpha + a + t*b : m - j0 < t <= m} and one step
+    block {off_n + 2a + t*b : m + eta_n - eta_{n+1} <= t < m} per step of
+    a walk stopped at the threshold, with eta_{N+1} clamped to m + 1.  A
+    quotient j0 > m has no steps and the whole block 0 <= t <= m."""
+    a, b, m = p.a, p.b, p.m
+    primary = frozenset(alpha + a + t * b for t in range(max(m + 1 - j0, 0), m + 1))
+    quots = [q for q, _ in steps] + [m + 1]
+    blocks = tuple(
+        frozenset(off + 2 * a + t * b for t in range(m + quots[n] - quots[n + 1], m))
+        for n, (_, off) in enumerate(steps)
+    )
+    return primary, blocks
+
+
+def _k1_union(
+    alpha: int, primary: frozenset[int], blocks: tuple[frozenset[int], ...], p: CanonicalParams
+) -> frozenset[int]:
+    """The union of the blocks of alpha; they must be disjoint and hold
+    m + 1 positions in all."""
+    union: set[int] = set(primary)
+    for blk in blocks:
+        if union & blk:
+            raise LemmaViolation(
+                "image-overlap",
+                f"blocks of alpha = {alpha} overlap at {sorted(union & blk)}",
+            )
+        union.update(blk)
+    if len(union) != p.m + 1:
+        raise LemmaViolation(
+            "image-size", f"|U({alpha})| = {len(union)}, expected m + 1 = {p.m + 1}"
+        )
+    return frozenset(union)
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -228,30 +343,25 @@ def m1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
     term outside I must have its translate witness off + k'*a in A for some
     band < k' <= k; a missing one raises LemmaViolation "witness-missing".
     """
-    if p.m != 1:
-        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
+    _require_route(p, "m")
     dec = _require_band_member(alpha, window, p)
     if dec.quotient != 1:
         raise InvalidInput(
             f"alpha = {alpha} has quotient {dec.quotient}; trajectories apply to quotient 1"
         )
     translates = profile(window, p).empty_translates
-    threshold = 2 * p.b - p.a
-    step = p.a - p.b
-    steps: list[tuple[int | None, int]] = []
-    x = dec.offset
-    for _ in range(p.n2 + 1):
-        steps.append((None, x))
+    offsets, _, w = _m1_walk(dec, p)
+    steps = tuple((None, x) for x in offsets)
+    for n, x in enumerate(offsets):
         if x in translates:
-            return Trajectory(tuple(steps), "empty_translate", False, None)
+            return Trajectory(steps[: n + 1], "empty_translate", False, None)
         _m1_witness(x, dec.band, window, p)
-        if x >= threshold:
-            return Trajectory(tuple(steps), "threshold", False, None)
-        x += step
-    raise LemmaViolation(
-        "trajectory-unterminated",
-        f"m=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
-    )
+    if w is None:
+        raise LemmaViolation(
+            "trajectory-unterminated",
+            f"m=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
+        )
+    return Trajectory(steps, "threshold", False, None)
 
 
 def image_pair(alpha: int, window: Window, p: CanonicalParams) -> tuple[int, int]:
@@ -260,20 +370,14 @@ def image_pair(alpha: int, window: Window, p: CanonicalParams) -> tuple[int, int
     Verifies the membership facts the counting needs: v is a top hole, w is
     an empty translate or a top hole, and v != w.
     """
-    if p.m != 1:
-        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
+    _require_route(p, "m")
     prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
-    lift = (p.k - dec.band) * p.a
-    v = alpha + lift + p.b
-    if dec.quotient >= 2:
-        w = alpha + lift
-    else:
+    _, v, w = _m1_walk(dec, p)
+    if dec.quotient == 1:
         traj = m1_trajectory(alpha, window, p)
         if traj.stop_reason == "empty_translate":
             w = traj.last_offset
-        else:
-            w = traj.last_offset + (p.k + 1) * p.a
 
     if v not in prof.top_holes:
         raise LemmaViolation("image-outside-holes", f"v = {v} of alpha = {alpha}")
@@ -291,8 +395,7 @@ def build_chain_partition(window: Window, p: CanonicalParams) -> ChainPartition:
     edge in each direction, every intersection has size one, and the band
     index strictly descends along an edge; any breach raises.
     """
-    if p.m != 1:
-        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
+    _require_route(p, "m")
     prof = profile(window, p)
     members = sorted(prof.band_all)
     image_map = {alpha: image_pair(alpha, window, p) for alpha in members}
@@ -357,6 +460,7 @@ def build_chain_partition(window: Window, p: CanonicalParams) -> ChainPartition:
 def verify_m1_inequality(window: Window, p: CanonicalParams) -> bool:
     """Full m = 1 check of one window: chains, their three properties, and
     the resulting count bounds (k+1)|T| <= k(|I|+|U|) <= (k+1)|I| + k|U|."""
+    _require_route(p, "m")
     prof = profile(window, p)
     part = build_chain_partition(window, p)
 
@@ -406,32 +510,24 @@ def k1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
     outside I must have its translate witness off_n + a + m'*b in A for some
     m' < eta_n; a missing one raises LemmaViolation "witness-missing".
     """
-    if p.k != 1:
-        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
-    dec = _require_band_member(alpha, window, p)
-    j0 = dec.quotient
+    _require_route(p, "k")
+    j0 = _require_band_member(alpha, window, p).quotient
     if j0 > p.m:
         raise InvalidInput(
             f"alpha = {alpha} has quotient {j0} > m = {p.m}; that case bypasses trajectories"
         )
     translates = profile(window, p).empty_translates
-    a, b = p.a, p.b
-    steps: list[tuple[int | None, int]] = []
-    x = alpha
-    for _ in range(p.n2 + 1):
-        q, off = divmod(x, b)
-        steps.append((q, off))
+    steps, nxt_q = _k1_steps(alpha, p)
+    for n, (q, off) in enumerate(steps):
         if off in translates:
-            return Trajectory(tuple(steps), "empty_translate", False, None)
+            return Trajectory(steps[: n + 1], "empty_translate", False, None)
         _k1_witness(off, q, window, p)
-        nxt_q = (x + a - b) // b
-        if nxt_q >= p.m + 1:
-            return Trajectory(tuple(steps), "threshold", nxt_q > p.m + 1, p.m + 1)
-        x += a - b
-    raise LemmaViolation(
-        "trajectory-unterminated",
-        f"k=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
-    )
+    if nxt_q is None:
+        raise LemmaViolation(
+            "trajectory-unterminated",
+            f"k=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
+        )
+    return Trajectory(steps, "threshold", nxt_q > p.m + 1, p.m + 1)
 
 
 def k1_image(alpha: int, window: Window, p: CanonicalParams) -> ImageAssignment:
@@ -441,66 +537,30 @@ def k1_image(alpha: int, window: Window, p: CanonicalParams) -> ImageAssignment:
     holes assembled from the primary block and the per-step blocks; block
     disjointness, the cardinality, and hole membership are all checked.
     """
-    if p.k != 1:
-        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
+    _require_route(p, "k")
     prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
-    a, b, m = p.a, p.b, p.m
-    j0 = dec.quotient
-
-    def assemble(primary: frozenset[int], blocks: list[frozenset[int]]) -> ImageAssignment:
-        union: set[int] = set(primary)
-        for blk in blocks:
-            if union & blk:
-                raise LemmaViolation(
-                    "image-overlap",
-                    f"blocks of alpha = {alpha} overlap at {sorted(union & blk)}",
-                )
-            union.update(blk)
-        if len(union) != m + 1:
-            raise LemmaViolation(
-                "image-size", f"|U({alpha})| = {len(union)}, expected m + 1 = {m + 1}"
-            )
-        bad = [u for u in union if u not in prof.top_holes]
-        if bad:
-            raise LemmaViolation(
-                "image-outside-holes", f"elements {sorted(bad)} of U({alpha}) are not top holes"
-            )
-        return ImageAssignment(
-            alpha=alpha,
-            translate_target=None,
-            primary_block=primary,
-            step_blocks=tuple(blocks),
-            union=frozenset(union),
+    steps: tuple[tuple[int, int], ...] = ()
+    if dec.quotient <= p.m:
+        traj = k1_trajectory(alpha, window, p)
+        if traj.stop_reason == "empty_translate":
+            return ImageAssignment(alpha, traj.last_offset, None, (), None)
+        steps = traj.steps
+    primary, blocks = _k1_blocks(alpha, dec.quotient, steps, p)
+    union = _k1_union(alpha, primary, blocks, p)
+    bad = [u for u in union if u not in prof.top_holes]
+    if bad:
+        raise LemmaViolation(
+            "image-outside-holes", f"elements {sorted(bad)} of U({alpha}) are not top holes"
         )
-
-    if j0 > m:
-        primary = frozenset(alpha + a + t * b for t in range(m + 1))
-        return assemble(primary, [])
-
-    traj = k1_trajectory(alpha, window, p)
-    if traj.stop_reason == "empty_translate":
-        return ImageAssignment(
-            alpha=alpha,
-            translate_target=traj.last_offset,
-            primary_block=None,
-            step_blocks=(),
-            union=None,
-        )
-
-    quots = [q for q, _ in traj.steps] + [traj.final_quotient]
-    primary = frozenset(alpha + a + t * b for t in range(m - j0 + 1, m + 1))
-    blocks: list[frozenset[int]] = []
-    for n, (_, off) in enumerate(traj.steps):
-        lo = m + quots[n] - quots[n + 1]
-        blocks.append(frozenset(off + 2 * a + t * b for t in range(lo, m)))
-    return assemble(primary, blocks)
+    return ImageAssignment(alpha, None, primary, blocks, union)
 
 
 def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
     """Full k = 1 check of one window: each band element maps into I or
     into m + 1 top holes, images are pairwise disjoint, and the count bound
     (m+1)|T| <= (m+1)|I| + |U| follows and holds."""
+    _require_route(p, "k")
     prof = profile(window, p)
     members = sorted(prof.band_all)
 
@@ -598,29 +658,14 @@ def _is_hole(batch: WindowBatch, p: CanonicalParams, x: int) -> np.ndarray:
 
 def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
     """(walk, band, v) per band position of an m = 1 family, in increasing
-    alpha.  The walk ends in w = offset + (k+1)*a at the threshold; a
-    quotient >= 2 position has no steps and ends in w = alpha + (k - band)*a.
-    """
-    a, b, k = p.a, p.b, p.k
-    threshold = 2 * b - a
+    alpha: the walk of `_m1_walk` with the witness mask of each offset, and
+    its w as the end."""
     walks = []
-    for i in range(k):
-        for alpha in range(i * a + b + 1, (i + 1) * a):
-            lift = (k - i) * a
-            steps: list[tuple[int, int]] = []
-            end = alpha + lift
-            dec = gap_decompose(alpha, p)
-            if dec.quotient == 1:
-                x = dec.offset
-                for _ in range(p.n2 + 1):
-                    steps.append((x, _mask((x + kp * a for kp in range(i + 1, k + 1)), p)))
-                    if x >= threshold:
-                        end = x + (k + 1) * a
-                        break
-                    x += a - b
-                else:
-                    end = None
-            walks.append((_Walk(alpha, tuple(steps), end), i, alpha + lift + b))
+    for i in range(p.k):
+        for alpha in range(i * p.a + p.b + 1, (i + 1) * p.a):
+            offsets, v, w = _m1_walk(gap_decompose(alpha, p), p)
+            steps = tuple((x, _mask(_m1_witnesses(x, i, p), p)) for x in offsets)
+            walks.append((_Walk(alpha, steps, w), i, v))
     return walks
 
 
@@ -667,40 +712,22 @@ def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
 def _k1_plan(p: CanonicalParams) -> list[_Walk]:
     """One walk per band position of a k = 1 family, in increasing alpha.
 
-    A quotient j0 > m has no steps and ends in its block; otherwise the
-    walk is the Euclidean trajectory up to the threshold, and its end is
-    the union of the primary block and the step blocks.  The end is None
-    when that union is not m + 1 disjoint positions of [n1, n2).
+    A quotient j0 > m has no steps; otherwise the walk is `_k1_steps`.  The
+    end is the union of `_k1_blocks`, or None when the walk runs past the
+    cap or the union is not m + 1 disjoint positions of [n1, n2).
     """
-    a, b, m = p.a, p.b, p.m
     walks = []
-    for alpha in range(b + 1, a):
+    for alpha in range(p.b + 1, p.a):
         j0 = gap_decompose(alpha, p).quotient
-        steps: list[tuple[int, int]] = []
-        if j0 > m:
-            blocks = [{alpha + a + t * b for t in range(m + 1)}]
-        else:
-            x, quots = alpha, []
-            for _ in range(p.n2 + 1):
-                q, off = divmod(x, b)
-                steps.append((off, _mask((off + a + mp * b for mp in range(q)), p)))
-                quots.append(q)
-                if (x + a - b) // b >= m + 1:
-                    break
-                x += a - b
-            else:
-                walks.append(_Walk(alpha, tuple(steps), None))
-                continue
-            quots.append(m + 1)
-            blocks = [{alpha + a + t * b for t in range(m - j0 + 1, m + 1)}]
-            for n, (off, _) in enumerate(steps):
-                lo = m + quots[n] - quots[n + 1]
-                blocks.append({off + 2 * a + t * b for t in range(lo, m)})
-        union = set().union(*blocks)
-        valid = sum(map(len, blocks)) == len(union) == m + 1 and all(
-            p.n1 <= u < p.n2 for u in union
-        )
-        walks.append(_Walk(alpha, tuple(steps), _mask(union, p) if valid else None))
+        steps, nxt_q = _k1_steps(alpha, p) if j0 <= p.m else ((), p.m + 1)
+        end = None
+        if nxt_q is not None:
+            with suppress(LemmaViolation):
+                union = _k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p)
+                if all(p.n1 <= u < p.n2 for u in union):
+                    end = _mask(union, p)
+        masks = tuple((off, _mask(_k1_witnesses(off, q, p), p)) for q, off in steps)
+        walks.append(_Walk(alpha, masks, end))
     return walks
 
 
@@ -755,16 +782,14 @@ def _machinery_check(
 
 def m1_check(p: CanonicalParams) -> WindowCheck:
     """The m = 1 harness of `check_m1_machinery`, as a window check."""
-    if p.m != 1:
-        raise UnsupportedRegime(f"m = {p.m}: the chain route needs m = 1")
+    _require_route(p, "m")
     walks = _m1_plan(p)
     return _machinery_check(p, lambda batch: _m1_flags(batch, p, walks), verify_m1_inequality)
 
 
 def k1_check(p: CanonicalParams) -> WindowCheck:
     """The k = 1 harness of `check_k1_machinery`, as a window check."""
-    if p.k != 1:
-        raise UnsupportedRegime(f"k = {p.k}: the block route needs k = 1")
+    _require_route(p, "k")
     walks = _k1_plan(p)
     return _machinery_check(p, lambda batch: _k1_flags(batch, p, walks), verify_k1_mapping)
 
@@ -775,7 +800,6 @@ def check_m1_machinery(
     """Exhaustive m = 1 harness: chains, their three properties, the count
     bound, and a translate witness at every trajectory step, over every
     avoiding window of [0, n2) containing 0."""
-    require_type(p, CanonicalParams, "params")
     return _scan_one(p, m1_check(p), enum_cap)
 
 
@@ -785,5 +809,4 @@ def check_k1_machinery(
     """Exhaustive k = 1 harness: block images, their disjointness and size,
     the count bound, and a translate witness at every trajectory step, over
     every avoiding window of [0, n2) containing 0."""
-    require_type(p, CanonicalParams, "params")
     return _scan_one(p, k1_check(p), enum_cap)

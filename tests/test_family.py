@@ -177,6 +177,13 @@ class TestDifferenceSets:
             as_difference_set([0, 3])
         with pytest.raises(InvalidInput):
             DifferenceSet((True, 2))
+        with pytest.raises(InvalidInput, match="differences must be iterable, got 5"):
+            DifferenceSet(5)
+        # Any iterable is stored as a tuple, so equal sets are equal and hashable.
+        for given in ([1, 2], range(1, 3)):
+            assert DifferenceSet(given).elements == (1, 2)
+            assert DifferenceSet(given) == DifferenceSet((1, 2))
+            assert hash(DifferenceSet(given)) == hash(DifferenceSet((1, 2)))
         # Membership is the elements' `==`, as iteration gives it.
         M = as_difference_set([1, 5, 6])
         assert 5 in M and np.int64(6) in M and 1.0 in M

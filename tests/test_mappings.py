@@ -76,6 +76,9 @@ class TestGapDecompose:
         for alpha in [1, 2, 5, 7, 10, 14]:
             with pytest.raises(NotInBand):
                 gap_decompose(alpha, P521)
+        # 3 is a band position of P521, but not an element of this window.
+        with pytest.raises(NotInBand, match="3 is not an element of the window"):
+            image_pair(3, Window.from_members(P521.n2, [0]), P521)
 
     @pytest.mark.parametrize("value", INTEGER_LIKE)
     def test_reads_an_integer(self, value):
@@ -134,6 +137,8 @@ class TestM1Trajectory:
         w = Window.from_members(16, [0])
         with pytest.raises(UnsupportedRegime):
             m1_trajectory(4, w, P532)
+        with pytest.raises(UnsupportedRegime, match="m = 2: the chain route needs m = 1"):
+            image_pair(4, Window.from_members(16, [0, 4]), P532)
 
 
 class TestM1Images:
@@ -230,6 +235,9 @@ class TestK1View:
             verify_k1_mapping(w, P521)
         with pytest.raises(UnsupportedRegime):
             k1_check(P521)
+        # A window with no band element gives k1_image nothing to refuse.
+        with pytest.raises(UnsupportedRegime, match="k = 2: the block route needs k = 1"):
+            verify_k1_mapping(Window.from_members(P521.n2, [0]), P521)
 
 
 class TestK1Trajectory:
@@ -350,10 +358,18 @@ class TestK1Mapping:
         (verify_k1_mapping, (Window.from_members(P512.n2, [0]), 5), "params must be a"),
         (check_m1_machinery, (5,), "params must be a CanonicalParams, got 5"),
         (check_k1_machinery, (5,), "params must be a CanonicalParams, got 5"),
+        (gap_decompose, (5, 5), "params must be a CanonicalParams, got 5"),
+        (m1_trajectory, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (image_pair, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (k1_trajectory, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (k1_image, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (build_chain_partition, (Window.from_members(P741.n2, [0]), 5), "params must be a"),
+        (m1_trajectory, (5, 7, P741), "window must be a Window, got 7"),
+        (k1_image, (5, 7, P741), "window must be a Window, got 7"),
     ],
 )
 def test_arguments_of_other_types_are_refused(func, args, message):
-    # These used to raise a bare AttributeError.
+    # These used to raise a bare AttributeError (or TypeError).
     with pytest.raises(InvalidInput, match=message):
         func(*args)
 
