@@ -649,13 +649,6 @@ def _walk_rows(batch: WindowBatch, walk: _Walk):
     return has, stops, walking, bad
 
 
-def _is_hole(batch: WindowBatch, p: CanonicalParams, x: int) -> np.ndarray:
-    """Rows for which x is a top hole."""
-    if not p.n1 <= x < p.n2:
-        return np.zeros(len(batch), dtype=bool)
-    return (batch.masks & (1 << x)) == 0
-
-
 def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
     """(walk, band, v) per band position of an m = 1 family, in increasing
     alpha: the walk of `_m1_walk` with the witness mask of each offset, and
@@ -670,25 +663,30 @@ def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
 
 
 def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
-    """Rows on which `verify_m1_inequality` could raise."""
+    """Rows on which `verify_m1_inequality` could raise.
+
+    Every v = alpha + (k - i)*a + b lies in (n1, n2).  Every walk ends, as
+    it climbs by a - b >= 1 from an offset below b until it reaches
+    2*b - a (a = b = 1 has no band positions), and its end w lies in
+    [n1, n2).  So v and w are top positions, a hole exactly when A misses
+    them.  v >= n1 > b exceeds every offset, and v equals its own walk's w
+    only for (a, b) = (2, 1), which has no band positions either: no row's
+    w is its own v.  `test_m1_plans_end_in_the_top_interval` checks this
+    on every m = 1 family whose windows fit an int64 mask.
+    """
     k = p.k
     # The count bound; (k+1)|T| <= k(|I|+|U|) implies the main inequality.
     flags = (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u)
     has, w_rows = [], []
     for walk, _, v in walks:
         rows, stops, ended, bad = _walk_rows(batch, walk)
-        flags |= bad | (rows & ~_is_hole(batch, p, v))
+        flags |= bad | (rows & ((batch.masks & (1 << v)) != 0))
         w_of: dict[int, np.ndarray] = {}  # x -> the rows whose w is x
         for (off, _), stop in zip(walk.steps, stops):
             w_of[off] = w_of.get(off, False) | stop
-        if walk.end is None:
-            flags |= ended
-        else:
-            # The end lies above b, so it is never in I: w must be a hole.
-            w_of[walk.end] = w_of.get(walk.end, False) | ended
-            flags |= ended & ~_is_hole(batch, p, walk.end)
-        if v in w_of:
-            flags |= w_of[v]
+        # The end lies above b, so it is never in I: w must be a hole.
+        w_of[walk.end] = w_of.get(walk.end, False) | ended
+        flags |= ended & ((batch.masks & (1 << walk.end)) != 0)
         has.append(rows)
         w_rows.append(w_of)
     # Image pairs of alpha > beta may meet only as v(alpha) = w(beta), an

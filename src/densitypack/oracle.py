@@ -29,11 +29,11 @@ likely value (the closed form delta) passes it as the candidate, which is
 certified first.  Without one, the first proposal is the best cycle mean of
 the greedy policy that appends 1 wherever allowed: a real cycle's mean, so
 a lower bound, and nearly always mu itself.  A potential that diverges
-finds a cycle of strict raises, a real cycle with mean above the value, and
-that mean is the next proposal (cycle improvement, as in Dasdan 2004); a
-caller's candidate with no tight cycle is above mu and gives way to the
-greedy proposal.  Every way, the same value is proved on the same graph, so
-the witness is the same.
+finds cycles of strict raises, real cycles with means above the value, and
+the best of those means is the next proposal (cycle improvement, as in
+Dasdan 2004); a caller's candidate with no tight cycle is above mu and
+gives way to the greedy proposal.  Every way, the same value is proved on
+the same graph, so the witness is the same.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -400,17 +400,31 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return keys, succ0, succ1, first, last
 
 
-def _cycle_states(land, buf, on_cycle) -> int:
-    """Square the functional graph `land` in place, land = step^(2^r),
-    until its image stops shrinking, and return the image's size.  Then
-    `on_cycle` marks the cycle states and land[v] lies on v's cycle.
+def _cycle_mean(put_step, bits, land, buf, on_cycle) -> Fraction | None:
+    """The best mean over the cycles of a functional graph that are not
+    fixed points, or None when every cycle is one.  `put_step(out)` writes
+    the graph's step into the int64 array out, before and after land is
+    squared, so a caller that can rebuild the step need not hold it.  A
+    cycle's weight is the sum of bits[v] & 1 over its states v.  land and
+    buf (int64) and on_cycle (bool), of the state count, are scratch;
+    beside them it allocates only arrays of the c states on cycles that are
+    not fixed points.
 
-    The images are nested, as step^(2^(r+1)) maps through step^(2^r).  Once
-    one, S, is as large as the one before, step^(2^r) maps S onto itself,
-    so it permutes S and S holds only cycle states; each cycle state is the
-    image of the state 2^r steps behind it, so S holds them all, and the
-    stop is exact.  The squarings alternate between land and `buf`.
+    Pointer doubling in two phases, each stopping once done.  First land,
+    the step, is squared, land = step^(2^r), alternating with buf, until
+    its image stops shrinking.  The images are nested, as step^(2^(r+1))
+    maps through step^(2^r).  Once one, S, is as large as the one before,
+    step^(2^r) maps S onto itself, so it permutes S and S holds only cycle
+    states; each cycle state is the image of the state 2^r steps behind
+    it, so S holds them all, and the stop is exact.  The fixed points are
+    unmarked, and the c states left are numbered by a `cumsum` rank.  On
+    them low[u], the least rank among u and its next 2^r - 1 successors, is
+    squared until it stops changing: then low[u] <= low[step^(2^r) u]
+    around every orbit, so low is constant on it; the orbit's runs of 2^r
+    steps cover u's cycle, so low[u] is the cycle's least rank.  Each
+    cycle's length and weight are tallied over those labels.
     """
+    put_step(land)
     hop, spare, count = land, buf, len(land)
     while True:
         on_cycle.fill(False)
@@ -420,43 +434,22 @@ def _cycle_states(land, buf, on_cycle) -> int:
             break
         np.take(hop, hop, out=spare, mode="wrap")
         hop, spare = spare, hop
-    if hop is not land:
-        np.copyto(land, hop)
-    return count
-
-
-def _greedy_cycle_mean(succ0, succ1) -> Fraction:
-    """The best cycle mean of the greedy policy, which appends 1 wherever
-    allowed: the mean of a real cycle, so at most mu, and in practice
-    nearly always mu itself.
-
-    The policy is a functional graph.  Pointer doubling in two phases,
-    each stopping once done.  First `_cycle_states` marks its m cycle
-    states.  Then, on those states only, numbered by a `cumsum` rank,
-    low[u], the least rank among u and its next 2^r - 1 successors, is
-    squared until it stops changing: then low[u] <= low[step^(2^r) u]
-    around every orbit, so low is constant on it; the orbit's runs of 2^r
-    steps cover u's cycle, so low[u] is the cycle's least rank.
-    Beside the graph it holds land and one gather buffer of the state
-    count, reused by every squaring, and two bool arrays; then three int64
-    arrays of the cycle-state count, over which each cycle's length and
-    count of ones are tallied.
-    """
-    ones = succ1 >= 0
-    n = len(succ0)
-    land, buf = np.where(ones, succ1, succ0), np.empty(n, dtype=np.int64)
-    on_cycle = np.empty(n, dtype=bool)
-    count = _cycle_states(land, buf, on_cycle)
-    # land takes the step again and buf the ranks (a cumsum of bools would
-    # allocate a cast copy).
-    np.copyto(land, succ0)
-    np.copyto(land, succ1, where=ones)
+    # land takes the step again, and buf v - step[v], which is 0 at the
+    # fixed points, then the ranks (a cumsum of bools would allocate a
+    # cast copy).
+    put_step(land)
+    buf.fill(1)
+    np.cumsum(buf, out=buf)
+    buf -= 1
+    buf -= land
+    np.logical_and(on_cycle, buf, out=on_cycle)
+    if not on_cycle.any():
+        return None
     np.copyto(buf, on_cycle)
     np.cumsum(buf, out=buf)
     buf -= 1
-    hop = buf[land[on_cycle]]
-    del land, buf
-    low, buf = np.arange(count), np.empty(count, dtype=np.int64)
+    hop, ones = buf[land[on_cycle]], (bits[on_cycle] & 1) == 1
+    low, buf = np.arange(len(hop)), np.empty(len(hop), dtype=np.int64)
     while True:
         np.take(low, hop, out=buf, mode="wrap")
         if not (buf < low).any():
@@ -465,38 +458,27 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
         np.take(hop, hop, out=buf, mode="wrap")
         hop, buf = buf, hop
     del hop, buf
-    _, cycle, length = np.unique(low, return_inverse=True, return_counts=True)
-    total = np.bincount(cycle[ones[on_cycle]], minlength=len(length))
-    return max(Fraction(t, q) for t, q in zip(total.tolist(), length.tolist()))
+    length = np.bincount(low)
+    total, least = np.bincount(low[ones], minlength=len(length)), np.flatnonzero(length)
+    return max(map(Fraction, total[least].tolist(), length[least].tolist()))
 
 
-def _find_cycle(pred, land, buf, on_cycle) -> list[int] | None:
-    """The states of the cycle that the least walk v, pred[v],
-    pred[pred[v]], ... not ending at a fixed point reaches, or None when
-    every walk ends at one.  land, buf (int64) and on_cycle (bool), of the
-    state count, are scratch: `_cycle_states` puts land[v] on v's cycle,
-    and on_cycle marks the walks whose cycle is not a fixed point.
+def _greedy_cycle_mean(succ0, succ1) -> Fraction:
+    """The best cycle mean of the greedy policy, which appends 1 wherever
+    allowed: the mean of a real cycle, so at most mu, and in practice
+    nearly always mu itself.
 
-    In `_potential`, pred[v] == v exactly when v has not been raised since
-    tracking began, so every cycle of raises has at least 2 states.  A
-    strict raise of v uses the in-edge from first[v] or from last[v], and
-    neither is v.  first[v] == v only for state 0, the all-zero key, whose
-    edge to itself has weight w' = -num < 0 and so never strictly raises
-    it: when pi[first] >= pi[last] state 0 is not raised at all, and
-    otherwise its raise uses last[0], the key with only its oldest bit set.
-    last[v] == v never holds: last[v] differs from first[v] only where v's
-    newest bit is 0, and there it is the top-half key (key >> 1) | top,
-    which equals v's key only when that is all ones, whose newest bit is 1.
+    The policy is the functional graph max(succ0, succ1), as succ1 is
+    succ0 + 1 or -1, and state u's edge appends the bit succ1[u] >= 0.  It
+    has no fixed points, so `_cycle_mean` sees all its cycles: state 0 can
+    always append a 1, and the all-ones window, the only other state that
+    could lead to itself, is a state only when M = {L}, where it cannot
+    append one.  Beside the graph it holds two int64 arrays and two bool
+    arrays of the state count.
     """
-    np.copyto(land, pred)
-    _cycle_states(land, buf, on_cycle)
-    np.take(pred, land, out=buf, mode="wrap")
-    if not np.not_equal(buf, land, out=on_cycle).any():
-        return None
-    cycle = [int(land[on_cycle.argmax()])]
-    while (v := int(pred[cycle[-1]])) != cycle[0]:
-        cycle.append(v)
-    return cycle
+    n = len(succ0)
+    scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    return _cycle_mean(lambda out: np.maximum(succ0, succ1, out=out), succ1 >= 0, *scratch)
 
 
 def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
@@ -517,18 +499,29 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
     A value below mu makes pi diverge.  After the first log2 n passes, each
     raised state remembers the in-edge of its last strict raise, in `pred`,
     allocated then with one more bool array; a state not raised since then
-    is a fixed point of `pred`.  Every log2 n passes `_find_cycle` searches
-    `pred` in the two gathers and the raises, which are free until the next
-    pass, so nothing is released or allocated for it.  A cycle of those
-    edges has positive w'-weight: each raise on it used a value of its
-    source no larger than the current one, and the raise that followed the
-    cycle's latest raise used a strictly smaller one.  So it is a real cycle
-    of the graph with mean above `value`, and its mean is returned in place
-    of pi.  While those edges form no cycle they form a forest whose roots,
-    the fixed points, have not been raised since tracking began, so every
-    potential is at most (n + log2 n)*den after a check, and grows by at
-    most den per pass until the next one: a potential that diverges must
-    close a cycle, and one past that bound without a cycle is InternalError.
+    is a fixed point of `pred`.  Every log2 n passes `_cycle_mean` reads
+    the cycles of `pred` that are not fixed points, weighing each state by
+    its newest bit, in the two gathers and the raises, which are free until
+    the next pass, so nothing of the state count is released or allocated
+    for it.  A cycle of those edges has positive w'-weight: each raise on
+    it used a value of its source no larger than the current one, and the
+    raise that followed the cycle's latest raise used a strictly smaller
+    one.  So each is a real cycle of the graph with mean above `value`, and
+    the best of their means is returned in place of pi.  No cycle of raises
+    is a fixed point, so none is missed: a strict raise of v uses the
+    in-edge from first[v] or from last[v], and neither is v.  first[v] == v
+    only for state 0, the all-zero key, whose edge to itself has weight
+    w' = -num < 0 and so never strictly raises it: when pi[first] >=
+    pi[last] state 0 is not raised at all, and otherwise its raise uses
+    last[0], the key with only its oldest bit set.  last[v] == v never
+    holds: last[v] differs from first[v] only where v's newest bit is 0,
+    and there it is the top-half key (key >> 1) | top, which equals v's key
+    only when that is all ones, whose newest bit is 1.  While those edges
+    form no cycle they form a forest whose roots, the fixed points, have
+    not been raised since tracking began, so every potential is at most
+    (n + log2 n)*den after a check, and grows by at most den per pass until
+    the next one: a potential that diverges must close a cycle, and one
+    past that bound without a cycle is InternalError.
     """
     n = len(keys)
     num, den = value.numerator, value.denominator
@@ -566,8 +559,11 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
             np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
                 # The gathers and the raises are free until the next pass.
-                if (cycle := _find_cycle(pred, pi_first, pi_last, raised)) is not None:
-                    return Fraction(int((keys[cycle] & 1).sum()), len(cycle))
+                mean = _cycle_mean(
+                    lambda out: np.copyto(out, pred), keys, pi_first, pi_last, raised
+                )
+                if mean is not None:
+                    return mean
                 if pi.max() > (n + rounds) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
 
@@ -653,22 +649,23 @@ def mu_exact(
     one, from the greedy policy's best cycle mean (`_greedy_cycle_mean`).
     The integer potential of `_potential` either converges, and then the
     tight cycle of `_tight_cycle` proves the value and is the witness, or
-    diverges and returns the mean of a cycle above the value, which is
-    tried next.  A candidate outside (0, 1], or with a denominator above the
-    state count, cannot be mu and is not tried; a candidate with no tight
-    cycle is above mu, and the loop restarts from the greedy value.  Each
-    value after the first is a real cycle's mean, so the values rise
-    through finitely many cycle means to mu.  The witness depends only on
-    the graph and the proved value, so the result is the same whichever
-    value was proposed, and `method` is "PolicyIteration", the name this
-    certified pipeline has always reported, which keeps the output
-    unchanged.  Raises ResourceLimit when max(M) exceeds `max_window` or
-    the admissible state count exceeds the state cap (DENSITYPACK_MAX_STATES,
-    default 2**22), InvalidInput when `max_window` is not an integer (read
-    by `as_int`), `candidate` not a Fraction or integer (`as_fraction`), or
-    either cap below 1, and InternalError when a cycle's mean does not rise
-    above the value it refuted, when a value taken from a cycle has no
-    tight cycle, or when the witness fails its check.
+    diverges and returns the best mean among its cycles of raises, all
+    above the value, which is tried next.  A candidate outside (0, 1], or
+    with a denominator above the state count, cannot be mu and is not
+    tried; a candidate with no tight cycle is above mu, and the loop
+    restarts from the greedy value.  Each value after the first is a real
+    cycle's mean, so the values rise through finitely many cycle means to
+    mu.  The witness depends only on the graph and the proved value, so the
+    result is the same whichever value was proposed, and `method` is
+    "PolicyIteration", the name this certified pipeline has always
+    reported, which keeps the output unchanged.  Raises ResourceLimit when
+    max(M) exceeds `max_window` or the admissible state count exceeds the
+    state cap (DENSITYPACK_MAX_STATES, default 2**22), InvalidInput when
+    `max_window` is not an integer (read by `as_int`), `candidate` not a
+    Fraction or integer (`as_fraction`), or either cap below 1, and
+    InternalError when a cycle's mean does not rise above the value it
+    refuted, when a value taken from a cycle has no tight cycle, or when
+    the witness fails its check.
     """
     M = as_difference_set(distances)
     L = M.max_element

@@ -244,6 +244,31 @@ def _first(fails: np.ndarray) -> int | None:
     return int(np.argmax(fails)) if fails.any() else None
 
 
+def _first_failures(
+    M: DifferenceSet, length: int, make_batch: Callable, checks: dict[str, Callable], enum_cap: int
+) -> dict[str, tuple[int, Window | None, str | None]]:
+    """Run every check over one enumeration of the M-avoiding windows of
+    [0, length) containing 0, each chunk of it as make_batch(masks), and
+    give each check's (windows_checked, counterexample, detail).
+
+    A check stops at its first failing window: the counterexample is the
+    lexicographically-first one and windows_checked is its index + 1.  A
+    passing check counts every window.  The scan ends once all have failed.
+    """
+    failed: dict[str, tuple[int, Window, str | None]] = {}
+    total = 0
+    for masks in avoiding_mask_chunks(M, length, cap=enum_cap):
+        batch = make_batch(masks)
+        for name, check in checks.items():
+            if name not in failed and (hit := check(batch)) is not None:
+                row, detail = hit
+                failed[name] = (total + row + 1, Window(length, int(masks[row])), detail)
+        total += len(masks)
+        if len(failed) == len(checks):
+            break
+    return {name: failed.get(name, (total, None, None)) for name in checks}
+
+
 def scan_windows(
     p: CanonicalParams,
     checks: dict[str, WindowCheck],
@@ -252,34 +277,15 @@ def scan_windows(
 ) -> dict[str, VerificationReport]:
     """Run every check over one enumeration of the avoiding windows of
     [0, n2) containing 0, one `WindowBatch` per chunk of the enumeration,
-    and report each as `check_main_inequality` does.
-
-    A check stops at its first failing window: the counterexample is the
-    lexicographically-first one and windows_checked is its index + 1.  A
-    passing check counts every window.  The scan ends once all have failed.
+    and report each as `check_main_inequality` does (`_first_failures`).
     """
-    failed: dict[str, tuple[int, Window, str]] = {}
-    total = 0
-    for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2, cap=enum_cap):
-        batch = WindowBatch(p, masks)
-        for name, check in checks.items():
-            if name not in failed and (hit := check(batch)) is not None:
-                row, detail = hit
-                failed[name] = (total + row + 1, batch.window(row), detail)
-        total += len(batch)
-        if len(failed) == len(checks):
-            break
-    reports = {}
-    for name in checks:
-        count, window, detail = failed.get(name, (total, None, None))
-        reports[name] = VerificationReport(
-            params=p,
-            windows_checked=count,
-            passed=window is None,
-            counterexample=window,
-            detail=detail,
-        )
-    return reports
+    found = _first_failures(
+        forbidden_differences(p), p.n2, functools.partial(WindowBatch, p), checks, enum_cap
+    )
+    return {
+        name: VerificationReport(p, count, window is None, window, detail)
+        for name, (count, window, detail) in found.items()
+    }
 
 
 def _scan_one(p: CanonicalParams, check: WindowCheck, enum_cap: int) -> VerificationReport:
@@ -337,29 +343,30 @@ def dichotomy_check(p: CanonicalParams) -> WindowCheck:
     return check
 
 
-def _defeats_all(prefixes: Iterable[tuple[int, np.ndarray]], delta: Fraction) -> np.ndarray:
-    """Which windows have count > delta*n at every (n, count) pair, the
-    counts being the windows' |A intersect [0, n)|.
+def _certificate(candidates: Iterable[int], delta: Fraction, detail: str | None):
+    """The short-prefix certificate as a check of a chunk of masks: a
+    window fails when its count |A intersect [0, n)| exceeds delta*n at
+    every candidate n.
 
     For an integer count, count*den > num*n iff count > floor(num*n/den);
     a count never exceeds n, so clamping the floor to n keeps it in int64.
     """
-    return np.logical_and.reduce(
-        [counts > min(n * delta.numerator // delta.denominator, n) for n, counts in prefixes]
-    )
+    bounds = [(_span(0, n), min(n * delta.numerator // delta.denominator, n)) for n in candidates]
+
+    def check(masks: np.ndarray):
+        fails = [_popcount(masks & span) > bound for span, bound in bounds]
+        row = _first(np.logical_and.reduce(fails))
+        return None if row is None else (row, detail)
+
+    return check
 
 
 def certificate_check(p: CanonicalParams, delta: Fraction) -> WindowCheck:
     """`delta_certificate` as a window check: a failing window defeats both
     candidates n1 and n2 at `delta`, the family's closed form, which the
-    caller has already computed.  The prefix counts are the batch's own."""
-    detail = f"window defeats both candidates n1={p.n1}, n2={p.n2}"
-
-    def check(batch: WindowBatch):
-        row = _first(_defeats_all([(p.n1, batch.below_n1), (p.n2, batch.below_n2)], delta))
-        return None if row is None else (row, detail)
-
-    return check
+    caller has already computed."""
+    check = _certificate((p.n1, p.n2), delta, f"window defeats both candidates n1={p.n1}, n2={p.n2}")
+    return lambda batch: check(batch.masks)
 
 
 def _require_proved(p: CanonicalParams, allow_conjecture: bool) -> None:
@@ -445,21 +452,14 @@ def haralambis_certify(
         raise InvalidInput(f"candidates must be positive integers, got {candidates!r}")
     if (delta := as_fraction(delta, "delta")) <= 0:
         raise InvalidInput(f"delta must be a positive Fraction, got {delta!r}")
-    length = cand[-1]
-    count = 0
-    for masks in avoiding_mask_chunks(M, length, cap=enum_cap):
-        row = _first(_defeats_all([(n, _popcount(masks & _span(0, n))) for n in cand], delta))
-        if row is not None:
-            return CertifyResult(
-                certified=False,
-                windows_checked=count + row + 1,
-                counterexample=Window(length, int(masks[row])),
-            )
-        count += len(masks)
-    return CertifyResult(certified=True, windows_checked=count, counterexample=None)
+    checks = {"certificate": _certificate(cand, delta, None)}
+    found = _first_failures(M, cand[-1], lambda masks: masks, checks, enum_cap)["certificate"]
+    count, window, _ = found
+    return CertifyResult(certified=window is None, windows_checked=count, counterexample=window)
 
 
 def delta_certificate(p: CanonicalParams, *, enum_cap: int = DEFAULT_ENUM_CAP) -> CertifyResult:
-    """haralambis_certify at the family's own delta with candidates {n1, n2}."""
-    delta = conjectured_density(p).delta
-    return haralambis_certify(forbidden_differences(p), delta, (p.n1, p.n2), enum_cap=enum_cap)
+    """haralambis_certify at the family's own delta with candidates {n1, n2}:
+    one scan of `certificate_check`."""
+    rep = _scan_one(p, certificate_check(p, conjectured_density(p).delta), enum_cap)
+    return CertifyResult(rep.passed, rep.windows_checked, rep.counterexample)

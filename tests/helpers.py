@@ -108,43 +108,38 @@ def reference_state_graph(M):
     return keys, succ0, succ1, first, last
 
 
-def reference_greedy_cycle_mean(succ0, succ1) -> Fraction:
-    """`oracle._greedy_cycle_mean` as it was before its buffers were reused:
-    each squaring allocates new arrays, and each cycle's length and count of
-    ones are tallied in two `bincount` arrays of the state count."""
-    ones = succ1 >= 0
-    n = len(succ0)
-    land, low = np.where(ones, succ1, succ0), np.arange(n)
+def reference_cycle_mean(step, ones) -> Fraction | None:
+    """`oracle._cycle_mean` as it was written for the greedy stage before
+    its buffers were reused: a fixed number of squarings, each allocating
+    new arrays, and each cycle's length and count of ones tallied in two
+    `bincount` arrays of the state count.  The cycles that are fixed points
+    of `step` are left out; None when every cycle is one."""
+    n = len(step)
+    land, low = step, np.arange(n)
     for _ in range((n - 1).bit_length()):
         low = np.minimum(low, low[land])
         land = land[land]
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[land] = True
+    on_cycle &= step != np.arange(n)
     length = np.bincount(low[on_cycle], minlength=n)
     total = np.bincount(low[on_cycle & ones], minlength=n)
-    return max(Fraction(int(total[r]), int(length[r])) for r in np.flatnonzero(length))
+    means = [Fraction(int(total[r]), int(length[r])) for r in np.flatnonzero(length)]
+    return max(means, default=None)
 
 
-def _reference_find_cycle(parent):
-    n = len(parent)
-    hop = np.append(parent, n)
-    for _ in range(n.bit_length()):
-        hop = hop[hop]
-    looping = np.flatnonzero(hop[:n] != n)
-    if not len(looping):
-        return None
-    start = int(hop[looping[0]])
-    cycle = [start]
-    while (v := int(parent[cycle[-1]])) != start:
-        cycle.append(v)
-    return cycle
+def reference_greedy_cycle_mean(succ0, succ1) -> Fraction:
+    """The greedy policy's best cycle mean by `reference_cycle_mean`."""
+    ones = succ1 >= 0
+    return reference_cycle_mean(np.where(ones, succ1, succ0), ones)
 
 
 def reference_potential(keys, first, last, value: Fraction):
-    """`oracle._potential` (with `oracle._find_cycle`) as it was before its
-    buffers were reused: every pass allocates pi[first], pi[last], their
-    maximum, the weighted maximum and the raised mask, and `pred` and the
-    newest bits are allocated up front."""
+    """`oracle._potential` as it was before its buffers were reused: every
+    pass allocates pi[first], pi[last], their maximum, the weighted maximum
+    and the raised mask, and `pred` and the newest bits are allocated up
+    front.  A diverging potential returns the best mean among the cycles of
+    `pred` that are not fixed points, by `reference_cycle_mean`."""
     n = len(keys)
     num, den = value.numerator, value.denominator
     newest = keys & 1
@@ -152,7 +147,7 @@ def reference_potential(keys, first, last, value: Fraction):
     rounds = n.bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
-    pred = np.full(n, n, dtype=np.int64)
+    pred = np.arange(n)
     for step in itertools.count(1):
         pi_first, pi_last = pi[first], pi[last]
         best = np.maximum(pi_first, pi_last) + w2
@@ -163,8 +158,8 @@ def reference_potential(keys, first, last, value: Fraction):
         if step > rounds:
             np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
             if step % rounds == 0:
-                if (cycle := _reference_find_cycle(pred)) is not None:
-                    return Fraction(int(newest[cycle].sum()), len(cycle))
+                if (mean := reference_cycle_mean(pred, newest == 1)) is not None:
+                    return mean
                 if pi.max() > (n + rounds) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
 

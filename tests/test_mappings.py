@@ -485,6 +485,19 @@ class TestArrayFilter:
             verify_k1_mapping(w, p)
         assert_matches_reference(p, np.array([w.mask], dtype=np.int64), 1)
 
+    def test_m1_plans_end_in_the_top_interval(self):
+        # What `_m1_flags` reads off the plan, on every m = 1 family whose
+        # windows fit an int64 mask, a = b = 1 included: v lies in (n1, n2),
+        # every walk ends at a w in [n1, n2), and v is neither an offset of
+        # its walk nor its w.
+        families = [p for p in canonical_instances(max_n2=63, include_equal=True) if p.m == 1]
+        for p in families:
+            for walk, _, v in _m1_plan(p):
+                assert p.n1 < v < p.n2, (p, walk.alpha)
+                assert walk.end is not None and p.n1 <= walk.end < p.n2, (p, walk.alpha)
+                assert v not in [off for off, _ in walk.steps] + [walk.end], (p, walk.alpha)
+        assert len(families) == 613
+
     def test_nothing_flagged_on_avoiding_windows(self):
         for p in [P511, P521, P741, P512, P532]:
             M = forbidden_differences(p)

@@ -31,12 +31,12 @@ from densitypack.oracle import DEFAULT_ENUM_CAP, STATE_CAP_ENV
 from helpers import (
     INTEGER_LIKE,
     NOT_BOOLS,
-    _reference_find_cycle,
     brute_avoiding_masks,
     brute_best_periodic,
     iter_avoiding_masks,
     karp_max_mean,
     record_potentials,
+    reference_cycle_mean,
     reference_greedy_cycle_mean,
     reference_potential,
     reference_state_graph,
@@ -658,13 +658,13 @@ def test_reused_buffers_match_the_reference():
     # The potential and the greedy stage reuse their arrays; the results must
     # be those of the allocate-per-pass reference, on values above mu (pi
     # converges), at mu, and below it, where raises are tracked after the
-    # first log2 n passes and a cycle of them is returned.
+    # first log2 n passes and the best mean of their cycles is returned.
     cycle_searches = []
-    find_cycle = oracle._find_cycle
+    cycle_mean = oracle._cycle_mean
 
-    def counted(parent, *scratch):
-        cycle_searches.append(len(parent))
-        return find_cycle(parent, *scratch)
+    def counted(put_step, bits, *scratch):
+        cycle_searches.append(len(bits))
+        return cycle_mean(put_step, bits, *scratch)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(
@@ -681,7 +681,7 @@ def test_reused_buffers_match_the_reference():
         for value in (mu, greedy, mu - step, mu + step, Fraction(1, max(M) + 2), Fraction(*ratio)):
             expected = reference_potential(keys, first, last, value)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(oracle, "_find_cycle", counted)
+                patch.setattr(oracle, "_cycle_mean", counted)
                 out = oracle._potential(keys, first, last, value)
             if isinstance(expected, Fraction):
                 assert isinstance(out, Fraction) and out == expected, (M, value)
@@ -694,32 +694,28 @@ def test_reused_buffers_match_the_reference():
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(st.integers(1, 200).flatmap(lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
-@example([4, 0, 1, 2])  # every walk ends
+@example([4, 0, 1, 2])  # every walk ends at a fixed point
 @example([1, 0])  # one 2-cycle
-@example([3, 2, 1, 4, 3])  # walk 0 reaches {3, 4}, not the smaller cycle {1, 2}
-def test_find_cycle_matches_the_sentinel_search(draws):
-    # In the sentinel encoding pred[v] = n ends a walk; a self-loop, which
-    # no cycle of raises is, is read as an end too.  `_find_cycle` takes
-    # the fixed point pred[v] = v as the end instead.
+@example([3, 2, 1, 4, 3])  # walk 0 reaches {3, 4}; {1, 2} is another cycle
+def test_cycle_mean_matches_the_fixed_round_reference(draws):
+    # A draw of n, or of the state itself, is a fixed point, which no cycle
+    # of raises is and which is left out.  Each state weighs its own low
+    # bit, as a key weighs its newest bit in the potential.
     n = len(draws)
-    sentinel = np.array(draws, dtype=np.int64)
-    sentinel[sentinel == np.arange(n)] = n
-    pred = np.where(sentinel == n, np.arange(n), sentinel)
+    step = np.array(draws, dtype=np.int64)
+    step[step == n] = np.flatnonzero(step == n)
+    bits = np.arange(n)
     scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    cycle = oracle._find_cycle(pred, *scratch)
-    expected = _reference_find_cycle(sentinel)
-    if expected is None:
-        assert cycle is None
-    else:
-        assert cycle is not None and sorted(cycle) == sorted(expected)
-        assert len(cycle) == len(set(cycle)) >= 2
+    mean = oracle._cycle_mean(lambda out: np.copyto(out, step), bits, *scratch)
+    assert mean == reference_cycle_mean(step, (bits & 1) == 1)
 
 
 def test_peak_memory_per_state_of_a_diverging_potential():
-    # 1/25 is below mu = 1/2 on {1, 23}: raises are tracked, and the cycle
-    # search runs in the potential's own gathers and raises, so the peak is
-    # pi, w2, the two gathers and pred (8 B per state each) and two bool
-    # arrays.  The search in arrays of its own peaked at 43.0 B per state.
+    # 1/25 is below mu = 1/2 on {1, 23}: raises are tracked, and their
+    # cycles are read in the potential's own gathers and raises, so the peak
+    # is pi, w2, the two gathers and pred (8 B per state each), two bool
+    # arrays and a few arrays of the states on cycles of raises.  A search
+    # in arrays of its own peaked at 43.0 B per state.
     keys, _, _, first, last = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
     tracemalloc.start()
     try:
@@ -753,9 +749,9 @@ class TestCertificate:
         assert "internal error:" in capsys.readouterr().err
 
     def test_non_improving_cycle_is_rejected(self, monkeypatch, capsys):
-        # State 0, the all-zero window, loops to itself with mean 0.
+        # Mean 0 is that of state 0, the all-zero window, looping to itself.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_find_cycle", lambda parent, *scratch: [0])
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: Fraction(0))
         with pytest.raises(InternalError, match="not above 1/4"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -765,7 +761,7 @@ class TestCertificate:
         # With the cycle search blinded, a diverging potential must still
         # end, through the magnitude check rather than a pass count.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_find_cycle", lambda parent, *scratch: None)
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: None)
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 
