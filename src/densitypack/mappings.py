@@ -41,8 +41,12 @@ disjoint, giving (m+1)|T| <= (m+1)|I| + |U|.
 Both routes lean on a translate-witness fact: when a trajectory offset is
 not an empty translate, A must meet the translate offset + S at a specific
 stride (k' * a with i < k' <= k for m = 1; a + m'*b with m' < eta_n for
-k = 1).  Each trajectory checks this at every step whose offset misses I,
-as it walks, and raises "witness-missing" when the element is absent.
+k = 1).  Each walk step is built once as (quotient, offset, witness mask),
+the mask holding those positions.  All of them lie inside [0, n2), so on a
+window of length >= n2, as `profile` requires, A meets the mask exactly
+when it holds one of them.  A trajectory tests the mask at every step
+whose offset misses I, as it walks, and raises "witness-missing" when A
+does not meet it.
 
 Trajectories are guarded by a hard iteration cap of n2 + 1 steps; both stop
 rules provably fire long before that, so hitting the cap is itself reported
@@ -51,19 +55,19 @@ as a violation ("trajectory-unterminated") rather than an infinite loop.
 The functions above check one window and are the reference.  The exhaustive
 harnesses (`m1_check`, `k1_check`, run by `profile.scan_windows`) do not
 call them on every window.  In a fixed family each band position alpha
-walks a fixed sequence of offsets, owes a fixed witness stride at each, and
-has a fixed image for each stop step; a window decides only where the walk
-stops (its first offset in I) and which membership facts hold.  These
-window-free parts are written once (`_m1_walk`, `_k1_steps`, the
-`_*_witnesses` positions, `_k1_blocks` and `_k1_union`), and both the
-reference and the harnesses' plans read them.  The plans evaluate the
-walks as array filters over a whole batch of window masks: I-membership
-rows, witness strides ANDed with the masks, running ORs of the images for
-disjointness, and pairwise tests for the m = 1 chain edges.  A filter flags
-a superset of the windows on which the reference raises, and every flagged
-window is re-checked by the reference, in order; only a reference failure
-counts.  The first counterexample, its index and its violation text are
-therefore exactly those of running the reference on every window.  The
+walks a fixed sequence of steps, each with its witness mask, and has a
+fixed image for each stop step; a window decides only where the walk stops
+(its first offset in I) and which membership facts hold.  These
+window-free parts are written once (`_m1_walk`, `_k1_steps`, `_k1_blocks`
+and `_k1_union`), and the reference and the harnesses' plans read the
+same steps as built.  The plans evaluate the walks as array filters over a
+whole batch of window masks: I-membership rows, each step's witness mask
+ANDed with the masks, running ORs of the images for disjointness, and
+pairwise tests for the m = 1 chain edges.  A filter flags a superset of the
+windows on which the reference raises, and every flagged window is
+re-checked by the reference, in order; only a reference failure counts.
+The first counterexample, its index and its violation text are therefore
+exactly those of running the reference on every window.  The
 filter-versus-reference tests check the flag logic; the pinned
 trajectories and images and the tests that the maps hold on every window
 of small families guard the shared definitions.
@@ -211,88 +215,87 @@ def _require_band_member(alpha: int, window: Window, p: CanonicalParams) -> GapD
     return dec
 
 
-# The walks, witness positions and blocks below depend on the family and the
-# band position alone.  The per-window reference and the array filter's
-# plans both read them, so each is written once.
+# The walks and blocks below depend on the family and the band position
+# alone.  The per-window reference and the array filter's plans both read
+# them as built, so each is written once.
 
 
-def _m1_walk(dec: GapDecomposition, p: CanonicalParams) -> tuple[tuple[int, ...], int, int | None]:
-    """(offsets, v, w) of alpha = dec.alpha under the m = 1 map.
+def _mask(positions: Iterable[int]) -> int:
+    """Bitmask of distinct positions, all of them inside the window [0, n2)."""
+    return sum(1 << x for x in positions)
 
-    offsets are the trajectory terms off, off + (a-b), ... up to the first
-    one reaching 2*b - a (none for quotient >= 2).  w is the image alpha
-    gets when no offset lies in I: alpha + (k - band)*a for quotient >= 2,
-    last offset + (k+1)*a otherwise, or None when the walk runs past the
-    cap of n2 + 1 steps.
+
+def _m1_walk(
+    dec: GapDecomposition, p: CanonicalParams
+) -> tuple[tuple[tuple[None, int, int], ...], int, int | None]:
+    """(steps, v, w) of alpha = dec.alpha under the m = 1 map.
+
+    steps[n] = (None, offset, witness mask) for the trajectory terms off,
+    off + (a-b), ... up to the first one reaching 2*b - a (none for
+    quotient >= 2); the mask covers offset + k'*a, band < k' <= k, of which
+    A must hold one when the offset misses I.  Each lies below
+    b + k*a < n1, as an offset is below b.  w is the image alpha gets when
+    no offset lies in I: alpha + (k - band)*a for quotient >= 2, last
+    offset + (k+1)*a otherwise, or None when the walk runs past the cap of
+    n2 + 1 steps.
     """
     lift = (p.k - dec.band) * p.a
     v = dec.alpha + lift + p.b
     if dec.quotient >= 2:
         return (), v, dec.alpha + lift
-    x, offsets = dec.offset, []
+    x, steps = dec.offset, []
     for _ in range(p.n2 + 1):
-        offsets.append(x)
+        steps.append((None, x, _mask(x + kp * p.a for kp in range(dec.band + 1, p.k + 1))))
         if x >= 2 * p.b - p.a:
-            return tuple(offsets), v, x + (p.k + 1) * p.a
+            return tuple(steps), v, x + (p.k + 1) * p.a
         x += p.a - p.b
-    return tuple(offsets), v, None
+    return tuple(steps), v, None
 
 
-def _m1_witnesses(offset: int, band: int, p: CanonicalParams) -> list[int]:
-    """The positions offset + k'*a, band < k' <= k, of which the m = 1 route
-    promises A one for a trajectory offset outside I."""
-    return [offset + kp * p.a for kp in range(band + 1, p.k + 1)]
-
-
-def _m1_witness(offset: int, band: int, window: Window, p: CanonicalParams) -> int:
-    """The element offset + k'*a of A, band < k' <= k, that the m = 1 route
-    promises for a trajectory offset outside I."""
-    for x in _m1_witnesses(offset, band, p):
-        if x in window:
-            return x
-    raise LemmaViolation(
-        "witness-missing",
-        f"offset {offset} (band {band}): no offset + k'*a in A for {band} < k' <= {p.k}",
-    )
-
-
-def _k1_steps(alpha: int, p: CanonicalParams) -> tuple[tuple[tuple[int, int], ...], int | None]:
+def _k1_steps(alpha: int, p: CanonicalParams) -> tuple[tuple[tuple[int, int, int], ...], int | None]:
     """(steps, next) of a k = 1 band position with quotient <= m.
 
-    steps[n] = (eta_n, off_n), the Euclidean pair of alpha + n*(a-b) by b,
-    up to the first n whose upcoming quotient eta_{n+1} reaches m + 1;
+    steps[n] = (eta_n, off_n, witness mask), where (eta_n, off_n) is the
+    Euclidean pair of alpha + n*(a-b) by b, up to the first n whose
+    upcoming quotient eta_{n+1} reaches m + 1; the mask covers
+    off_n + a + m'*b, m' < eta_n, of which A must hold one when off_n
+    misses I.  Each lies below a + m*b < n2, as off_n < b and eta_n <= m.
     next is that eta_{n+1}, unclamped, or None when the walk runs past the
     cap of n2 + 1 steps.
     """
     x, steps = alpha, []
     for _ in range(p.n2 + 1):
-        steps.append(divmod(x, p.b))
+        q, off = divmod(x, p.b)
+        steps.append((q, off, _mask(off + p.a + mp * p.b for mp in range(q))))
         x += p.a - p.b
         if x // p.b >= p.m + 1:
             return tuple(steps), x // p.b
     return tuple(steps), None
 
 
-def _k1_witnesses(offset: int, quotient: int, p: CanonicalParams) -> list[int]:
-    """The positions offset + a + m'*b, 0 <= m' < quotient (= eta_n), of
-    which the k = 1 route promises A one for a trajectory offset outside I."""
-    return [offset + p.a + mp * p.b for mp in range(quotient)]
+def _first_stop(
+    steps: tuple[tuple[int | None, int, int], ...],
+    window: Window,
+    p: CanonicalParams,
+    missing: Callable[[int | None, int], str],
+) -> int | None:
+    """Index of the first step of a walk whose offset lies in I, or None.
 
-
-def _k1_witness(offset: int, quotient: int, window: Window, p: CanonicalParams) -> int:
-    """The element offset + a + m'*b of A, 0 <= m' < quotient (= eta_n), that
-    the k = 1 route promises for a trajectory offset outside I."""
-    for x in _k1_witnesses(offset, quotient, p):
-        if x in window:
-            return x
-    raise LemmaViolation(
-        "witness-missing",
-        f"offset {offset}: no offset + a + m'*b in A for 0 <= m' < {quotient}",
-    )
+    Every step before it owes a translate witness: A must meet its witness
+    mask, or LemmaViolation "witness-missing" is raised with the detail
+    missing(quotient, offset).
+    """
+    translates = profile(window, p).empty_translates
+    for n, (q, off, witness) in enumerate(steps):
+        if off in translates:
+            return n
+        if not window.mask & witness:
+            raise LemmaViolation("witness-missing", missing(q, off))
+    return None
 
 
 def _k1_blocks(
-    alpha: int, j0: int, steps: tuple[tuple[int, int], ...], p: CanonicalParams
+    alpha: int, j0: int, steps: tuple[tuple[int, int, int], ...], p: CanonicalParams
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """The primary block {alpha + a + t*b : m - j0 < t <= m} and one step
     block {off_n + 2a + t*b : m + eta_n - eta_{n+1} <= t < m} per step of
@@ -300,10 +303,10 @@ def _k1_blocks(
     quotient j0 > m has no steps and the whole block 0 <= t <= m."""
     a, b, m = p.a, p.b, p.m
     primary = frozenset(alpha + a + t * b for t in range(max(m + 1 - j0, 0), m + 1))
-    quots = [q for q, _ in steps] + [m + 1]
+    quots = [q for q, _, _ in steps] + [m + 1]
     blocks = tuple(
         frozenset(off + 2 * a + t * b for t in range(m + quots[n] - quots[n + 1], m))
-        for n, (_, off) in enumerate(steps)
+        for n, (_, off, _) in enumerate(steps)
     )
     return primary, blocks
 
@@ -349,13 +352,12 @@ def m1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
         raise InvalidInput(
             f"alpha = {alpha} has quotient {dec.quotient}; trajectories apply to quotient 1"
         )
-    translates = profile(window, p).empty_translates
-    offsets, _, w = _m1_walk(dec, p)
-    steps = tuple((None, x) for x in offsets)
-    for n, x in enumerate(offsets):
-        if x in translates:
-            return Trajectory(steps[: n + 1], "empty_translate", False, None)
-        _m1_witness(x, dec.band, window, p)
+    walk, _, w = _m1_walk(dec, p)
+    missing = f"(band {dec.band}): no offset + k'*a in A for {dec.band} < k' <= {p.k}"
+    stop = _first_stop(walk, window, p, lambda _, off: f"offset {off} {missing}")
+    steps = tuple((q, off) for q, off, _ in walk)
+    if stop is not None:
+        return Trajectory(steps[: stop + 1], "empty_translate", False, None)
     if w is None:
         raise LemmaViolation(
             "trajectory-unterminated",
@@ -516,12 +518,13 @@ def k1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
         raise InvalidInput(
             f"alpha = {alpha} has quotient {j0} > m = {p.m}; that case bypasses trajectories"
         )
-    translates = profile(window, p).empty_translates
-    steps, nxt_q = _k1_steps(alpha, p)
-    for n, (q, off) in enumerate(steps):
-        if off in translates:
-            return Trajectory(steps[: n + 1], "empty_translate", False, None)
-        _k1_witness(off, q, window, p)
+    walk, nxt_q = _k1_steps(alpha, p)
+    stop = _first_stop(
+        walk, window, p, lambda q, off: f"offset {off}: no offset + a + m'*b in A for 0 <= m' < {q}"
+    )
+    steps = tuple((q, off) for q, off, _ in walk)
+    if stop is not None:
+        return Trajectory(steps[: stop + 1], "empty_translate", False, None)
     if nxt_q is None:
         raise LemmaViolation(
             "trajectory-unterminated",
@@ -540,12 +543,12 @@ def k1_image(alpha: int, window: Window, p: CanonicalParams) -> ImageAssignment:
     _require_route(p, "k")
     prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
-    steps: tuple[tuple[int, int], ...] = ()
+    steps: tuple[tuple[int, int, int], ...] = ()
     if dec.quotient <= p.m:
         traj = k1_trajectory(alpha, window, p)
         if traj.stop_reason == "empty_translate":
             return ImageAssignment(alpha, traj.last_offset, None, (), None)
-        steps = traj.steps
+        steps = _k1_steps(alpha, p)[0]
     primary, blocks = _k1_blocks(alpha, dec.quotient, steps, p)
     union = _k1_union(alpha, primary, blocks, p)
     bad = [u for u in union if u not in prof.top_holes]
@@ -615,22 +618,16 @@ def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
 class _Walk:
     """The fixed trajectory of one band position alpha.
 
-    steps[n] = (offset, witness mask): the n-th offset and the positions of
-    which A must hold one when that offset misses I.  end is what a row
-    that passes every step without meeting I maps to (w for m = 1, the
+    steps are the (quotient, offset, witness mask) triples of `_m1_walk` or
+    `_k1_steps`, as the reference reads them.  end is what a row that
+    passes every step without meeting I maps to (w for m = 1, the
     hole-image mask for k = 1), or None when the reference raises for every
     such row.
     """
 
     alpha: int
-    steps: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[int | None, int, int], ...]
     end: int | None
-
-
-def _mask(positions: Iterable[int], p: CanonicalParams) -> int:
-    """Bitmask of the positions inside the window [0, n2); the others are
-    never elements of A."""
-    return sum(1 << x for x in set(positions) if 0 <= x < p.n2)
 
 
 def _walk_rows(batch: WindowBatch, walk: _Walk):
@@ -641,7 +638,7 @@ def _walk_rows(batch: WindowBatch, walk: _Walk):
     walking = has.copy()
     bad = np.zeros_like(has)
     stops = []
-    for off, witness in walk.steps:
+    for _, off, witness in walk.steps:
         stop = walking & batch.in_i[off]
         walking &= ~stop
         bad |= walking & ((batch.masks & witness) == 0)
@@ -651,13 +648,11 @@ def _walk_rows(batch: WindowBatch, walk: _Walk):
 
 def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
     """(walk, band, v) per band position of an m = 1 family, in increasing
-    alpha: the walk of `_m1_walk` with the witness mask of each offset, and
-    its w as the end."""
+    alpha: the steps of `_m1_walk`, and its w as the end."""
     walks = []
     for i in range(p.k):
         for alpha in range(i * p.a + p.b + 1, (i + 1) * p.a):
-            offsets, v, w = _m1_walk(gap_decompose(alpha, p), p)
-            steps = tuple((x, _mask(_m1_witnesses(x, i, p), p)) for x in offsets)
+            steps, v, w = _m1_walk(gap_decompose(alpha, p), p)
             walks.append((_Walk(alpha, steps, w), i, v))
     return walks
 
@@ -682,7 +677,7 @@ def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
         rows, stops, ended, bad = _walk_rows(batch, walk)
         flags |= bad | (rows & ((batch.masks & (1 << v)) != 0))
         w_of: dict[int, np.ndarray] = {}  # x -> the rows whose w is x
-        for (off, _), stop in zip(walk.steps, stops):
+        for (_, off, _), stop in zip(walk.steps, stops):
             w_of[off] = w_of.get(off, False) | stop
         # The end lies above b, so it is never in I: w must be a hole.
         w_of[walk.end] = w_of.get(walk.end, False) | ended
@@ -710,22 +705,26 @@ def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
 def _k1_plan(p: CanonicalParams) -> list[_Walk]:
     """One walk per band position of a k = 1 family, in increasing alpha.
 
-    A quotient j0 > m has no steps; otherwise the walk is `_k1_steps`.  The
-    end is the union of `_k1_blocks`, or None when the walk runs past the
-    cap or the union is not m + 1 disjoint positions of [n1, n2).
+    A quotient j0 > m has no steps; otherwise the steps are `_k1_steps`.
+    The end is the mask of the union of `_k1_blocks`, or None when the
+    blocks overlap or do not hold m + 1 positions.
+
+    No walk reaches the cap, as it climbs by a - b >= 1 from alpha > b
+    until its quotient reaches m + 1, within m*b steps.  A valid union
+    lies in [n1, n2): the primary block as b < alpha < a and t > m - j0,
+    and a step block as off_n < b and, by the recurrence for eta_{n+1},
+    its least position is at least a + (m+1)*b + off_{n+1}.
+    `test_k1_plans_end_in_the_top_interval` checks both facts on every
+    k = 1 family whose windows fit an int64 mask.
     """
     walks = []
     for alpha in range(p.b + 1, p.a):
         j0 = gap_decompose(alpha, p).quotient
-        steps, nxt_q = _k1_steps(alpha, p) if j0 <= p.m else ((), p.m + 1)
+        steps = _k1_steps(alpha, p)[0] if j0 <= p.m else ()
         end = None
-        if nxt_q is not None:
-            with suppress(LemmaViolation):
-                union = _k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p)
-                if all(p.n1 <= u < p.n2 for u in union):
-                    end = _mask(union, p)
-        masks = tuple((off, _mask(_k1_witnesses(off, q, p), p)) for q, off in steps)
-        walks.append(_Walk(alpha, masks, end))
+        with suppress(LemmaViolation):
+            end = _mask(_k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p))
+        walks.append(_Walk(alpha, steps, end))
     return walks
 
 
@@ -738,7 +737,7 @@ def _k1_flags(batch: WindowBatch, p: CanonicalParams, walks: list[_Walk]) -> np.
     for walk in walks:
         _, stops, ended, bad = _walk_rows(batch, walk)
         flags |= bad
-        for (off, _), stop in zip(walk.steps, stops):
+        for (_, off, _), stop in zip(walk.steps, stops):
             flags |= stop & taken.get(off, False)
             taken[off] = taken.get(off, False) | stop
         if walk.end is None:

@@ -459,7 +459,6 @@ def haralambis_certify(
 
 
 def delta_certificate(p: CanonicalParams, *, enum_cap: int = DEFAULT_ENUM_CAP) -> CertifyResult:
-    """haralambis_certify at the family's own delta with candidates {n1, n2}:
-    one scan of `certificate_check`."""
-    rep = _scan_one(p, certificate_check(p, conjectured_density(p).delta), enum_cap)
-    return CertifyResult(rep.passed, rep.windows_checked, rep.counterexample)
+    """haralambis_certify at the family's own delta with candidates {n1, n2}."""
+    delta = conjectured_density(p).delta
+    return haralambis_certify(forbidden_differences(p), delta, (p.n1, p.n2), enum_cap=enum_cap)

@@ -25,12 +25,14 @@ from densitypack import (
     verify_m1_inequality,
 )
 from densitypack.mappings import (
+    _k1_blocks,
     _k1_flags,
     _k1_plan,
-    _k1_witness,
+    _k1_steps,
+    _k1_union,
     _m1_flags,
     _m1_plan,
-    _m1_witness,
+    _m1_walk,
     build_chain_partition,
     gap_decompose,
     image_pair,
@@ -376,32 +378,44 @@ def test_arguments_of_other_types_are_refused(func, args, message):
 
 class TestTranslateWitness:
     def test_vacuous_when_offset_in_translates(self):
-        # I = {1, 2} for (5,3,1,2).  Offset 1 has no witness (1 + a = 6 is not
-        # in A), but it is an empty translate, so the trajectory owes none.
+        # I = {1, 2} for (5,3,1,2).  Offset 1 of alpha = 4 has no witness (its
+        # mask holds only 1 + a = 6, not in A), but it is an empty translate,
+        # so the trajectory owes none.
         w = Window.from_members(16, [0, 4])
-        with pytest.raises(LemmaViolation, match="witness-missing"):
-            _k1_witness(1, 1, w, P532)
+        q, off, witness = _k1_steps(4, P532)[0][0]
+        assert (q, off, witness) == (1, 1, 1 << 6) and not w.mask & witness
         assert k1_trajectory(4, w, P532).stop_reason == "empty_translate"
 
     def test_present_m1(self):
+        # alpha = 5 walks the one offset 1, whose mask holds 1 + 1*a = 8.
         w = Window.from_members(18, [0, 5, 8])
-        assert _m1_witness(1, 0, w, P741) == 8
+        steps, v, end = _m1_walk(gap_decompose(5, P741), P741)
+        assert steps == ((None, 1, 1 << 8),) and (v, end) == (16, 15)
+        assert w.mask & steps[0][2] == 1 << 8
 
     def test_present_k1(self):
+        # alpha = 3 walks (eta, off) = (1, 1), whose mask holds 1 + 5 + 0*2 = 6.
         w = Window.from_members(14, [0, 3, 6])
-        # offset 1 with eta = 3: 1 + 5 + 0*2 = 6 is in A.
-        assert _k1_witness(1, 3, w, P512) == 6
+        assert _k1_steps(3, P512) == (((1, 1, 1 << 6),), 3)
+        assert w.mask & (1 << 6)
 
-    def test_missing_m1(self):
-        w = Window.from_members(11, [0])
-        with pytest.raises(LemmaViolation) as exc:
-            _m1_witness(0, 0, w, P511)
-        assert "witness-missing" in str(exc.value)
-
-    def test_missing_k1(self):
-        w = Window.from_members(16, [0])
-        with pytest.raises(LemmaViolation):
-            _k1_witness(0, 1, w, P532)
+    def test_witness_positions_lie_in_the_window(self):
+        # Every step's mask holds its k - band (m = 1) or eta_n (k = 1)
+        # positions, all in [0, n2), on every family whose windows fit an
+        # int64 mask.  So testing A against the mask is testing each position.
+        positions = 0
+        for p in canonical_instances(max_n2=63, include_equal=True):
+            walks = []
+            if p.m == 1:
+                walks += [(walk, p.k - band) for walk, band, _ in _m1_plan(p)]
+            if p.k == 1:
+                walks += [(walk, None) for walk in _k1_plan(p)]
+            for walk, m1_size in walks:
+                for q, _, witness in walk.steps:
+                    size = m1_size if q is None else q
+                    assert witness >> p.n2 == 0 and witness.bit_count() == size, (p, walk)
+                    positions += size
+        assert positions == 249_949
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -495,8 +509,28 @@ class TestArrayFilter:
             for walk, _, v in _m1_plan(p):
                 assert p.n1 < v < p.n2, (p, walk.alpha)
                 assert walk.end is not None and p.n1 <= walk.end < p.n2, (p, walk.alpha)
-                assert v not in [off for off, _ in walk.steps] + [walk.end], (p, walk.alpha)
+                assert v not in [off for _, off, _ in walk.steps] + [walk.end], (p, walk.alpha)
         assert len(families) == 613
+
+    def test_k1_plans_end_in_the_top_interval(self):
+        # What `_k1_plan` reads off the walks, on every k = 1 family whose
+        # windows fit an int64 mask: no walk reaches the cap, and every union
+        # of m + 1 disjoint positions lies in [n1, n2).  Some unions overlap.
+        families = [p for p in canonical_instances(max_n2=63, include_equal=True) if p.k == 1]
+        valid = overlapping = 0
+        for p in families:
+            for alpha in range(p.b + 1, p.a):
+                j0 = gap_decompose(alpha, p).quotient
+                steps, nxt = _k1_steps(alpha, p) if j0 <= p.m else ((), p.m + 1)
+                assert nxt is not None, (p, alpha)
+                try:
+                    union = _k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p)
+                except LemmaViolation:
+                    overlapping += 1
+                    continue
+                assert all(p.n1 <= u < p.n2 for u in union), (p, alpha)
+                valid += 1
+        assert len(families) == 1787 and (valid, overlapping) == (10_031, 4_665)
 
     def test_nothing_flagged_on_avoiding_windows(self):
         for p in [P511, P521, P741, P512, P532]:

@@ -319,6 +319,22 @@ class TestDeltaCertificate:
             res = delta_certificate(p)
             assert res.certified, p
 
+    def test_scan_and_prefix_certificate_agree(self):
+        # `verify`'s certificate inside the window scan and `haralambis_certify`
+        # on the raw masks, at delta and just below it: 1,157 families, and
+        # as many refutations.
+        refuted = 0
+        for p in canonical_instances(max_n2=30, include_equal=True):
+            delta = conjectured_density(p).delta
+            for d in (delta, delta - Fraction(1, p.n1 * p.n2)):
+                rep = scan_windows(p, {"haralambis": certificate_check(p, d)})["haralambis"]
+                res = haralambis_certify(forbidden_differences(p), d, (p.n1, p.n2))
+                assert rep.passed == res.certified, (p, d)
+                assert rep.windows_checked == res.windows_checked, (p, d)
+                assert rep.counterexample == res.counterexample, (p, d)
+                refuted += not res.certified
+        assert refuted == 1157
+
     def test_certificate_matches_oracle(self):
         for p in canonical_instances(max_n2=14, proved_only=True):
             delta = conjectured_density(p).delta
