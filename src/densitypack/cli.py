@@ -62,6 +62,7 @@ from .oracle import (
     Window,
     check_enum_length,
     mu_exact,
+    mu_exact_many,
 )
 from .profile import (
     certificate_check,
@@ -348,28 +349,32 @@ def cmd_sweep(args) -> int:
         for k in range(1, args.max_k + 1)
         for m in range(1, args.max_m + 1)
     )
-    # Raw families that share a canonical form share M: each M is solved
-    # once, and a refused M is refused again without a new attempt.
-    solved: dict[DifferenceSet, ExactDensity | ResourceLimit] = {}
     violation = None
     with _csv_rows(args.out) as write:
         write(SWEEP_COLUMNS)
+        rows = []
         for raw in box:
             canon = canonicalize(raw)
-            if canon.weight > args.weight_cap:
-                continue
-            br = conjectured_density(canon)
+            if canon.weight <= args.weight_cap:
+                br = conjectured_density(canon)
+                rows.append((raw, canon, br, forbidden_differences(canon)))
+        # Raw families that share a canonical form share M: each M is solved
+        # once, with its first row's delta as the candidate, and a refused M
+        # is refused again without a new attempt.  The M are solved in
+        # batches (`mu_exact_many`), and each row is written once its M is.
+        candidates: dict[DifferenceSet, Fraction] = {}
+        for _, _, br, M in rows:
+            candidates.setdefault(M, br.delta)
+        results = zip(candidates, mu_exact_many(candidates.items()))
+        solved: dict[DifferenceSet, ExactDensity | ResourceLimit] = {}
+        for raw, canon, br, M in rows:
             key = f"({raw.a},{raw.b},{raw.k},{raw.m})"
             row = [
                 raw.a, raw.b, raw.k, raw.m, canon.g, br.d, br.r, br.case_tag,
                 br.delta.numerator, br.delta.denominator,
             ]
-            M = forbidden_differences(canon)
-            if M not in solved:
-                try:
-                    solved[M] = mu_exact(M, candidate=br.delta)
-                except ResourceLimit as exc:
-                    solved[M] = exc
+            while M not in solved:
+                solved.update([next(results)])
             res = solved[M]
             if isinstance(res, ResourceLimit):
                 print(f"skipping {key}: {res}", file=sys.stderr)

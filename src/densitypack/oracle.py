@@ -35,6 +35,12 @@ Dasdan 2004); a caller's candidate with no tight cycle is above mu and
 gives way to the greedy proposal.  Every way, the same value is proved on
 the same graph, so the witness is the same.
 
+The path solves a batch of graphs at once (`mu_exact_many`, which `sweep`
+uses): the graphs are laid end to end as segments of one union graph, each
+with its own value, so one potential, one edge check and one tight-cycle
+search serve them all.  `mu_exact` is a batch of one, on the graph's own
+arrays.
+
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
 cross-examine the mean-cycle answer in tests.
@@ -83,6 +89,7 @@ __all__ = [
     "STATE_CAP_ENV",
     "check_enum_length",
     "mu_exact",
+    "mu_exact_many",
     "best_periodic_density",
     "check_periodic_avoiding",
     "enumerate_avoiding_windows",
@@ -94,9 +101,14 @@ DEFAULT_WINDOW_CAP = 22
 DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
-# For n states a potential stays below (n + 2*log2 n)*den with den <= n, so
-# under 2**61 at this limit: the solver's int64 arithmetic cannot overflow.
+# For a union of N states a potential stays below (N + 2*log2 N)*den, with
+# den at most the largest segment's state count, so under 2**61 while N is
+# at most this limit: the solver's int64 arithmetic cannot overflow.  A
+# union is one graph within it, or a batch within _BATCH_STATES.
 _INT64_STATE_LIMIT = 1 << 30
+# A batch of `mu_exact_many` closes before its union would pass this many
+# states; a graph this large is a batch of its own.
+_BATCH_STATES = 1 << 12
 # Window masks are int64, so positions 0..62.
 _MASK_BITS = 63
 # Largest mask array `avoiding_mask_chunks` yields.  Each chunk is also one
@@ -352,8 +364,12 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     # Position t conflicts only with such bits below t; a full window's
     # next position conflicts with them all.
     conflicts = sum(1 << (d - 1) for d in M)
-    keys = np.zeros(1, dtype=np.int64)
-    for t in range(L):
+    # No position below min(M) has a conflict, so the first t0 levels hold
+    # every window; the loop still runs once, for the last level's with_t.
+    t0 = min(M.elements[0], L - 1)
+    _check_state_count(1 << t0, cap)
+    keys = np.arange(1 << t0, dtype=np.int64)
+    for t in range(t0, L):
         with_t = (keys & (conflicts & ((1 << t) - 1))) == 0
         _check_state_count(len(keys) + int(np.count_nonzero(with_t)), cap)
         keys <<= 1
@@ -400,15 +416,16 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return keys, succ0, succ1, first, last
 
 
-def _cycle_mean(put_step, bits, land, buf, on_cycle) -> Fraction | None:
-    """The best mean over the cycles of a functional graph that are not
-    fixed points, or None when every cycle is one.  `put_step(out)` writes
-    the graph's step into the int64 array out, before and after land is
-    squared, so a caller that can rebuild the step need not hold it.  A
-    cycle's weight is the sum of bits[v] & 1 over its states v.  land and
-    buf (int64) and on_cycle (bool), of the state count, are scratch;
-    beside them it allocates only arrays of the c states on cycles that are
-    not fixed points.
+def _cycle_mean(put_step, bits, land, buf, on_cycle):
+    """The cycles of a functional graph that are not fixed points, as three
+    int64 arrays, one entry per cycle: its least state, its weight (the sum
+    of bits[v] & 1 over its states v) and its length; all empty when every
+    cycle is a fixed point.  `put_step(out)` writes the graph's step into
+    the int64 array out, before and after land is squared, so a caller that
+    can rebuild the step need not hold it.  land and buf (int64) and
+    on_cycle (bool), of the state count, are scratch; beside them it
+    allocates only arrays of the c states on cycles that are not fixed
+    points.
 
     Pointer doubling in two phases, each stopping once done.  First land,
     the step, is squared, land = step^(2^r), alternating with buf, until
@@ -443,8 +460,6 @@ def _cycle_mean(put_step, bits, land, buf, on_cycle) -> Fraction | None:
     buf -= 1
     buf -= land
     np.logical_and(on_cycle, buf, out=on_cycle)
-    if not on_cycle.any():
-        return None
     np.copyto(buf, on_cycle)
     np.cumsum(buf, out=buf)
     buf -= 1
@@ -460,7 +475,7 @@ def _cycle_mean(put_step, bits, land, buf, on_cycle) -> Fraction | None:
     del hop, buf
     length = np.bincount(low)
     total, least = np.bincount(low[ones], minlength=len(length)), np.flatnonzero(length)
-    return max(map(Fraction, total[least].tolist(), length[least].tolist()))
+    return np.flatnonzero(on_cycle)[least], total[least], length[least]
 
 
 def _greedy_cycle_mean(succ0, succ1) -> Fraction:
@@ -478,17 +493,23 @@ def _greedy_cycle_mean(succ0, succ1) -> Fraction:
     """
     n = len(succ0)
     scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    return _cycle_mean(lambda out: np.maximum(succ0, succ1, out=out), succ1 >= 0, *scratch)
+    _, total, length = _cycle_mean(
+        lambda out: np.maximum(succ0, succ1, out=out), succ1 >= 0, *scratch
+    )
+    return max(map(Fraction, total.tolist(), length.tolist()))
 
 
-def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
-    """The longest-walk potential for w' = den*w - num: the fixpoint of
-    pi <- max(pi, relax(pi)) from 0, which exists exactly when no cycle has
-    positive w'-weight, i.e. when mu <= value.  Each state v is relaxed
-    over its in-edges from first[v] and last[v] (`_build_state_graph`),
-    both weighted by its newest bit, keys[v] & 1.  The caller checks every
-    out-edge against the result, so the certificate stays sound whatever
-    is relaxed here.
+def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
+    """The longest-walk potential of a union of graphs, segment j (states
+    offsets[j] to offsets[j + 1]) for w' = den*w - num with values[j] =
+    num/den: the fixpoint of pi <- max(pi, relax(pi)) from 0, which exists
+    exactly when no cycle has positive w'-weight, i.e. when mu <= value on
+    every segment.  Each state v is relaxed over its in-edges from first[v]
+    and last[v] (`_build_state_graph`), both weighted by its newest bit,
+    keys[v] & 1, and no edge leaves a segment, so each segment's pi is the
+    one its graph alone would reach.  The caller checks every out-edge
+    against the result, so the certificate stays sound whatever is relaxed
+    here.
 
     Beside the graph it holds four int64 arrays of the state count, pi, the
     weights w2 and the two gathers pi[first] and pi[last], and one bool
@@ -506,28 +527,31 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
     for it.  A cycle of those edges has positive w'-weight: each raise on
     it used a value of its source no larger than the current one, and the
     raise that followed the cycle's latest raise used a strictly smaller
-    one.  So each is a real cycle of the graph with mean above `value`, and
-    the best of their means is returned in place of pi.  No cycle of raises
-    is a fixed point, so none is missed: a strict raise of v uses the
-    in-edge from first[v] or from last[v], and neither is v.  first[v] == v
-    only for state 0, the all-zero key, whose edge to itself has weight
-    w' = -num < 0 and so never strictly raises it: when pi[first] >=
-    pi[last] state 0 is not raised at all, and otherwise its raise uses
-    last[0], the key with only its oldest bit set.  last[v] == v never
-    holds: last[v] differs from first[v] only where v's newest bit is 0,
-    and there it is the top-half key (key >> 1) | top, which equals v's key
-    only when that is all ones, whose newest bit is 1.  While those edges
-    form no cycle they form a forest whose roots, the fixed points, have
-    not been raised since tracking began, so every potential is at most
-    (n + log2 n)*den after a check, and grows by at most den per pass until
-    the next one: a potential that diverges must close a cycle, and one
-    past that bound without a cycle is InternalError.
+    one.  So each is a real cycle of its segment's graph with mean above
+    that segment's value.  Once there is one, a list is returned in place
+    of pi: the best such mean of each segment, or None for a segment with
+    no cycle.  No cycle of raises is a fixed point, so none is missed: a
+    strict raise of v uses the in-edge from first[v] or from last[v], and
+    neither is v.  first[v] == v only for a segment's state 0, the all-zero
+    key, whose edge to itself has weight w' = -num < 0 and so never
+    strictly raises it: when pi[first] >= pi[last] state 0 is not raised at
+    all, and otherwise its raise uses last[0], the key with only its oldest
+    bit set.  last[v] == v never holds: last[v] differs from first[v] only
+    where v's newest bit is 0, and there it is the top-half key (key >> 1)
+    | top, which equals v's key only when that is all ones, whose newest
+    bit is 1.  While those edges form no cycle they form a forest whose
+    roots, the fixed points, have not been raised since tracking began, so
+    every potential is at most (n + log2 n)*den after a check, den the
+    largest of the values' denominators, and grows by at most den per pass
+    until the next one: a potential that diverges must close a cycle, and
+    one past that bound without a cycle is InternalError.
     """
     n = len(keys)
-    num, den = value.numerator, value.denominator
     w2 = keys & 1
-    w2 *= den
-    w2 -= num
+    for start, stop, value in zip(offsets, offsets[1:], values):
+        w2[start:stop] *= value.denominator
+        w2[start:stop] -= value.numerator
+    den = max(value.denominator for value in values)
     rounds = n.bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
@@ -559,17 +583,27 @@ def _potential(keys, first, last, value: Fraction) -> np.ndarray | Fraction:
             np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
                 # The gathers and the raises are free until the next pass.
-                mean = _cycle_mean(
+                least, total, length = _cycle_mean(
                     lambda out: np.copyto(out, pred), keys, pi_first, pi_last, raised
                 )
-                if mean is not None:
-                    return mean
+                if len(least):
+                    means = [None] * len(values)
+                    segment = np.searchsorted(offsets, least, side="right") - 1
+                    for j, mean in zip(segment.tolist(), map(Fraction, total.tolist(), length.tolist())):
+                        means[j] = mean if means[j] is None else max(means[j], mean)
+                    return means
                 if pi.max() > (n + rounds) * den:
-                    raise InternalError(f"potential for {value} passed its bound without a cycle")
+                    raise InternalError(
+                        f"potential for {', '.join(map(str, values))} "
+                        "passed its bound without a cycle"
+                    )
 
 
-def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
-    """Certify that mu(M) = value and return an optimal cycle's appended bits.
+def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
+    """Certify that mu = values[j] on each segment j of a union (states
+    offsets[j] to offsets[j + 1]) and return, for each, an optimal cycle's
+    appended bits, or None when that segment has no such cycle: its value
+    is above its mu.
 
     With w' = den*w - num the claim is that the maximum cycle mean becomes
     0.  `pi` is the converged longest-walk potential of `_potential`, so no
@@ -579,18 +613,18 @@ def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
     Every cycle of tight edges (pi[u] + w' = pi[v]) telescopes to w'-weight
     0, so the first one a depth-first search meets attains value: that
     proves mu >= value and is the witness, read as each state's newest bit,
-    keys[v] & 1.  Returns None when there is no such cycle: the value is
-    above mu.
+    keys[v] & 1.  No edge leaves a segment, so each segment's search starts
+    from its own first state and the edge check runs on the whole union.
 
     Beside the graph and pi it holds one int64 array of the state count,
     the slack of one edge kind at a time, and the two bool arrays of tight
     edges.
     """
-    n = len(keys)
-    num, den = value.numerator, value.denominator
+    segments = list(zip(offsets, offsets[1:], values))
     slack = pi[succ0]
     slack -= pi
-    slack += num
+    for start, stop, value in segments:
+        slack[start:stop] += value.numerator
     if slack.min() < 0:
         raise InternalError("potential violates an edge")
     tight0 = slack == 0
@@ -598,7 +632,8 @@ def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
     # is neither violated nor tight.
     np.take(pi, succ1, out=slack, mode="wrap")
     slack -= pi
-    slack += num - den
+    for start, stop, value in segments:
+        slack[start:stop] += value.numerator - value.denominator
     np.copyto(slack, 1, where=succ1 < 0)
     if slack.min() < 0:
         raise InternalError("potential violates an edge")
@@ -614,26 +649,151 @@ def _tight_cycle(keys, succ0, succ1, pi, value: Fraction) -> list[int] | None:
         if tight1.item(v):
             yield succ1.item(v)
 
-    color = bytearray(n)  # 0 new, 1 on the path, 2 done
-    for root in range(n):
-        if color[root]:
+    color = bytearray(len(keys))  # 0 new, 1 on the path, 2 done
+
+    def first_cycle(roots: range) -> list[int] | None:
+        for root in roots:
+            if color[root]:
+                continue
+            color[root] = 1
+            path, todo = [root], [tight_out(root)]
+            while todo:
+                u = next(todo[-1], None)
+                if u is None:
+                    color[path.pop()] = 2
+                    todo.pop()
+                elif color[u] == 1:
+                    cycle = path[path.index(u) :]
+                    cycle = cycle[1:] + cycle[:1]
+                    return [keys.item(v) & 1 for v in cycle]
+                elif color[u] == 0:
+                    color[u] = 1
+                    path.append(u)
+                    todo.append(tight_out(u))
+        return None
+
+    return [first_cycle(range(start, stop)) for start, stop, _ in segments]
+
+
+def _union(graphs):
+    """The graphs of a batch laid end to end, with the offsets of their
+    segments: the keys as they are, and the edge arrays with each graph's
+    indices moved past the states before it (succ1's -1, no edge, stays).
+    A batch of one is its own arrays, not a copy."""
+    offsets = [0, *itertools.accumulate(len(keys) for keys, *_ in graphs)]
+    if len(graphs) == 1:
+        return graphs[0], offsets
+    keys, succ0, succ1, first, last = map(np.concatenate, zip(*graphs))
+    shift = np.repeat(offsets[:-1], np.diff(offsets))
+    for edges in (succ0, first, last):
+        edges += shift
+    np.add(succ1, shift, out=succ1, where=succ1 >= 0)
+    return (keys, succ0, succ1, first, last), offsets
+
+
+def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
+    """mu and an optimal cycle's appended bits for each state graph of a
+    batch, as `mu_exact` describes, with each graph's candidate (None for
+    none).  Each round runs one potential over the union of the graphs not
+    yet proved.  If it diverges, a graph with a cycle of raises takes that
+    cycle's mean as its next value, and the others run again.  If it
+    converges, a graph with a tight cycle is proved, a caller's candidate
+    without one gives way to its graph's greedy value, and those run again.
+    """
+    values, from_caller = [], []
+    for (keys, succ0, succ1, _, _), candidate in zip(graphs, candidates):
+        # mu lies in (0, 1] with denominator at most the state count, so no
+        # other candidate is tried; that also keeps the potential within int64.
+        tried = candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(keys)
+        values.append(candidate if tried else _greedy_cycle_mean(succ0, succ1))
+        from_caller.append(tried)
+    proved = [None] * len(graphs)
+    todo = list(range(len(graphs)))
+    while todo:
+        (keys, succ0, succ1, first, last), offsets = _union([graphs[i] for i in todo])
+        pi_or_means = _potential(keys, first, last, [values[i] for i in todo], offsets)
+        if isinstance(pi_or_means, list):
+            for i, mean in zip(todo, pi_or_means):
+                if mean is None:
+                    continue
+                if mean <= values[i]:
+                    raise InternalError(f"cycle of raises has mean {mean}, not above {values[i]}")
+                values[i], from_caller[i] = mean, False
             continue
-        color[root] = 1
-        path, todo = [root], [tight_out(root)]
-        while todo:
-            u = next(todo[-1], None)
-            if u is None:
-                color[path.pop()] = 2
-                todo.pop()
-            elif color[u] == 1:
-                cycle = path[path.index(u) :]
-                cycle = cycle[1:] + cycle[:1]
-                return [keys.item(v) & 1 for v in cycle]
-            elif color[u] == 0:
-                color[u] = 1
-                path.append(u)
-                todo.append(tight_out(u))
-    return None
+        cycles = _tight_cycle(keys, succ0, succ1, pi_or_means, [values[i] for i in todo], offsets)
+        del pi_or_means  # not held through the greedy stage and the next potential
+        again = []
+        for i, bits in zip(todo, cycles):
+            if bits is not None:
+                proved[i] = bits
+            elif from_caller[i]:
+                values[i], from_caller[i] = _greedy_cycle_mean(graphs[i][1], graphs[i][2]), False
+                again.append(i)
+            else:
+                raise InternalError(f"no cycle attains the proposed {values[i]}: mu is below it")
+        todo = again
+    return list(zip(values, proved))
+
+
+def mu_exact_many(
+    pairs: Iterable[tuple[DifferenceSet | Iterable[int], Fraction | int | None]],
+    *,
+    max_window: int = DEFAULT_WINDOW_CAP,
+) -> Iterator[ExactDensity | ResourceLimit]:
+    """`mu_exact(distances, max_window=max_window, candidate=candidate)` for
+    each (distances, candidate) pair, yielded in order: its ExactDensity,
+    or the ResourceLimit that it would raise.  Other errors are raised.
+
+    The graphs are built one by one and solved in batches: a batch closes
+    when the next graph would take its states past _BATCH_STATES, so a
+    graph that large is a batch of its own, and the results of a batch are
+    yielded once it is solved.  A batch holds its graphs and one union copy
+    of them (`_union`), 80 bytes per state, beside the solver's arrays of
+    the union, so memory is bounded by the larger of _BATCH_STATES and the
+    largest graph, not by the number of graphs.
+    """
+    batch, states = [], 0
+    for distances, candidate in pairs:
+        M = as_difference_set(distances)
+        max_window = as_int(max_window, "window cap")
+        if max_window < 1:
+            raise InvalidInput(f"window cap must be >= 1, got {max_window}")
+        candidate = None if candidate is None else as_fraction(candidate, "candidate")
+        try:
+            if M.max_element > max_window:
+                raise ResourceLimit(f"max(M) = {M.max_element} exceeds window cap {max_window}")
+            graph = _build_state_graph(M, _state_cap())
+            entry, size = (M, candidate, graph), len(graph[0])
+        except ResourceLimit as exc:
+            entry, size = exc, 0
+        if states and states + size > _BATCH_STATES:
+            yield from _finish(batch)
+            batch, states = [], 0
+        batch.append(entry)
+        states += size
+    yield from _finish(batch)
+
+
+def _finish(batch) -> Iterator[ExactDensity | ResourceLimit]:
+    """Solve a batch of `mu_exact_many` and check each witness."""
+    built = [entry for entry in batch if not isinstance(entry, ResourceLimit)]
+    solved = iter(_solve([graph for _, _, graph in built], [c for _, c, _ in built]))
+    for entry in batch:
+        if isinstance(entry, ResourceLimit):
+            yield entry
+            continue
+        M, _, (keys, *_) = entry
+        value, bits = next(solved)
+        witness = PeriodicSet(
+            period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)
+        )
+        if witness.density() != value:
+            raise InternalError(f"witness density {witness.density()} != mu = {value}")
+        if not check_periodic_avoiding(witness, M):
+            raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
+        yield ExactDensity(
+            value=value, witness=witness, states_explored=len(keys), method="PolicyIteration"
+        )
 
 
 def mu_exact(
@@ -658,55 +818,21 @@ def mu_exact(
     mu.  The witness depends only on the graph and the proved value, so the
     result is the same whichever value was proposed, and `method` is
     "PolicyIteration", the name this certified pipeline has always
-    reported, which keeps the output unchanged.  Raises ResourceLimit when
-    max(M) exceeds `max_window` or the admissible state count exceeds the
-    state cap (DENSITYPACK_MAX_STATES, default 2**22), InvalidInput when
-    `max_window` is not an integer (read by `as_int`), `candidate` not a
-    Fraction or integer (`as_fraction`), or either cap below 1, and
-    InternalError when a cycle's mean does not rise above the value it
-    refuted, when a value taken from a cycle has no tight cycle, or when
-    the witness fails its check.
+    reported, which keeps the output unchanged.  It is a batch of one of
+    `mu_exact_many`: a union of one segment, the graph's own arrays.
+
+    Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
+    state count exceeds the state cap (DENSITYPACK_MAX_STATES, default
+    2**22), InvalidInput when `max_window` is not an integer (read by
+    `as_int`), `candidate` not a Fraction or integer (`as_fraction`), or
+    either cap below 1, and InternalError when a cycle's mean does not rise
+    above the value it refuted, when a value taken from a cycle has no
+    tight cycle, or when the witness fails its check.
     """
-    M = as_difference_set(distances)
-    L = M.max_element
-    max_window = as_int(max_window, "window cap")
-    if max_window < 1:
-        raise InvalidInput(f"window cap must be >= 1, got {max_window}")
-    candidate = None if candidate is None else as_fraction(candidate, "candidate")
-    if L > max_window:
-        raise ResourceLimit(f"max(M) = {L} exceeds window cap {max_window}")
-
-    keys, succ0, succ1, first, last = _build_state_graph(M, _state_cap())
-    # mu lies in (0, 1] with denominator at most the state count, so no
-    # other candidate is tried; that also keeps the potential within int64.
-    from_caller = (
-        candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(keys)
-    )
-    value = candidate if from_caller else _greedy_cycle_mean(succ0, succ1)
-    while True:
-        pi_or_mean = _potential(keys, first, last, value)
-        if isinstance(pi_or_mean, Fraction):
-            if pi_or_mean <= value:
-                raise InternalError(f"cycle of raises has mean {pi_or_mean}, not above {value}")
-            value, from_caller = pi_or_mean, False
-        elif (bits := _tight_cycle(keys, succ0, succ1, pi_or_mean, value)) is not None:
-            break
-        elif from_caller:
-            del pi_or_mean  # not held through the greedy stage and the next potential
-            value, from_caller = _greedy_cycle_mean(succ0, succ1), False
-        else:
-            raise InternalError(f"no cycle attains the proposed {value}: mu is below it")
-
-    witness = PeriodicSet(
-        period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)
-    )
-    if witness.density() != value:
-        raise InternalError(f"witness density {witness.density()} != mu = {value}")
-    if not check_periodic_avoiding(witness, M):
-        raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
-    return ExactDensity(
-        value=value, witness=witness, states_explored=len(keys), method="PolicyIteration"
-    )
+    (out,) = mu_exact_many([(distances, candidate)], max_window=max_window)
+    if isinstance(out, ResourceLimit):
+        raise out
+    return out
 
 
 def best_periodic_density(

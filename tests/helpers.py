@@ -69,15 +69,17 @@ def canonical_instances(
 
 def record_potentials(monkeypatch) -> list:
     """Record each value `oracle._potential` is run for and what it
-    returned: the converged potential ("pi") or the improved value, a
-    cycle's mean.  One run per solve means the first value tried was
-    proved."""
+    returned for it: "pi" when the potential converged, else the improved
+    value, a cycle's mean, or None for a segment of a diverging union that
+    has no cycle of raises.  A run over a union of segments records one
+    entry per segment, in order; a single graph is a union of one, so one
+    run per `mu_exact` means the first value tried was proved."""
     runs = []
     potential = oracle._potential
 
-    def run(keys, first, last, value):
-        out = potential(keys, first, last, value)
-        runs.append((value, out if isinstance(out, Fraction) else "pi"))
+    def run(keys, first, last, values, offsets):
+        out = potential(keys, first, last, values, offsets)
+        runs.extend(zip(values, out if isinstance(out, list) else ["pi"] * len(values)))
         return out
 
     monkeypatch.setattr(oracle, "_potential", run)

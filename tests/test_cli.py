@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import hashlib
 import importlib
 import io
 import itertools
@@ -35,8 +36,9 @@ from densitypack import (
     forbidden_differences,
     mu_exact,
 )
-from densitypack import cli
+from densitypack import cli, oracle
 from densitypack.cli import SWEEP_COLUMNS, main, report_to_json
+from densitypack.oracle import mu_exact_many
 from helpers import canonical_instances, record_potentials
 
 
@@ -507,7 +509,15 @@ class TestSweep:
         assert len(set(solved)) < len(solved) and len(set(skipped)) < len(skipped)
 
         calls = []
-        monkeypatch.setattr(cli, "mu_exact", lambda M, **kw: calls.append(M) or mu_exact(M, **kw))
+
+        def counted(pairs):
+            for M, candidate in pairs:
+                calls.append(M)
+                yield M, candidate
+
+        monkeypatch.setattr(
+            cli, "mu_exact_many", lambda pairs, **kw: mu_exact_many(counted(pairs), **kw)
+        )
         code, out, err = run(capsys, "sweep", "--max-a", "8", "--weight-cap", "10")
         assert code == 0
         assert list(csv.reader(io.StringIO(out))) == expected
@@ -515,17 +525,43 @@ class TestSweep:
         assert sorted(calls, key=tuple) == sorted(set(solved + skipped), key=tuple)
 
     def test_workload_box_never_runs_policy_iteration(self, capsys, monkeypatch):
-        # Every M of this box has mu = delta, so one potential run per solve
-        # certifies delta.
-        solves = []
+        # Every M of this box has mu = delta, so one union potential per
+        # batch certifies the delta of each of its M: every graph's states
+        # are relaxed in exactly one potential run, and a union holds more
+        # than _BATCH_STATES states only when it is one graph.
+        candidates, unions = [], []
+
+        def counted(pairs):
+            for M, candidate in pairs:
+                candidates.append(candidate)
+                yield M, candidate
+
         monkeypatch.setattr(
-            cli, "mu_exact", lambda M, **kw: solves.append(kw["candidate"]) or mu_exact(M, **kw)
+            cli, "mu_exact_many", lambda pairs, **kw: mu_exact_many(counted(pairs), **kw)
         )
         runs = record_potentials(monkeypatch)
+        potential = oracle._potential
+
+        def union(keys, first, last, values, offsets):
+            unions.append((len(keys), len(values)))
+            return potential(keys, first, last, values, offsets)
+
+        monkeypatch.setattr(oracle, "_potential", union)
         code, out, _ = run(capsys, "sweep", "--max-a", "12", "--weight-cap", "18")
         assert code == 0
         assert len(out.splitlines()) == 180
-        assert len(solves) == 95 and runs == [(delta, "pi") for delta in solves]
+        assert len(candidates) == 95 and runs == [(delta, "pi") for delta in candidates]
+        assert sum(n for n, _ in unions) == 46_191 and sum(k for _, k in unions) == 95
+        assert all(n <= oracle._BATCH_STATES or k == 1 for n, k in unions)
+        assert len(unions) == 14  # the 5,778-state graph is one of them, alone
+
+    def test_workload_box_output_is_pinned(self, capsys):
+        # The benchmark's box, byte for byte.
+        code, out, err = run(capsys, "sweep", "--max-a", "12", "--weight-cap", "18")
+        assert (code, err, len(out.splitlines())) == (0, "", 180)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4f88b0786abbbf01e00a4b276d1c208379ab52a229b42206e4125300fc144fd"
+        )
 
     def test_lower_bound_violation_exits_1(self, capsys, monkeypatch):
         fake = ExactDensity(
@@ -534,7 +570,7 @@ class TestSweep:
             states_explored=1,
             method="PolicyIteration",
         )
-        monkeypatch.setattr(cli, "mu_exact", lambda *a, **kw: fake)
+        monkeypatch.setattr(cli, "mu_exact_many", lambda pairs, **kw: (fake for _ in pairs))
         code, out, err = run(capsys, "sweep", "--max-a", "3")
         assert code == 1
         assert "lower-bound violation at (2,1,1,1)" in err

@@ -1,5 +1,6 @@
 """Window machinery, exhaustive enumeration, and the exact density oracle."""
 
+import itertools
 import math
 import os
 import random
@@ -18,12 +19,16 @@ from densitypack import (
     InternalError,
     InvalidInput,
     PeriodicSet,
+    RawParams,
     ResourceLimit,
     Window,
     as_difference_set,
     best_periodic_density,
+    canonicalize,
     check_periodic_avoiding,
+    conjectured_density,
     enumerate_avoiding_windows,
+    forbidden_differences,
     mu_exact,
 )
 from densitypack import cli, oracle
@@ -682,9 +687,9 @@ def test_reused_buffers_match_the_reference():
             expected = reference_potential(keys, first, last, value)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(oracle, "_cycle_mean", counted)
-                out = oracle._potential(keys, first, last, value)
+                out = oracle._potential(keys, first, last, [value], [0, len(keys)])
             if isinstance(expected, Fraction):
-                assert isinstance(out, Fraction) and out == expected, (M, value)
+                assert out == [expected], (M, value)
             else:
                 assert out.dtype == expected.dtype and np.array_equal(out, expected), (M, value)
 
@@ -700,14 +705,27 @@ def test_reused_buffers_match_the_reference():
 def test_cycle_mean_matches_the_fixed_round_reference(draws):
     # A draw of n, or of the state itself, is a fixed point, which no cycle
     # of raises is and which is left out.  Each state weighs its own low
-    # bit, as a key weighs its newest bit in the potential.
+    # bit, as a key weighs its newest bit in the potential.  Each cycle is
+    # reported by its least state, which a caller maps to its segment.
     n = len(draws)
     step = np.array(draws, dtype=np.int64)
     step[step == n] = np.flatnonzero(step == n)
     bits = np.arange(n)
     scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    mean = oracle._cycle_mean(lambda out: np.copyto(out, step), bits, *scratch)
+    least, total, length = oracle._cycle_mean(lambda out: np.copyto(out, step), bits, *scratch)
+    mean = max(map(Fraction, total.tolist(), length.tolist()), default=None)
     assert mean == reference_cycle_mean(step, (bits & 1) == 1)
+
+    def cycle_of(u):  # the cycle that u's walk reaches: least state, weight, length
+        for _ in range(n):
+            u = int(step[u])
+        cycle = [u]
+        while (v := int(step[cycle[-1]])) != u:
+            cycle.append(v)
+        return min(cycle), sum(v & 1 for v in cycle), len(cycle)
+
+    expected = sorted({c for c in map(cycle_of, range(n)) if c[2] > 1})
+    assert list(zip(least.tolist(), total.tolist(), length.tolist())) == expected
 
 
 def test_peak_memory_per_state_of_a_diverging_potential():
@@ -720,13 +738,109 @@ def test_peak_memory_per_state_of_a_diverging_potential():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        value = oracle._potential(keys, first, last, Fraction(1, 25))
+        value = oracle._potential(keys, first, last, [Fraction(1, 25)], [0, len(keys)])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     n = len(keys)
-    assert n == 75_025 and value == Fraction(1, 2)
+    assert n == 75_025 and value == [Fraction(1, 2)]
     assert peak <= 42.5 * n, peak / n
+
+
+class TestBatch:
+    """`mu_exact_many` solves its graphs as segments of union graphs and
+    gives what `mu_exact` gives each of them alone."""
+
+    @staticmethod
+    def box_pairs() -> dict:
+        """The distinct M of `sweep --max-a 12 --weight-cap 18`, each with
+        the delta of its first row."""
+        pairs = {}
+        for a in range(2, 13):
+            for b, k, m in itertools.product(range(1, a), (1, 2), (1, 2)):
+                canon = canonicalize(RawParams(a=a, b=b, k=k, m=m))
+                if canon.weight <= 18:
+                    pairs.setdefault(forbidden_differences(canon), conjectured_density(canon).delta)
+        return pairs
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(1, 14), min_size=1, max_size=5),
+                st.sampled_from(["mu", "below", "above", None, 0, 2]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([None, "30", "300"]),
+        st.sampled_from([1, 100, oracle._BATCH_STATES]),
+    )
+    def test_each_member_is_solved_as_alone(self, members, cap, batch_states):
+        # 1/(max(M) + 2) is below mu and diverges where it is tried; a value
+        # with mu's denominator and one more in its numerator is above mu
+        # and tried; 0 and 2 are never tried.  Under a small state cap the
+        # refused members give the ResourceLimit that `mu_exact` raises.
+        pairs = []
+        for M, kind in members:
+            M = sorted(M)
+            mu = mu_exact(M).value
+            candidate = {
+                "mu": mu,
+                "below": Fraction(1, max(M) + 2),
+                "above": Fraction(mu.numerator + 1, mu.denominator),
+            }.get(kind, kind)
+            pairs.append((M, candidate))
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setenv(STATE_CAP_ENV, cap)
+            patch.setattr(oracle, "_BATCH_STATES", batch_states)
+            expected = []
+            for M, candidate in pairs:
+                try:
+                    expected.append(mu_exact(M, candidate=candidate))
+                except ResourceLimit as exc:
+                    expected.append(("refused", str(exc)))
+            got = [
+                ("refused", str(out)) if isinstance(out, ResourceLimit) else out
+                for out in oracle.mu_exact_many(pairs)
+            ]
+        assert got == expected
+
+    def test_a_union_with_a_diverging_segment(self, monkeypatch):
+        # {1, 5, 6} at its mu converges; {2, 4, 5, 7, 8, 9} at 1/11, below
+        # its mu 3/16, diverges; {1, 4, 5} at 1/2, above its mu 1/3, has no
+        # tight cycle.  While the union diverges, the diverging segment
+        # takes its cycle's mean and the others run again; then the third
+        # falls back to its greedy value, alone.
+        pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 4, 5, 7, 8, 9), Fraction(1, 11)), ((1, 4, 5), Fraction(1, 2))]
+        expected = [mu_exact(M, candidate=candidate) for M, candidate in pairs]
+        runs = record_potentials(monkeypatch)
+        assert list(oracle.mu_exact_many(pairs)) == expected
+        assert runs == [
+            (Fraction(2, 7), None), (Fraction(1, 11), Fraction(1, 6)), (Fraction(1, 2), None),
+            (Fraction(2, 7), None), (Fraction(1, 6), Fraction(3, 16)), (Fraction(1, 2), None),
+            (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 2), "pi"),
+            (Fraction(1, 3), "pi"),
+        ]
+
+    def test_peak_memory_of_the_workload_box(self):
+        # A batch holds its graphs and one union copy of them, 80 B per
+        # state, beside the potential's arrays; a graph above the batch
+        # size, here 5,778 states, is solved alone on its own arrays.  All
+        # 95 graphs in one union would peak near 6 MB.
+        pairs = self.box_pairs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = list(oracle.mu_exact_many(pairs.items()))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        largest = max(res.states_explored for res in out)
+        assert len(out) == 95 and largest == 5_778
+        assert [res.value for res in out] == list(pairs.values())
+        assert peak <= 120 * max(oracle._BATCH_STATES, largest), peak
 
 
 def propose(monkeypatch, value):
@@ -751,7 +865,8 @@ class TestCertificate:
     def test_non_improving_cycle_is_rejected(self, monkeypatch, capsys):
         # Mean 0 is that of state 0, the all-zero window, looping to itself.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: Fraction(0))
+        one_cycle = np.array([0]), np.array([0]), np.array([1])
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: one_cycle)
         with pytest.raises(InternalError, match="not above 1/4"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -761,7 +876,8 @@ class TestCertificate:
         # With the cycle search blinded, a diverging potential must still
         # end, through the magnitude check rather than a pass count.
         propose(monkeypatch, Fraction(1, 4))
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: None)
+        no_cycle = (np.empty(0, dtype=np.int64),) * 3
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: no_cycle)
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 
@@ -770,11 +886,12 @@ class TestCertificate:
         # relaxes, and each one is checked against the potential.
         M, value = as_difference_set([1, 5, 6]), Fraction(2, 7)
         keys, succ0, succ1, first, last = oracle._build_state_graph(M, 1 << 22)
-        pi = oracle._potential(keys, first, last, value)
-        assert oracle._tight_cycle(keys, succ0, succ1, pi, value) is not None
+        one = [0, len(keys)]
+        pi = oracle._potential(keys, first, last, [value], one)
+        assert oracle._tight_cycle(keys, succ0, succ1, pi, [value], one) != [None]
         pi[succ1[0]] -= len(keys) * value.denominator  # breaks the edge 0 -> succ1[0]
         with pytest.raises(InternalError, match="potential violates an edge"):
-            oracle._tight_cycle(keys, succ0, succ1, pi, value)
+            oracle._tight_cycle(keys, succ0, succ1, pi, [value], one)
         # A potential of zeros violates every edge that appends a 1.
         monkeypatch.setattr(oracle, "_potential", lambda keys, *_: np.zeros_like(keys))
         with pytest.raises(InternalError, match="potential violates an edge"):
