@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InternalError, InvalidInput
 
 __all__ = [
@@ -84,8 +86,6 @@ def as_int(value, name: str) -> int:
 def as_bool(value, name: str) -> bool:
     """`value` as a Python bool: a bool or a numpy bool.  Anything else,
     an int or None included, is InvalidInput, never read for its truth."""
-    import numpy as np  # here, so that importing this pure-Python module loads no numpy
-
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     raise InvalidInput(f"{name} must be a bool, got {value!r}")

@@ -182,16 +182,13 @@ class ChainPartition:
 
 def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     """Locate alpha, read by `as_int`, in its inter-gap band and split off
-    its b-quotient."""
+    its b-quotient, which is at least 1: a band position of band i has
+    alpha - i*a >= b + 1."""
     require_type(p, CanonicalParams, "params")
     alpha = as_int(alpha, "alpha")
     for i in range(p.k):
         if i * p.a + p.b + 1 <= alpha <= (i + 1) * p.a - 1:
             q, off = divmod(alpha - i * p.a, p.b)
-            if q < 1:
-                raise LemmaViolation(
-                    "band-quotient", f"alpha = {alpha} in band {i} has b-quotient {q} < 1"
-                )
             return GapDecomposition(alpha=alpha, band=i, quotient=q, offset=off)
     raise NotInBand(f"{alpha} lies in no band (i*a + b, (i+1)*a) of {p}")
 

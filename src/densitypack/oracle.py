@@ -36,10 +36,11 @@ gives way to the greedy proposal.  Every way, the same value is proved on
 the same graph, so the witness is the same.
 
 The path solves a batch of graphs at once (`mu_exact_many`, which `sweep`
-uses): the graphs are laid end to end as segments of one union graph, each
-with its own value, so one potential, one edge check and one tight-cycle
-search serve them all.  `mu_exact` is a batch of one, on the graph's own
-arrays.
+uses): the graphs are laid end to end once, as segments of one union
+graph, and every round runs one potential, one edge check and one
+tight-cycle search over the whole union, each segment at its own value,
+until every segment is proved.  A refused M closes its batch.  `mu_exact`
+is a batch of one, on the graph's own arrays.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
@@ -694,11 +695,19 @@ def _union(graphs):
 def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
     """mu and an optimal cycle's appended bits for each state graph of a
     batch, as `mu_exact` describes, with each graph's candidate (None for
-    none).  Each round runs one potential over the union of the graphs not
-    yet proved.  If it diverges, a graph with a cycle of raises takes that
-    cycle's mean as its next value, and the others run again.  If it
-    converges, a graph with a tight cycle is proved, a caller's candidate
-    without one gives way to its graph's greedy value, and those run again.
+    none).  The starting values are found first, then the graphs are laid
+    end to end once, and each round runs one potential over the whole
+    union, every segment at its current value.  If it diverges, a segment
+    with a cycle of raises takes that cycle's mean as its next value.  If
+    it converges and every segment has a tight cycle, the batch is proved.
+    Otherwise a caller's candidate without one gives way to its graph's
+    greedy value, and the whole union runs again.
+
+    A segment proved in one round and run again is proved again, at the
+    same value, by the same cycle: no edge leaves a segment, so its pi is
+    the same least fixpoint whatever the other segments hold, and its
+    depth-first search, from its own first state over its own tight edges,
+    meets the same cycle first.
     """
     values, from_caller = [], []
     for (keys, succ0, succ1, _, _), candidate in zip(graphs, candidates):
@@ -707,32 +716,24 @@ def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
         tried = candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(keys)
         values.append(candidate if tried else _greedy_cycle_mean(succ0, succ1))
         from_caller.append(tried)
-    proved = [None] * len(graphs)
-    todo = list(range(len(graphs)))
-    while todo:
-        (keys, succ0, succ1, first, last), offsets = _union([graphs[i] for i in todo])
-        pi_or_means = _potential(keys, first, last, [values[i] for i in todo], offsets)
+    (keys, succ0, succ1, first, last), offsets = _union(graphs)
+    while True:
+        pi_or_means = _potential(keys, first, last, values, offsets)
         if isinstance(pi_or_means, list):
-            for i, mean in zip(todo, pi_or_means):
-                if mean is None:
-                    continue
-                if mean <= values[i]:
-                    raise InternalError(f"cycle of raises has mean {mean}, not above {values[i]}")
-                values[i], from_caller[i] = mean, False
+            for i, mean in enumerate(pi_or_means):
+                if mean is not None:
+                    if mean <= values[i]:
+                        raise InternalError(f"cycle of raises has mean {mean}, not above {values[i]}")
+                    values[i], from_caller[i] = mean, False
             continue
-        cycles = _tight_cycle(keys, succ0, succ1, pi_or_means, [values[i] for i in todo], offsets)
+        cycles = _tight_cycle(keys, succ0, succ1, pi_or_means, values, offsets)
         del pi_or_means  # not held through the greedy stage and the next potential
-        again = []
-        for i, bits in zip(todo, cycles):
-            if bits is not None:
-                proved[i] = bits
-            elif from_caller[i]:
-                values[i], from_caller[i] = _greedy_cycle_mean(graphs[i][1], graphs[i][2]), False
-                again.append(i)
-            else:
+        if None not in cycles:
+            return list(zip(values, cycles))
+        for i in [i for i, bits in enumerate(cycles) if bits is None]:
+            if not from_caller[i]:
                 raise InternalError(f"no cycle attains the proposed {values[i]}: mu is below it")
-        todo = again
-    return list(zip(values, proved))
+            values[i], from_caller[i] = _greedy_cycle_mean(graphs[i][1], graphs[i][2]), False
 
 
 def mu_exact_many(
@@ -743,47 +744,50 @@ def mu_exact_many(
     """`mu_exact(distances, max_window=max_window, candidate=candidate)` for
     each (distances, candidate) pair, yielded in order: its ExactDensity,
     or the ResourceLimit that it would raise.  Other errors are raised.
+    The window cap and the state cap are read once, on the first `next`,
+    before any pair.
 
     The graphs are built one by one and solved in batches: a batch closes
     when the next graph would take its states past _BATCH_STATES, so a
-    graph that large is a batch of its own, and the results of a batch are
+    graph that large is a batch of its own, or when an M is refused, whose
+    ResourceLimit follows the batch's results.  The results of a batch are
     yielded once it is solved.  A batch holds its graphs and one union copy
     of them (`_union`), 80 bytes per state, beside the solver's arrays of
     the union, so memory is bounded by the larger of _BATCH_STATES and the
     largest graph, not by the number of graphs.
     """
+    max_window = as_int(max_window, "window cap")
+    if max_window < 1:
+        raise InvalidInput(f"window cap must be >= 1, got {max_window}")
+    cap = _state_cap()
     batch, states = [], 0
     for distances, candidate in pairs:
         M = as_difference_set(distances)
-        max_window = as_int(max_window, "window cap")
-        if max_window < 1:
-            raise InvalidInput(f"window cap must be >= 1, got {max_window}")
         candidate = None if candidate is None else as_fraction(candidate, "candidate")
         try:
             if M.max_element > max_window:
                 raise ResourceLimit(f"max(M) = {M.max_element} exceeds window cap {max_window}")
-            graph = _build_state_graph(M, _state_cap())
-            entry, size = (M, candidate, graph), len(graph[0])
+            graph = _build_state_graph(M, cap)
         except ResourceLimit as exc:
-            entry, size = exc, 0
-        if states and states + size > _BATCH_STATES:
+            yield from _finish(batch)
+            yield exc
+            batch, states = [], 0
+            continue
+        if states + len(graph[0]) > _BATCH_STATES:
             yield from _finish(batch)
             batch, states = [], 0
-        batch.append(entry)
-        states += size
+        batch.append((M, candidate, graph))
+        states += len(graph[0])
     yield from _finish(batch)
 
 
-def _finish(batch) -> Iterator[ExactDensity | ResourceLimit]:
-    """Solve a batch of `mu_exact_many` and check each witness."""
-    built = [entry for entry in batch if not isinstance(entry, ResourceLimit)]
-    solved = iter(_solve([graph for _, _, graph in built], [c for _, c, _ in built]))
-    for entry in batch:
-        if isinstance(entry, ResourceLimit):
-            yield entry
-            continue
-        M, _, (keys, *_) = entry
-        value, bits = next(solved)
+def _finish(batch) -> Iterator[ExactDensity]:
+    """Solve a batch of built graphs of `mu_exact_many`, which may be
+    empty, and check each witness."""
+    if not batch:
+        return
+    solved = _solve([graph for _, _, graph in batch], [c for _, c, _ in batch])
+    for (M, _, (keys, *_)), (value, bits) in zip(batch, solved):
         witness = PeriodicSet(
             period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)
         )

@@ -73,6 +73,17 @@ class TestGapDecompose:
                     assert d.band == i and 0 <= d.offset < p.b and d.quotient >= 1
                     assert d.band * p.a + d.quotient * p.b + d.offset == alpha
 
+    def test_every_band_position_has_a_positive_quotient(self):
+        # The quotient needs no check: alpha - i*a >= b + 1 in band i.
+        count = 0
+        for p in canonical_instances(max_n2=63):
+            for i in range(p.k):
+                for alpha in range(i * p.a + p.b + 1, (i + 1) * p.a):
+                    d = gap_decompose(alpha, p)
+                    assert d.quotient >= 1 and 0 <= d.offset < p.b, (p, alpha)
+                    count += 1
+        assert count == 54_424
+
     def test_rejects_landmarks_and_gaps(self):
         # b, a, 2a are landmarks; 7 = a + b sits between the bands of P521.
         for alpha in [1, 2, 5, 7, 10, 14]:

@@ -807,22 +807,73 @@ class TestBatch:
             ]
         assert got == expected
 
+    @staticmethod
+    def count_unions(monkeypatch) -> list:
+        """Record the state count of each union `oracle._union` lays out."""
+        unions = []
+        union = oracle._union
+
+        def counted(graphs):
+            unions.append(sum(len(keys) for keys, *_ in graphs))
+            return union(graphs)
+
+        monkeypatch.setattr(oracle, "_union", counted)
+        return unions
+
     def test_a_union_with_a_diverging_segment(self, monkeypatch):
         # {1, 5, 6} at its mu converges; {2, 4, 5, 7, 8, 9} at 1/11, below
         # its mu 3/16, diverges; {1, 4, 5} at 1/2, above its mu 1/3, has no
         # tight cycle.  While the union diverges, the diverging segment
         # takes its cycle's mean and the others run again; then the third
-        # falls back to its greedy value, alone.
+        # falls back to its greedy value, and the whole union runs again,
+        # proving the first two again at the same values.
         pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 4, 5, 7, 8, 9), Fraction(1, 11)), ((1, 4, 5), Fraction(1, 2))]
         expected = [mu_exact(M, candidate=candidate) for M, candidate in pairs]
         runs = record_potentials(monkeypatch)
+        unions = self.count_unions(monkeypatch)
         assert list(oracle.mu_exact_many(pairs)) == expected
         assert runs == [
             (Fraction(2, 7), None), (Fraction(1, 11), Fraction(1, 6)), (Fraction(1, 2), None),
             (Fraction(2, 7), None), (Fraction(1, 6), Fraction(3, 16)), (Fraction(1, 2), None),
             (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 2), "pi"),
-            (Fraction(1, 3), "pi"),
+            (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 3), "pi"),
         ]
+        assert unions == [18 + 30 + 11]
+
+    def test_each_batch_of_the_workload_box_is_laid_out_once(self, monkeypatch):
+        # No union of the box diverges or falls back, so its 14 batches
+        # take one union each.
+        pairs = self.box_pairs()
+        unions = self.count_unions(monkeypatch)
+        assert [res.value for res in oracle.mu_exact_many(pairs.items())] == list(pairs.values())
+        assert len(unions) == 14 and sum(unions) == 46_191
+
+    def test_a_refused_member_closes_its_batch(self, monkeypatch):
+        # Under a 30-state cap {2, 7} (40 states) is refused between {1, 5, 6}
+        # (18) and {1, 4, 5} (11): the first is solved alone, then the
+        # refusal is yielded, then the third is solved alone.
+        monkeypatch.setenv(STATE_CAP_ENV, "30")
+        pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 7), None), ((1, 4, 5), Fraction(1, 2))]
+        unions = self.count_unions(monkeypatch)
+        first, refused, third = oracle.mu_exact_many(pairs)
+        assert unions == [18, 11]
+        assert first == mu_exact((1, 5, 6), candidate=Fraction(2, 7))
+        assert third == mu_exact((1, 4, 5), candidate=Fraction(1, 2))
+        assert isinstance(refused, ResourceLimit)
+        with pytest.raises(ResourceLimit) as exc:
+            mu_exact((2, 7))
+        assert str(refused) == str(exc.value)
+
+    @pytest.mark.parametrize(
+        "cap, max_window, message",
+        [("x", 22, "DENSITYPACK_MAX_STATES must be an integer"), ("30", 0, "window cap must be >= 1")],
+    )
+    def test_caps_are_read_before_the_first_pair(self, monkeypatch, cap, max_window, message):
+        # A bad first pair is never read, and no pair at all still reads the caps.
+        monkeypatch.setenv(STATE_CAP_ENV, cap)
+        for pairs in [[([0], "bad")], []]:
+            with pytest.raises(InvalidInput, match=message):
+                next(oracle.mu_exact_many(pairs, max_window=max_window))
 
     def test_peak_memory_of_the_workload_box(self):
         # A batch holds its graphs and one union copy of them, 80 B per
