@@ -50,6 +50,7 @@ from .family import (
     DifferenceSet,
     RawParams,
     as_difference_set,
+    as_positive_int,
     canonicalize,
     conjectured_density,
     forbidden_differences,
@@ -221,23 +222,13 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     raw, canon, br = _raw_family(args)
+    enum_cap = as_positive_int(args.enum_cap, "enumeration cap")
+    max_window = as_positive_int(args.max_window, "window cap")
     level = LEVELS.index(args.level)
-    checks: dict[str, bool] = {}
-    counterexamples: list[dict] = []
-
-    def record(name: str, passed: bool, detail: str | None = None, window: Window | None = None):
-        checks[name] = passed
-        if not passed:
-            entry: dict = {"check": name}
-            if window is not None:
-                entry["window"] = _window_dump(window)
-            if detail:
-                entry["detail"] = detail
-            counterexamples.append(entry)
-
-    # The breakdown's construction already checks the branch-glue identities
-    # and the r = 0 collapse; reaching this point certifies them.
-    record("identities", True)
+    # One (check, passed, detail, window) per verdict.  The breakdown's
+    # construction already checks the branch-glue identities and the r = 0
+    # collapse; reaching this point certifies them.
+    verdicts = [("identities", True, None, None)]
 
     oracle = None
     if level >= 1:
@@ -246,12 +237,12 @@ def cmd_verify(args) -> int:
                 f"k = {canon.k}, m = {canon.m}: levels beyond 'identities' check a "
                 "conjectured regime here; pass --conjecture to probe it anyway"
             )
-        check_enum_length(br.n2, args.enum_cap)
+        check_enum_length(br.n2, enum_cap)
         # The oracle's own caps are checked before the scan, so a refused
         # oracle does not wait for every window first.
         if level >= 3:
             oracle = mu_exact(
-                forbidden_differences(canon), max_window=args.max_window, candidate=br.delta
+                forbidden_differences(canon), max_window=max_window, candidate=br.delta
             )
         # One scan of the windows of [0, n2) runs every window check.
         window_checks = {
@@ -265,8 +256,8 @@ def cmd_verify(args) -> int:
             window_checks["m1_chains"] = m1_check(canon)
         if level >= 2 and canon.k == 1:
             window_checks["k1_mapping"] = k1_check(canon)
-        for name, rep in scan_windows(canon, window_checks, enum_cap=args.enum_cap).items():
-            record(name, rep.passed, rep.detail, rep.counterexample)
+        for name, rep in scan_windows(canon, window_checks, enum_cap=enum_cap).items():
+            verdicts.append((name, rep.passed, rep.detail, rep.counterexample))
 
     if oracle is not None:
         failure = None
@@ -276,7 +267,9 @@ def cmd_verify(args) -> int:
             failure = (
                 f"mu = {oracle.value} != delta = {br.delta} despite status {br.theorem_status}"
             )
-        record("oracle", failure is None, failure)
+        verdicts.append(("oracle", failure is None, failure, None))
+    # The scan's `identities` verdict replaces the algebraic one in place.
+    checks = {name: ok for name, ok, _, _ in verdicts}
     passed = all(checks.values())
 
     lines = _family_lines(raw, canon, br)
@@ -289,10 +282,17 @@ def cmd_verify(args) -> int:
             f"oracle mu   {oracle.value} {rel} delta"
             f"  (witness period {oracle.witness.period}, residues {{{residues}}})"
         )
-    for entry in counterexamples:
-        lines.append(f"counterexample [{entry['check']}] {entry.get('detail', '')}")
-        if "window" in entry:
-            lines.append(f"  window members: {entry['window']['members']}")
+    # Each failed verdict is one counterexample entry, without the fields it
+    # lacks, and its lines of text.
+    counterexamples = []
+    for name, ok, detail, window in verdicts:
+        if not ok:
+            dump = None if window is None else _window_dump(window)
+            entry = {"check": name, "window": dump, "detail": detail}
+            counterexamples.append({key: v for key, v in entry.items() if v})
+            lines.append(f"counterexample [{name}] {detail or ''}")
+            if dump:
+                lines.append(f"  window members: {dump['members']}")
     lines.append(f"result      {'PASS' if passed else 'FAIL'}")
 
     _emit(
@@ -339,8 +339,7 @@ def _csv_rows(path: str | None):
 
 def cmd_sweep(args) -> int:
     for name in ("max_a", "max_k", "max_m", "weight_cap"):
-        if getattr(args, name) < 1:
-            raise InvalidInput(f"--{name.replace('_', '-')} must be >= 1")
+        as_positive_int(getattr(args, name), f"--{name.replace('_', '-')}")
 
     box = (
         RawParams(a=a, b=b, k=k, m=m)

@@ -59,6 +59,7 @@ __all__ = [
     "DensityBreakdown",
     "as_difference_set",
     "as_int",
+    "as_positive_int",
     "as_bool",
     "as_fraction",
     "canonicalize",
@@ -81,6 +82,14 @@ def as_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def as_positive_int(value, name: str) -> int:
+    """`value` read by `as_int`; below 1 it is InvalidInput."""
+    value = as_int(value, name)
+    if value < 1:
+        raise InvalidInput(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def as_bool(value, name: str) -> bool:
@@ -112,18 +121,16 @@ def require_type(value, kinds: type | tuple[type, ...], name: str):
 
 
 def _store_positive_ints(obj, names: tuple[str, ...]) -> None:
-    """Read each named field of a frozen dataclass with `as_int`, refuse
-    values below 1, and store the Python int back."""
+    """Read each named field of a frozen dataclass with `as_positive_int`
+    and store the Python int back."""
     for name in names:
-        v = as_int(getattr(obj, name), name)
-        if v < 1:
-            raise InvalidInput(f"{name} must be a positive integer, got {v!r}")
-        object.__setattr__(obj, name, v)
+        object.__setattr__(obj, name, as_positive_int(getattr(obj, name), name))
 
 
 @dataclass(frozen=True, slots=True)
 class RawParams:
-    """User-supplied family parameters, before canonicalization."""
+    """User-supplied family parameters, before canonicalization, each read
+    by `as_positive_int`."""
 
     a: int
     b: int
@@ -139,7 +146,8 @@ class CanonicalParams:
     """Parameters with gcd(a, b) = 1 and a >= b.
 
     `g` is the gcd divided out of the raw pair and `swapped` records whether
-    the reflection (a, k) <-> (b, m) was applied; it is read by `as_bool`.
+    the reflection (a, k) <-> (b, m) was applied.  The five integers are
+    read by `as_positive_int` and `swapped` by `as_bool`.
     Only `canonicalize` should normally construct these.
     """
 

@@ -77,6 +77,7 @@ from .family import (
     as_difference_set,
     as_fraction,
     as_int,
+    as_positive_int,
     require_type,
 )
 
@@ -120,8 +121,9 @@ _CHUNK_WINDOWS = 1 << 16
 @dataclass(frozen=True, slots=True)
 class Window:
     """A finite 0/1 window over positions [0, length).  Bit i <=> i in the set.
-    Both fields are read by `as_int` and stored as Python ints; `x in window`
-    reads x by `as_int` too, so a bool or a non-integer is never in it."""
+    The length is read by `as_positive_int` and the mask by `as_int`, and
+    both are stored as Python ints; `x in window` reads x by `as_int`, so a
+    bool or a non-integer is never in it."""
 
     length: int
     mask: int
@@ -170,7 +172,8 @@ class Window:
 @dataclass(frozen=True, slots=True)
 class PeriodicSet:
     """The periodic set {x + t*period : x in residues, t in Z}.  The period
-    and each residue are read by `as_int` and stored as Python ints."""
+    is read by `as_positive_int` and each residue by `as_int`, and all are
+    stored as Python ints."""
 
     period: int
     residues: tuple[int, ...]
@@ -220,14 +223,10 @@ def _check_mask_bits(n: int) -> None:
 
 def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """Raise what enumerating the windows of length n under `cap` would
-    raise before it starts: InvalidInput when n or the cap is not an
-    integer (read by `as_int`) or is below 1, ResourceLimit above the cap
-    or the 63 bits of an int64 mask."""
-    n, cap = as_int(n, "window length"), as_int(cap, "enumeration cap")
-    if n < 1:
-        raise InvalidInput(f"window length must be >= 1, got {n}")
-    if cap < 1:
-        raise InvalidInput(f"enumeration cap must be >= 1, got {cap}")
+    raise before it starts: InvalidInput when n, then the cap, is not an
+    integer of at least 1 (read by `as_positive_int`), ResourceLimit above
+    the cap or the 63 bits of an int64 mask."""
+    n, cap = as_positive_int(n, "window length"), as_positive_int(cap, "enumeration cap")
     if n > cap:
         raise ResourceLimit(f"window length {n} exceeds enumeration cap {cap}")
     _check_mask_bits(n)
@@ -608,37 +607,36 @@ def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
 
     With w' = den*w - num the claim is that the maximum cycle mean becomes
     0.  `pi` is the converged longest-walk potential of `_potential`, so no
-    cycle has positive w'-weight, and pi[u] + w' <= pi[v] on every edge,
-    which is checked explicitly on the out-edges succ0 and succ1, found
-    apart from the in-edges `_potential` relaxed: this proves mu <= value.
-    Every cycle of tight edges (pi[u] + w' = pi[v]) telescopes to w'-weight
-    0, so the first one a depth-first search meets attains value: that
-    proves mu >= value and is the witness, read as each state's newest bit,
-    keys[v] & 1.  No edge leaves a segment, so each segment's search starts
-    from its own first state and the edge check runs on the whole union.
+    cycle has positive w'-weight, and pi[u] + w' <= pi[v] on every edge.
+    One rule checks this on both edge kinds, the out-edges succ0 (bit 0)
+    and succ1 (bit 1), found apart from the in-edges `_potential` relaxed
+    and weighted from `values`: the slack pi[succ[u]] - pi[u] + num -
+    bit*den is at least 0, and a missing edge (succ = -1) has slack 1.
+    This proves mu <= value.  Every cycle of tight edges (slack 0)
+    telescopes to w'-weight 0, so the first one a depth-first search meets
+    attains value: that proves mu >= value and is the witness, read as each
+    state's newest bit, keys[v] & 1.  No edge leaves a segment, so each
+    segment's search starts from its own first state and the edge check
+    runs on the whole union.
 
     Beside the graph and pi it holds one int64 array of the state count,
     the slack of one edge kind at a time, and the two bool arrays of tight
     edges.
     """
     segments = list(zip(offsets, offsets[1:], values))
-    slack = pi[succ0]
-    slack -= pi
-    for start, stop, value in segments:
-        slack[start:stop] += value.numerator
-    if slack.min() < 0:
-        raise InternalError("potential violates an edge")
-    tight0 = slack == 0
-    # succ1 = -1 (no edge) gathers pi[n - 1]; its slack is set to 1, which
-    # is neither violated nor tight.
-    np.take(pi, succ1, out=slack, mode="wrap")
-    slack -= pi
-    for start, stop, value in segments:
-        slack[start:stop] += value.numerator - value.denominator
-    np.copyto(slack, 1, where=succ1 < 0)
-    if slack.min() < 0:
-        raise InternalError("potential violates an edge")
-    tight1 = slack == 0
+    slack, tight = np.empty_like(pi), []
+    for succ, bit in ((succ0, 0), (succ1, 1)):
+        # A missing edge (succ = -1) gathers pi[n - 1]; its slack is set to
+        # 1, which is neither violated nor tight.
+        np.take(pi, succ, out=slack, mode="wrap")
+        slack -= pi
+        for start, stop, value in segments:
+            slack[start:stop] += value.numerator - bit * value.denominator
+        np.copyto(slack, 1, where=succ < 0)
+        if slack.min() < 0:
+            raise InternalError("potential violates an edge")
+        tight.append(slack == 0)
+    tight0, tight1 = tight
     del slack
 
     def tight_out(v: int) -> Iterator[int]:
@@ -756,9 +754,7 @@ def mu_exact_many(
     the union, so memory is bounded by the larger of _BATCH_STATES and the
     largest graph, not by the number of graphs.
     """
-    max_window = as_int(max_window, "window cap")
-    if max_window < 1:
-        raise InvalidInput(f"window cap must be >= 1, got {max_window}")
+    max_window = as_positive_int(max_window, "window cap")
     cap = _state_cap()
     batch, states = [], 0
     for distances, candidate in pairs:
@@ -827,11 +823,12 @@ def mu_exact(
 
     Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
     state count exceeds the state cap (DENSITYPACK_MAX_STATES, default
-    2**22), InvalidInput when `max_window` is not an integer (read by
-    `as_int`), `candidate` not a Fraction or integer (`as_fraction`), or
-    either cap below 1, and InternalError when a cycle's mean does not rise
-    above the value it refuted, when a value taken from a cycle has no
-    tight cycle, or when the witness fails its check.
+    2**22), InvalidInput when `max_window` is not an integer of at least 1
+    (read by `as_positive_int`), `candidate` not a Fraction or integer
+    (`as_fraction`), or the state cap below 1, and InternalError when a
+    cycle's mean does not rise above the value it refuted, when a value
+    taken from a cycle has no tight cycle, or when the witness fails its
+    check.
     """
     (out,) = mu_exact_many([(distances, candidate)], max_window=max_window)
     if isinstance(out, ResourceLimit):
@@ -848,12 +845,11 @@ def best_periodic_density(
     branch-and-bound maximum independent set in the circulant graph on Z_p
     with connection set M mod p.  Any d divisible by p empties that period.
     Always a lower bound for mu(M); equality is a property the tests probe,
-    not something this function assumes.  `max_period` is read by `as_int`.
+    not something this function assumes.  `max_period` is read by
+    `as_positive_int`.
     """
     M = as_difference_set(distances)
-    max_period = as_int(max_period, "max_period")
-    if max_period < 1:
-        raise InvalidInput(f"max_period must be >= 1, got {max_period}")
+    max_period = as_positive_int(max_period, "max_period")
     best = Fraction(0)
     best_set: PeriodicSet | None = None
     for p in range(1, max_period + 1):

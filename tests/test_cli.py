@@ -303,6 +303,104 @@ class TestVerify:
         assert (code, out, err) == (2, "", "error: enumeration cap must be >= 1, got 0\n")
         code, out, err = run(capsys, *family, "--max-window", "0")
         assert (code, out, err) == (2, "", "error: window cap must be >= 1, got 0\n")
+        # Both caps are read at every level, the levels that do not use them
+        # included, before the regime refusal and the enumeration cap.
+        for level in cli.LEVELS:
+            for cap, value, name in [("--enum-cap", "0", "enumeration cap"),
+                                     ("--max-window", "0", "window cap"),
+                                     ("--max-window", "-4", "window cap")]:
+                for fam in (family, ["verify", "--a", "7", "--b", "2", "--k", "2", "--m", "2"],
+                            ["verify", "--a", "29", "--b", "1", "--k", "1", "--m", "1"]):
+                    code, out, err = run(capsys, *fam, "--level", level, cap, value)
+                    assert (code, out, err) == (2, "", f"error: {name} must be >= 1, got {value}\n")
+            # The enumeration cap is read first.
+            code, out, err = run(
+                capsys, *family, "--level", level, "--max-window", "0", "--enum-cap", "0"
+            )
+            assert (code, out, err) == (2, "", "error: enumeration cap must be >= 1, got 0\n")
+
+    # sha256 of `verify` stdout (text, --json) at each level.
+    VERIFY_PINS = {
+        ("5,1,1,1", "identities"): (
+            "6e9504d0c299821e611e7d26d5b170fe234f41cb61d2e86ffff5dd88ea90dfe1",
+            "d3e2757d27cf3ede134230a369f3b1c33c3b99a5dfd9ba736273ceec307b993f",
+        ),
+        ("5,1,1,1", "inequality"): (
+            "761087c68f109194d476baea410c711abab9cf0d60cba675618b0dcc222afb5e",
+            "dc5d8cd7bde24e25e128cd4543b9c01aa8a26e64ada171a4c90ba87cc0b180f6",
+        ),
+        ("5,1,1,1", "machinery"): (
+            "feb6efd73e7da325a4ffa29151d472a8ea3f2fd653abd8d681618425d40945aa",
+            "85aebc5e8a3ed83f7e37ffe409c87b81ab9fc1e835332d4cf587a006bb0d71b9",
+        ),
+        ("5,1,1,1", "full"): (
+            "597b851dc74d600e02090db7c58358395e1e1237e4482fd303952ddc12288b7c",
+            "f130a2e5d5e7967e20d7e0704d5027d295c80e5a045d407f73535b57a3b5c3f6",
+        ),
+        ("7,4,2,1", "identities"): (
+            "c67b3615bc80c6d6cd75b7bd3d06ac04ccd42703930c67f8bbcc4c12a37b4387",
+            "578f34ab3a31674608e910b9aa0e5c4ebf34e88df4854ec34550e5dcf43ebf85",
+        ),
+        ("7,4,2,1", "inequality"): (
+            "b98c0ea0b39838249dece6c034bd53cefd7d2a0ed501c6efe6ad0f715b7721cb",
+            "2d7e0010be17cbe5a75d523b1e3d5b1a562042ee001c756bebcea142bc0d70ef",
+        ),
+        ("7,4,2,1", "machinery"): (
+            "0b49c80080bb1cee998e2e6072e316547cf0331131ed8cae1957f1bbc623ccad",
+            "501eec1a922d79aa56edff3ca6e61eedce620140a138cbd40f892c4a92050ccc",
+        ),
+        ("7,4,2,1", "full"): (
+            "e31905256559e072d8f2a409ebbb499fe84134f9c9c6c0d48c9c6547d621e388",
+            "62f5cd6b23f12b7d92296843e9d7d946c59d8994998a9e9d1dd3cb495a955be0",
+        ),
+        ("5,3,1,2", "identities"): (
+            "63f0d6c2da17cd45e571f96883bc280c941297bcadae2ee6101c1db923254cc0",
+            "2075c1c42679f63e014a88310be4fb054306563909b81894caeaf9da6ef91400",
+        ),
+        ("5,3,1,2", "inequality"): (
+            "a782e874a033d7600e161d9b8797a8f3360c4aafab838152bc5e5ea06432d010",
+            "bdcad8bf19ff257bf5243d2710d8c47bfabacc763f79c95f61aefed2c0ed15f7",
+        ),
+        ("5,3,1,2", "machinery"): (
+            "c1c4866a1ad80d9f2eaec6ace9c055ce58e07a404af79d629888651220373960",
+            "76131881d155c33302c9b82da83d4cad5cefcd594f2ed54a2cc4532e39b04e71",
+        ),
+        ("5,3,1,2", "full"): (
+            "ca0d2e62b904d0b870044d0ca80bc6a51bef5fe605b6b1a832b2d5c00a8c067f",
+            "e65b7b5bb9ee858457d8586b52a9ae078420b099a5f2897828773d020008e025",
+        ),
+        ("7,2,2,2", "identities"): (
+            "28c4bc848c1b27a13141ee2634a519b437c25af5b55bfd947fd9bd059b2812a9",
+            "038d1240d437debd739828664a7b634395304d62a6aaa89a2c8806c56a39a442",
+        ),
+        # (7,2,2,2) has no machinery harness, so its machinery level is its
+        # inequality level.
+        ("7,2,2,2", "inequality"): (
+            "dd7d7f5a388a5e59cea2e02afd59eb3421d2f4c39ec1e84d7fcd2836677cf21a",
+            "0356b06bb71744a90234c270ca02ea36a1859ade721d9ef0c79d7a4f9d896be9",
+        ),
+        ("7,2,2,2", "machinery"): (
+            "dd7d7f5a388a5e59cea2e02afd59eb3421d2f4c39ec1e84d7fcd2836677cf21a",
+            "0356b06bb71744a90234c270ca02ea36a1859ade721d9ef0c79d7a4f9d896be9",
+        ),
+        ("7,2,2,2", "full"): (
+            "f79ea15f0d4a4b4dc70ea3d479ebc5b76217f74412104c5fbccb44736cccfd93",
+            "232172b37ff2a0a2be5c091a07649d43ff998f983925952c235900ce9530e267",
+        ),
+    }
+
+    @pytest.mark.parametrize("family, level", list(VERIFY_PINS))
+    def test_report_bytes_are_pinned(self, capsys, family, level):
+        a, b, k, m = family.split(",")
+        argv = ["verify", "--a", a, "--b", b, "--k", k, "--m", m, "--level", level]
+        if family == "7,2,2,2":
+            argv.append("--conjecture")
+        shas = []
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            shas.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(shas) == self.VERIFY_PINS[family, level]
 
     def test_refused_oracle_stops_before_the_scan(self, capsys, monkeypatch):
         def no_scan(*args, **kwargs):

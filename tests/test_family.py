@@ -22,6 +22,8 @@ from densitypack import (
     has_averaging_slack,
     two_gap_set,
 )
+from densitypack import cli, oracle
+from densitypack.family import as_positive_int
 from helpers import INTEGER_LIKE, canonical_instances
 
 
@@ -90,6 +92,48 @@ class TestParams:
         assert p.n1 == 1 * 5 + 3 * 3 == 14
         assert p.n2 == 2 * 5 + 2 * 3 == 16
         assert p.weight == 5 + 6 == 11
+
+
+# Each reader of an integer that must be at least 1, called with `value`.
+POSITIVE_INT_CALLERS = {
+    **{
+        f"RawParams.{f}": (lambda v, f=f: RawParams(**{**dict(a=5, b=1, k=1, m=1), f: v}), f)
+        for f in "abkm"
+    },
+    "CanonicalParams.g": (lambda v: CanonicalParams(a=5, b=1, k=1, m=1, g=v), "g"),
+    "Window.length": (lambda v: oracle.Window(v, 0), "length"),
+    "PeriodicSet.period": (lambda v: oracle.PeriodicSet(v, ()), "period"),
+    "check_enum_length(n)": (lambda v: oracle.check_enum_length(v, 5), "window length"),
+    "check_enum_length(cap)": (lambda v: oracle.check_enum_length(5, v), "enumeration cap"),
+    "mu_exact(max_window)": (lambda v: oracle.mu_exact([1], max_window=v), "window cap"),
+    "best_periodic_density": (lambda v: oracle.best_periodic_density([1], v), "max_period"),
+}
+
+
+class TestAsPositiveInt:
+    @pytest.mark.parametrize("value", INTEGER_LIKE)
+    def test_reads_integers(self, value):
+        if isinstance(value, np.integer):
+            out = as_positive_int(value, "x")
+            assert out == 3 and type(out) is int
+        else:
+            with pytest.raises(InvalidInput, match="x must be an integer"):
+                as_positive_int(value, "x")
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(-7)])
+    def test_refuses_below_one(self, value):
+        with pytest.raises(InvalidInput, match=rf"^x must be >= 1, got {value}$"):
+            as_positive_int(value, "x")
+
+    @pytest.mark.parametrize("caller", list(POSITIVE_INT_CALLERS))
+    def test_each_caller_refuses_zero(self, caller):
+        call, name = POSITIVE_INT_CALLERS[caller]
+        with pytest.raises(InvalidInput, match=rf"^{name} must be >= 1, got 0$"):
+            call(0)
+
+    def test_sweep_refuses_zero(self, capsys):
+        assert cli.main(["sweep", "--max-a", "5", "--max-k", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-k must be >= 1, got 0\n")
 
 
 class TestCanonicalize:

@@ -943,6 +943,14 @@ class TestCertificate:
         pi[succ1[0]] -= len(keys) * value.denominator  # breaks the edge 0 -> succ1[0]
         with pytest.raises(InternalError, match="potential violates an edge"):
             oracle._tight_cycle(keys, succ0, succ1, pi, [value], one)
+        # Every edge into a state appends that state's newest bit, so pi at
+        # succ0[v] one below tight breaks v -> succ0[v] and no edge that
+        # appends a 1.
+        pi = oracle._potential(keys, first, last, [value], one)
+        v = next(v for v in range(len(keys)) if succ0[v] != v)
+        pi[succ0[v]] = pi[v] - value.numerator - 1
+        with pytest.raises(InternalError, match="potential violates an edge"):
+            oracle._tight_cycle(keys, succ0, succ1, pi, [value], one)
         # A potential of zeros violates every edge that appends a 1.
         monkeypatch.setattr(oracle, "_potential", lambda keys, *_: np.zeros_like(keys))
         with pytest.raises(InternalError, match="potential violates an edge"):
