@@ -206,16 +206,11 @@ def cmd_witness(args) -> int:
         if any(params_given):
             raise InvalidInput("give either --distances or a/b/k/m, not both")
         M = _parse_distances(args.distances)
-        candidate = None
     elif all(params_given):
-        raw = RawParams(a=args.a, b=args.b, k=args.k, m=args.m)
-        M = forbidden_differences(raw)
-        # mu is invariant under scaling and the swap, so the canonical
-        # family's delta is a candidate for the raw M too.
-        candidate = conjectured_density(canonicalize(raw)).delta
+        M = forbidden_differences(RawParams(a=args.a, b=args.b, k=args.k, m=args.m))
     else:
         raise InvalidInput("witness needs --distances or all four of --a --b --k --m")
-    res = mu_exact(M, max_window=args.max_window, candidate=candidate)
+    res = mu_exact(M, max_window=args.max_window)
     _emit(_oracle_report(M, res), args.json, _oracle_lines(M, res))
     return 0
 
@@ -241,9 +236,7 @@ def cmd_verify(args) -> int:
         # The oracle's own caps are checked before the scan, so a refused
         # oracle does not wait for every window first.
         if level >= 3:
-            oracle = mu_exact(
-                forbidden_differences(canon), max_window=max_window, candidate=br.delta
-            )
+            oracle = mu_exact(forbidden_differences(canon), max_window=max_window)
         # One scan of the windows of [0, n2) runs every window check.
         window_checks = {
             "identities": identities_check(canon),

@@ -26,14 +26,14 @@ reweighted graph w' = q*w - p certifies it.  The potential converging, and
 satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
 mu >= p/q and is the periodic witness.  A caller that already holds a
 likely value (the closed form delta) passes it as the candidate, which is
-certified first.  Without one, the first proposal is the best cycle mean of
-the greedy policy that appends 1 wherever allowed: a real cycle's mean, so
-a lower bound, and nearly always mu itself.  A potential that diverges
-finds cycles of strict raises, real cycles with means above the value, and
-the best of those means is the next proposal (cycle improvement, as in
-Dasdan 2004); a caller's candidate with no tight cycle is above mu and
-gives way to the greedy proposal.  Every way, the same value is proved on
-the same graph, so the witness is the same.
+certified first.  Without one, the first proposal is the Cantor-Gordon
+bound kappa(M) (`_kappa_set`), a closed form over M that needs no graph:
+the density of an M-avoiding Bohr set, so a lower bound, and nearly always
+mu itself.  A potential that diverges finds cycles of strict raises, real
+cycles with means above the value, and the best of those means is the next
+proposal (cycle improvement, as in Dasdan 2004); a caller's candidate with
+no tight cycle is above mu and gives way to kappa.  Every way, the same
+value is proved on the same graph, so the witness is the same.
 
 The path solves a batch of graphs at once (`mu_exact_many`, which `sweep`
 uses): the graphs are laid end to end once, as segments of one union
@@ -104,8 +104,9 @@ DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
 # For a union of N states a potential stays below (N + 2*log2 N)*den, with
-# den at most the largest segment's state count, so under 2**61 while N is
-# at most this limit: the solver's int64 arithmetic cannot overflow.  A
+# den at most the largest segment's state count (a caller's candidate or a
+# cycle's mean) or at most 2*max(M) <= 126 (kappa), so under 2**61 while N
+# is at most this limit: the solver's int64 arithmetic cannot overflow.  A
 # union is one graph within it, or a batch within _BATCH_STATES.
 _INT64_STATE_LIMIT = 1 << 30
 # A batch of `mu_exact_many` closes before its union would pass this many
@@ -416,16 +417,14 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return keys, succ0, succ1, first, last
 
 
-def _cycle_mean(put_step, bits, land, buf, on_cycle):
+def _cycle_mean(step, bits, land, buf, on_cycle):
     """The cycles of a functional graph that are not fixed points, as three
     int64 arrays, one entry per cycle: its least state, its weight (the sum
     of bits[v] & 1 over its states v) and its length; all empty when every
-    cycle is a fixed point.  `put_step(out)` writes the graph's step into
-    the int64 array out, before and after land is squared, so a caller that
-    can rebuild the step need not hold it.  land and buf (int64) and
-    on_cycle (bool), of the state count, are scratch; beside them it
-    allocates only arrays of the c states on cycles that are not fixed
-    points.
+    cycle is a fixed point.  step (int64) is the graph's step, which is
+    read and not written; land and buf (int64) and on_cycle (bool), of the
+    state count, are scratch.  Beside them it allocates only arrays of the
+    c states on cycles that are not fixed points.
 
     Pointer doubling in two phases, each stopping once done.  First land,
     the step, is squared, land = step^(2^r), alternating with buf, until
@@ -441,7 +440,7 @@ def _cycle_mean(put_step, bits, land, buf, on_cycle):
     steps cover u's cycle, so low[u] is the cycle's least rank.  Each
     cycle's length and weight are tallied over those labels.
     """
-    put_step(land)
+    np.copyto(land, step)
     hop, spare, count = land, buf, len(land)
     while True:
         on_cycle.fill(False)
@@ -454,7 +453,7 @@ def _cycle_mean(put_step, bits, land, buf, on_cycle):
     # land takes the step again, and buf v - step[v], which is 0 at the
     # fixed points, then the ranks (a cumsum of bools would allocate a
     # cast copy).
-    put_step(land)
+    np.copyto(land, step)
     buf.fill(1)
     np.cumsum(buf, out=buf)
     buf -= 1
@@ -476,27 +475,6 @@ def _cycle_mean(put_step, bits, land, buf, on_cycle):
     length = np.bincount(low)
     total, least = np.bincount(low[ones], minlength=len(length)), np.flatnonzero(length)
     return np.flatnonzero(on_cycle)[least], total[least], length[least]
-
-
-def _greedy_cycle_mean(succ0, succ1) -> Fraction:
-    """The best cycle mean of the greedy policy, which appends 1 wherever
-    allowed: the mean of a real cycle, so at most mu, and in practice
-    nearly always mu itself.
-
-    The policy is the functional graph max(succ0, succ1), as succ1 is
-    succ0 + 1 or -1, and state u's edge appends the bit succ1[u] >= 0.  It
-    has no fixed points, so `_cycle_mean` sees all its cycles: state 0 can
-    always append a 1, and the all-ones window, the only other state that
-    could lead to itself, is a state only when M = {L}, where it cannot
-    append one.  Beside the graph it holds two int64 arrays and two bool
-    arrays of the state count.
-    """
-    n = len(succ0)
-    scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    _, total, length = _cycle_mean(
-        lambda out: np.maximum(succ0, succ1, out=out), succ1 >= 0, *scratch
-    )
-    return max(map(Fraction, total.tolist(), length.tolist()))
 
 
 def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
@@ -521,13 +499,13 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     raised state remembers the in-edge of its last strict raise, in `pred`,
     allocated then with one more bool array; a state not raised since then
     is a fixed point of `pred`.  Every log2 n passes `_cycle_mean` reads
-    the cycles of `pred` that are not fixed points, weighing each state by
-    its newest bit, in the two gathers and the raises, which are free until
-    the next pass, so nothing of the state count is released or allocated
-    for it.  A cycle of those edges has positive w'-weight: each raise on
-    it used a value of its source no larger than the current one, and the
-    raise that followed the cycle's latest raise used a strictly smaller
-    one.  So each is a real cycle of its segment's graph with mean above
+    the cycles of `pred`, its step, that are not fixed points, weighing
+    each state by its newest bit, in the two gathers and the raises, which
+    are free until the next pass, so nothing of the state count is released
+    or allocated for it.  A cycle of those edges has positive w'-weight:
+    each raise on it used a value of its source no larger than the current
+    one, and the raise that followed the cycle's latest raise used a
+    strictly smaller one.  So each is a real cycle of its segment's graph with mean above
     that segment's value.  Once there is one, a list is returned in place
     of pi: the best such mean of each segment, or None for a segment with
     no cycle.  No cycle of raises is a fixed point, so none is missed: a
@@ -542,9 +520,11 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     bit is 1.  While those edges form no cycle they form a forest whose
     roots, the fixed points, have not been raised since tracking began, so
     every potential is at most (n + log2 n)*den after a check, den the
-    largest of the values' denominators, and grows by at most den per pass
-    until the next one: a potential that diverges must close a cycle, and
-    one past that bound without a cycle is InternalError.
+    largest of the values' denominators (each a caller's candidate,
+    kappa(M) or a cycle's mean; _INT64_STATE_LIMIT bounds it), and grows by
+    at most den per pass until the next one: a potential that diverges must
+    close a cycle, and one past that bound without a cycle is
+    InternalError.
     """
     n = len(keys)
     w2 = keys & 1
@@ -583,9 +563,7 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
             np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
                 # The gathers and the raises are free until the next pass.
-                least, total, length = _cycle_mean(
-                    lambda out: np.copyto(out, pred), keys, pi_first, pi_last, raised
-                )
+                least, total, length = _cycle_mean(pred, keys, pi_first, pi_last, raised)
                 if len(least):
                     means = [None] * len(values)
                     segment = np.searchsorted(offsets, least, side="right") - 1
@@ -690,16 +668,56 @@ def _union(graphs):
     return (keys, succ0, succ1, first, last), offsets
 
 
-def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
-    """mu and an optimal cycle's appended bits for each state graph of a
-    batch, as `mu_exact` describes, with each graph's candidate (None for
-    none).  The starting values are found first, then the graphs are laid
-    end to end once, and each round runs one potential over the whole
-    union, every segment at its current value.  If it diverges, a segment
-    with a cycle of raises takes that cycle's mean as its next value.  If
-    it converges and every segment has a tight cycle, the batch is proved.
-    Otherwise a caller's candidate without one gives way to its graph's
-    greedy value, and the whole union runs again.
+def _kappa_set(M: DifferenceSet) -> PeriodicSet:
+    """The Bohr set {n : n*c mod q < v} at the first maximiser (q, c) of
+    the Cantor-Gordon bound kappa(M) = max over x of min over d in M of
+    ||d*x||, ||.|| the distance to the nearest integer: an M-avoiding set
+    of density kappa(M), so kappa(M) <= mu(M) (Cantor & Gordon 1973).
+
+    min over d of ||d*x|| is piecewise linear with slopes +-d, so it peaks
+    where one ||d*x|| peaks, at x = c/(2d), or where a rising piece of d_i
+    meets a falling piece of d_j, at x = c/(d_i + d_j): every maximum lies
+    at some x = c/q with q = d_i + d_j, i = j included, and 1 <= c < q.
+    There the bound is v/q, v the least of min(d*c mod q, q - d*c mod q)
+    over M.  Every such (q, c) is evaluated in one numpy expression, and
+    the first maximiser in (q, c) order is taken.  The argmax over the
+    doubles v/q is exact: division is correctly rounded, so equal
+    fractions give equal doubles, and two different fractions with
+    q <= 2*max(M) <= 126 differ by at least 1/126**2.
+
+    The set avoids M: the residues n*c mod q of two members lie in [0, v),
+    so their difference e has ||e*c/q|| < v/q, and e is not in M.  With
+    g = gcd(c, q), n*c mod q runs over the multiples of g, each g times per
+    period q, and v is one of them, as d*c mod q and q are; so the set has
+    exactly v residues mod q, the (q/g, c/g, v/g) Bohr set repeated, and
+    its density is exactly v/q.
+    """
+    # Not np.unique, whose first call imports numpy.ma.
+    sums = sorted({i + j for i in M for j in M})
+    q = np.concatenate([np.full(s - 1, s) for s in sums])
+    c = np.concatenate([np.arange(1, s) for s in sums])
+    r = np.multiply.outer(tuple(M), c) % q
+    v = np.minimum(r, q - r).min(axis=0)
+    best = int(np.argmax(v / q))
+    q, c, v = int(q[best]), int(c[best]), int(v[best])
+    return PeriodicSet(q, tuple(n for n in range(q) if n * c % q < v))
+
+
+def _solve(keys, succ0, succ1, first, last, offsets, batch) -> list[tuple[Fraction, list[int]]]:
+    """mu and an optimal cycle's appended bits for each segment of a union
+    graph (`_union`), as `mu_exact` describes: the segment from offsets[j]
+    to offsets[j + 1] is the graph of batch[j] = (M, candidate), the
+    candidate None for none.  Each segment starts at its candidate, if that
+    is tried, else at kappa(M) (`_kappa_set`), and each round runs one
+    potential over the whole union, every segment at its current value.
+    If it diverges, a segment with a cycle of raises takes that cycle's
+    mean as its next value.  If it converges and every segment has a tight
+    cycle, the batch is proved.  Otherwise a caller's candidate without one
+    gives way to kappa(M), and the whole union runs again.  kappa is
+    computed only for a segment that needs a start, so a batch whose
+    candidates are all proved computes none.  kappa and a cycle's mean are
+    both at most mu, so a value taken from either that has no tight cycle
+    is InternalError.
 
     A segment proved in one round and run again is proved again, at the
     same value, by the same cycle: no edge leaves a segment, so its pi is
@@ -708,13 +726,12 @@ def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
     meets the same cycle first.
     """
     values, from_caller = [], []
-    for (keys, succ0, succ1, _, _), candidate in zip(graphs, candidates):
+    for (M, candidate), start, stop in zip(batch, offsets, offsets[1:]):
         # mu lies in (0, 1] with denominator at most the state count, so no
         # other candidate is tried; that also keeps the potential within int64.
-        tried = candidate is not None and 0 < candidate <= 1 and candidate.denominator <= len(keys)
-        values.append(candidate if tried else _greedy_cycle_mean(succ0, succ1))
+        tried = candidate is not None and 0 < candidate <= 1 and candidate.denominator <= stop - start
+        values.append(candidate if tried else _kappa_set(M).density())
         from_caller.append(tried)
-    (keys, succ0, succ1, first, last), offsets = _union(graphs)
     while True:
         pi_or_means = _potential(keys, first, last, values, offsets)
         if isinstance(pi_or_means, list):
@@ -725,13 +742,13 @@ def _solve(graphs, candidates) -> list[tuple[Fraction, list[int]]]:
                     values[i], from_caller[i] = mean, False
             continue
         cycles = _tight_cycle(keys, succ0, succ1, pi_or_means, values, offsets)
-        del pi_or_means  # not held through the greedy stage and the next potential
+        del pi_or_means  # not held through the next potential
         if None not in cycles:
             return list(zip(values, cycles))
         for i in [i for i, bits in enumerate(cycles) if bits is None]:
             if not from_caller[i]:
                 raise InternalError(f"no cycle attains the proposed {values[i]}: mu is below it")
-            values[i], from_caller[i] = _greedy_cycle_mean(graphs[i][1], graphs[i][2]), False
+            values[i], from_caller[i] = _kappa_set(batch[i][0]).density(), False
 
 
 def mu_exact_many(
@@ -749,14 +766,15 @@ def mu_exact_many(
     when the next graph would take its states past _BATCH_STATES, so a
     graph that large is a batch of its own, or when an M is refused, whose
     ResourceLimit follows the batch's results.  The results of a batch are
-    yielded once it is solved.  A batch holds its graphs and one union copy
-    of them (`_union`), 80 bytes per state, beside the solver's arrays of
-    the union, so memory is bounded by the larger of _BATCH_STATES and the
-    largest graph, not by the number of graphs.
+    yielded once it is solved.  A batch holds its graphs until they are
+    laid end to end (`_union`), which briefly holds both, and then only the
+    union, 40 bytes per state, beside the solver's arrays of the union; so
+    memory is bounded by the larger of _BATCH_STATES and the largest graph,
+    not by the number of graphs.
     """
     max_window = as_positive_int(max_window, "window cap")
     cap = _state_cap()
-    batch, states = [], 0
+    batch, graphs, states = [], [], 0
     for distances, candidate in pairs:
         M = as_difference_set(distances)
         candidate = None if candidate is None else as_fraction(candidate, "candidate")
@@ -765,25 +783,31 @@ def mu_exact_many(
                 raise ResourceLimit(f"max(M) = {M.max_element} exceeds window cap {max_window}")
             graph = _build_state_graph(M, cap)
         except ResourceLimit as exc:
-            yield from _finish(batch)
+            yield from _finish(batch, graphs)
             yield exc
-            batch, states = [], 0
+            batch, graphs, states = [], [], 0
             continue
         if states + len(graph[0]) > _BATCH_STATES:
-            yield from _finish(batch)
-            batch, states = [], 0
-        batch.append((M, candidate, graph))
+            yield from _finish(batch, graphs)
+            batch, graphs, states = [], [], 0
+        batch.append((M, candidate))
+        graphs.append(graph)
         states += len(graph[0])
-    yield from _finish(batch)
+        del graph  # `graphs` alone holds it, which `_finish` empties
+    yield from _finish(batch, graphs)
 
 
-def _finish(batch) -> Iterator[ExactDensity]:
-    """Solve a batch of built graphs of `mu_exact_many`, which may be
-    empty, and check each witness."""
+def _finish(batch, graphs) -> Iterator[ExactDensity]:
+    """Solve a batch of `mu_exact_many`, its (M, candidate) pairs and their
+    built graphs, which may be empty, and check each witness.  The graphs
+    are laid end to end and their list is emptied before the first
+    potential, so the union alone is held while they are solved."""
     if not batch:
         return
-    solved = _solve([graph for _, _, graph in batch], [c for _, c, _ in batch])
-    for (M, _, (keys, *_)), (value, bits) in zip(batch, solved):
+    union, offsets = _union(graphs)
+    graphs.clear()
+    solved = _solve(*union, offsets, batch)
+    for (M, _), (value, bits), start, stop in zip(batch, solved, offsets, offsets[1:]):
         witness = PeriodicSet(
             period=len(bits), residues=tuple(t for t, bit in enumerate(bits) if bit)
         )
@@ -792,7 +816,7 @@ def _finish(batch) -> Iterator[ExactDensity]:
         if not check_periodic_avoiding(witness, M):
             raise InternalError(f"witness {witness} does not avoid {tuple(M)}")
         yield ExactDensity(
-            value=value, witness=witness, states_explored=len(keys), method="PolicyIteration"
+            value=value, witness=witness, states_explored=stop - start, method="PolicyIteration"
         )
 
 
@@ -806,19 +830,20 @@ def mu_exact(
 
     One loop proposes and proves the value.  It starts from the given
     `candidate` (such as the closed form delta of M's family) or, without
-    one, from the greedy policy's best cycle mean (`_greedy_cycle_mean`).
-    The integer potential of `_potential` either converges, and then the
-    tight cycle of `_tight_cycle` proves the value and is the witness, or
-    diverges and returns the best mean among its cycles of raises, all
-    above the value, which is tried next.  A candidate outside (0, 1], or
-    with a denominator above the state count, cannot be mu and is not
-    tried; a candidate with no tight cycle is above mu, and the loop
-    restarts from the greedy value.  Each value after the first is a real
-    cycle's mean, so the values rise through finitely many cycle means to
-    mu.  The witness depends only on the graph and the proved value, so the
-    result is the same whichever value was proposed, and `method` is
-    "PolicyIteration", the name this certified pipeline has always
-    reported, which keeps the output unchanged.  It is a batch of one of
+    one, from the Cantor-Gordon bound kappa(M) <= mu, the density of the
+    M-avoiding Bohr set of `_kappa_set`.  The integer potential of
+    `_potential` either converges, and then the tight cycle of
+    `_tight_cycle` proves the value and is the witness, or diverges and
+    returns the best mean among its cycles of raises, all above the value,
+    which is tried next.  A candidate outside (0, 1], or with a denominator
+    above the state count, cannot be mu and is not tried; a candidate with
+    no tight cycle is above mu, and the loop restarts from kappa.  Every
+    other value is a real cycle's mean above the value before it, so the
+    values rise through finitely many cycle means to mu.  The witness
+    depends only on the graph and the proved value, so the result is the
+    same whichever value was proposed, and `method` is "PolicyIteration",
+    the name this certified pipeline has always reported, which keeps the
+    output unchanged.  It is a batch of one of
     `mu_exact_many`: a union of one segment, the graph's own arrays.
 
     Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
@@ -826,9 +851,9 @@ def mu_exact(
     2**22), InvalidInput when `max_window` is not an integer of at least 1
     (read by `as_positive_int`), `candidate` not a Fraction or integer
     (`as_fraction`), or the state cap below 1, and InternalError when a
-    cycle's mean does not rise above the value it refuted, when a value
-    taken from a cycle has no tight cycle, or when the witness fails its
-    check.
+    cycle's mean does not rise above the value it refuted, when kappa or a
+    value taken from a cycle has no tight cycle, or when the witness fails
+    its check.
     """
     (out,) = mu_exact_many([(distances, candidate)], max_window=max_window)
     if isinstance(out, ResourceLimit):

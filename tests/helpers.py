@@ -130,10 +130,15 @@ def reference_cycle_mean(step, ones) -> Fraction | None:
     return max(means, default=None)
 
 
-def reference_greedy_cycle_mean(succ0, succ1) -> Fraction:
-    """The greedy policy's best cycle mean by `reference_cycle_mean`."""
-    ones = succ1 >= 0
-    return reference_cycle_mean(np.where(ones, succ1, succ0), ones)
+def reference_kappa(M) -> Fraction:
+    """The Cantor-Gordon bound kappa(M) = max over x of min over d in M of
+    ||d*x|| by brute force in Fractions, over every x = c/q with
+    q <= 3*max(M): a maximum lies at some q = d_i + d_j <= 2*max(M)."""
+    return max(
+        min(Fraction(min(d * c % q, -d * c % q), q) for d in M)
+        for q in range(1, 3 * max(M) + 1)
+        for c in range(q)
+    )
 
 
 def reference_potential(keys, first, last, value: Fraction):

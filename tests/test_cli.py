@@ -125,8 +125,7 @@ class TestMu:
         assert json.loads(out)["mu"]["den"] > 0
 
     def test_workload_graph_never_runs_policy_iteration(self, capsys, monkeypatch):
-        # The greedy policy's best cycle is mu on {1, 23}, so one potential
-        # run certifies it.
+        # kappa({1, 23}) = 1/2 is mu, so one potential run certifies it.
         runs = record_potentials(monkeypatch)
         code, out, err = run(
             capsys, "mu", "--distances", "1,23", "--max-window", "23", "--json"
@@ -180,10 +179,9 @@ class TestWitness:
         ],
     )
     def test_family_output_equals_distances_output(self, capsys, family, distances):
-        # The family route certifies delta of the canonical family for the
-        # raw, scaled or swapped M; the distances route, which `mu` shares,
-        # certifies the greedy cycle mean.  Both prove the same value on the
-        # same graph.
+        # The family route solves the raw, scaled or swapped M, and the
+        # distances route, which `mu` shares, the same M given as distances:
+        # both start at kappa(M) and prove the same value on the same graph.
         a, b, k, m = map(str, family)
         code, out, _ = run(
             capsys, "witness", "--a", a, "--b", b, "--k", k, "--m", m, "--json"
@@ -652,6 +650,15 @@ class TestSweep:
         assert sum(n for n, _ in unions) == 46_191 and sum(k for _, k in unions) == 95
         assert all(n <= oracle._BATCH_STATES or k == 1 for n, k in unions)
         assert len(unions) == 14  # the 5,778-state graph is one of them, alone
+
+    def test_workload_box_computes_no_kappa(self, capsys, monkeypatch):
+        # Each M starts at its first row's delta, which is mu, so no
+        # segment needs the kappa start.
+        kappas = []
+        kappa_set = oracle._kappa_set
+        monkeypatch.setattr(oracle, "_kappa_set", lambda M: kappas.append(M) or kappa_set(M))
+        code, out, _ = run(capsys, "sweep", "--max-a", "12", "--weight-cap", "18")
+        assert (code, len(out.splitlines()), kappas) == (0, 180, [])
 
     def test_workload_box_output_is_pinned(self, capsys):
         # The benchmark's box, byte for byte.

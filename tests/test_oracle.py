@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -38,11 +39,12 @@ from helpers import (
     NOT_BOOLS,
     brute_avoiding_masks,
     brute_best_periodic,
+    canonical_instances,
     iter_avoiding_masks,
     karp_max_mean,
     record_potentials,
     reference_cycle_mean,
-    reference_greedy_cycle_mean,
+    reference_kappa,
     reference_potential,
     reference_state_graph,
 )
@@ -481,30 +483,24 @@ def test_peak_memory_per_state():
 
 
 def test_peak_memory_per_state_of_the_set_up_stages():
-    # Peaks above the start, so both count the graph's 40 B per state.  The
+    # The peak above the start counts the graph's 40 B per state.  The
     # build fills its four edge arrays in place, each one scratch for the
-    # checks until its turn; the greedy stage holds two int64 arrays of the
-    # state count and two bool arrays.  The searched build peaked at 57 B
-    # per state, and the fixed-round greedy stage at 65.
+    # checks until its turn.  The searched build peaked at 57 B per state.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        keys, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
+        keys, *_ = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
         build = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        value = oracle._greedy_cycle_mean(succ0, succ1)
-        greedy = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     n = len(keys)
-    assert n == 75_025 and value == Fraction(1, 2)
+    assert n == 75_025
     assert build <= 50 * n, build / n
-    assert greedy <= 60 * n, greedy / n
 
 
 class TestCandidate:
     """A candidate value is certified first; a wrong one is improved or
-    replaced by the greedy start."""
+    replaced by the kappa start."""
 
     @pytest.mark.parametrize("value", INTEGER_LIKE + [0.25])
     def test_candidate_is_read_as_a_fraction(self, value):
@@ -518,7 +514,7 @@ class TestCandidate:
 
     def test_right_candidate_skips_policy_iteration(self, monkeypatch):
         # One potential run proves the candidate: no improvement round and
-        # no greedy start.
+        # no kappa start.
         expected = mu_exact([1, 5, 6])
         runs = record_potentials(monkeypatch)
         assert mu_exact([1, 5, 6], candidate=Fraction(2, 7)) == expected
@@ -580,41 +576,45 @@ def test_candidate_never_changes_the_result(distances, ratio):
 
 
 class TestGreedyProposal:
-    """Without a candidate, the greedy policy's best cycle mean is tried first."""
+    """Without a candidate, kappa(M), the density of `_kappa_set(M)`, is
+    tried first.  On these M it is below mu, so the potential diverges and
+    a cycle of raises improves it."""
 
     def test_refuted_proposal_is_improved(self, monkeypatch):
-        # The greedy policy's best cycle has mean 2/11, below mu = 3/16.
-        M = [2, 4, 5, 7, 8, 9]
+        # kappa = 5/22 at q = 9 + 13, below mu = 1/4; one improvement
+        # round reaches mu.
+        M = [3, 4, 5, 9, 13]
         _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-        assert oracle._greedy_cycle_mean(succ0, succ1) == Fraction(2, 11)
+        assert oracle._kappa_set(as_difference_set(M)).density() == Fraction(5, 22)
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
-        assert out.value == karp_max_mean(succ0, succ1) == Fraction(3, 16)
-        # An improvement round ran.
-        assert runs == [(Fraction(2, 11), Fraction(3, 16)), (Fraction(3, 16), "pi")]
+        assert out.value == karp_max_mean(succ0, succ1) == Fraction(1, 4)
+        assert out.witness == PeriodicSet(8, (0, 2))
+        assert runs == [(Fraction(5, 22), Fraction(1, 4)), (Fraction(1, 4), "pi")]
 
     @pytest.mark.parametrize(
         "M, greedy, mu, witness",
         [
             (
-                (4, 9, 12, 15, 16), Fraction(5, 21), Fraction(1, 4),
+                (4, 9, 12, 15, 16), Fraction(6, 25), Fraction(1, 4),
                 PeriodicSet(56, (0, 1, 3, 6, 8, 11, 14, 25, 28, 31, 33, 36, 38, 39)),
             ),
             (
-                (2, 3, 10, 13, 17, 18), Fraction(12, 47), Fraction(4, 15),
-                PeriodicSet(15, (3, 4, 10, 11)),
+                (4, 10, 11, 12, 15), Fraction(2, 9), Fraction(7, 27),
+                PeriodicSet(27, (3, 4, 5, 6, 11, 24, 25)),
             ),
             (
-                (4, 10, 11, 12, 15), Fraction(22, 87), Fraction(7, 27),
-                PeriodicSet(27, (3, 4, 5, 6, 11, 24, 25)),
+                (4, 12, 14, 17, 18), Fraction(1, 4), Fraction(4, 15),
+                PeriodicSet(30, (0, 1, 2, 3, 8, 9, 10, 11)),
             ),
         ],
     )
     def test_other_refuted_proposals_are_improved(self, monkeypatch, M, greedy, mu, witness):
-        # The witness is pinned: the tight cycle depends only on the graph
-        # and the proved value, not on the values tried before it.
+        # `greedy` is the kappa start.  The witness is pinned: the tight
+        # cycle depends only on the graph and the proved value, not on the
+        # values tried before it.
         _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-        assert oracle._greedy_cycle_mean(succ0, succ1) == greedy
+        assert oracle._kappa_set(as_difference_set(M)).density() == greedy
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
         assert out.value == karp_max_mean(succ0, succ1) == mu
@@ -625,51 +625,54 @@ class TestGreedyProposal:
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(st.sets(st.integers(1, 16), min_size=1, max_size=5))
 def test_greedy_proposal_never_changes_the_result(distances):
+    # The start is forced through `_kappa_set`.
     M = sorted(distances)
     out = mu_exact(M)
     # 1/(max(M) + 2) is below mu, as the multiples of max(M) + 1 avoid M:
     # the potential diverges and its cycle of raises improves the value.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: Fraction(1, max(M) + 2))
+        propose(patch, Fraction(1, max(M) + 2))
         assert mu_exact(M) == out
-    # 1 is above every mu: no cycle attains it, and the greedy start is
-    # the mean of a real cycle, so that is an internal fault.
+    # 1 is above every mu: no cycle attains it, and kappa is at most mu, so
+    # that is an internal fault.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: Fraction(1))
+        propose(patch, Fraction(1))
         with pytest.raises(InternalError, match="no cycle attains"):
             mu_exact(M)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
-@given(st.sets(st.integers(1, 18), min_size=1, max_size=5))
-@example({2, 3, 5})
-@example({3, 6})
-@example({1, 4, 5})
-def test_greedy_cycle_mean_equals_the_fixed_round_reference(distances):
-    # Both phases stop early; on {2, 3, 5}, {3, 6} and {1, 4, 5} every state
-    # is on a greedy cycle, so the first phase stops at once.
-    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(distances), 1 << 22)
-    assert oracle._greedy_cycle_mean(succ0, succ1) == reference_greedy_cycle_mean(succ0, succ1)
+@given(st.sets(st.integers(1, 18), min_size=1, max_size=6))
+@example({2, 8})  # the maximiser (q, c) = (10, 2) has gcd 2
+@example({1})
+def test_kappa_set_is_an_avoiding_set_of_density_kappa(distances):
+    # kappa needs no state graph, so it cross-examines the oracle.
+    M = as_difference_set(distances)
+    bohr = oracle._kappa_set(M)
+    assert check_periodic_avoiding(bohr, M)
+    assert 0 < bohr.density() <= mu_exact(M).value
+    assert bohr.density() == reference_kappa(M)
 
 
-@pytest.mark.parametrize("M", [(2, 3, 5), (3, 6), (1, 4, 5)])
-def test_greedy_step_is_a_permutation(M):
-    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-    step = np.where(succ1 >= 0, succ1, succ0)
-    assert np.array_equal(np.sort(step), np.arange(len(step)))
+def test_kappa_is_delta_on_every_family_up_to_n2_30():
+    families = list(canonical_instances(max_n2=30, include_equal=True))
+    assert len(families) == 1_157
+    for p in families:
+        kappa = oracle._kappa_set(forbidden_differences(p)).density()
+        assert kappa == conjectured_density(p).delta, p
 
 
 def test_reused_buffers_match_the_reference():
-    # The potential and the greedy stage reuse their arrays; the results must
-    # be those of the allocate-per-pass reference, on values above mu (pi
-    # converges), at mu, and below it, where raises are tracked after the
-    # first log2 n passes and the best mean of their cycles is returned.
+    # The potential reuses its arrays; the results must be those of the
+    # allocate-per-pass reference, on values above mu (pi converges), at mu,
+    # and below it, where raises are tracked after the first log2 n passes
+    # and the best mean of their cycles is returned.
     cycle_searches = []
     cycle_mean = oracle._cycle_mean
 
-    def counted(put_step, bits, *scratch):
+    def counted(step, bits, *scratch):
         cycle_searches.append(len(bits))
-        return cycle_mean(put_step, bits, *scratch)
+        return cycle_mean(step, bits, *scratch)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(
@@ -678,12 +681,11 @@ def test_reused_buffers_match_the_reference():
     )
     def check(distances, ratio):
         M = sorted(distances)
-        keys, succ0, succ1, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-        greedy = oracle._greedy_cycle_mean(succ0, succ1)
-        assert greedy == reference_greedy_cycle_mean(succ0, succ1)
+        keys, _, _, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        kappa = oracle._kappa_set(as_difference_set(M)).density()
         mu = mu_exact(M).value
         step = Fraction(1, 997)
-        for value in (mu, greedy, mu - step, mu + step, Fraction(1, max(M) + 2), Fraction(*ratio)):
+        for value in (mu, kappa, mu - step, mu + step, Fraction(1, max(M) + 2), Fraction(*ratio)):
             expected = reference_potential(keys, first, last, value)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(oracle, "_cycle_mean", counted)
@@ -712,7 +714,7 @@ def test_cycle_mean_matches_the_fixed_round_reference(draws):
     step[step == n] = np.flatnonzero(step == n)
     bits = np.arange(n)
     scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    least, total, length = oracle._cycle_mean(lambda out: np.copyto(out, step), bits, *scratch)
+    least, total, length = oracle._cycle_mean(step, bits, *scratch)
     mean = max(map(Fraction, total.tolist(), length.tolist()), default=None)
     assert mean == reference_cycle_mean(step, (bits & 1) == 1)
 
@@ -825,7 +827,7 @@ class TestBatch:
         # its mu 3/16, diverges; {1, 4, 5} at 1/2, above its mu 1/3, has no
         # tight cycle.  While the union diverges, the diverging segment
         # takes its cycle's mean and the others run again; then the third
-        # falls back to its greedy value, and the whole union runs again,
+        # falls back to its kappa, and the whole union runs again,
         # proving the first two again at the same values.
         pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 4, 5, 7, 8, 9), Fraction(1, 11)), ((1, 4, 5), Fraction(1, 2))]
         expected = [mu_exact(M, candidate=candidate) for M, candidate in pairs]
@@ -875,11 +877,38 @@ class TestBatch:
             with pytest.raises(InvalidInput, match=message):
                 next(oracle.mu_exact_many(pairs, max_window=max_window))
 
+    def test_only_the_union_is_held_while_a_batch_is_solved(self, monkeypatch):
+        # `_finish` empties its list of graphs once they are laid end to
+        # end, so no graph of a batch of three outlives `_union`.
+        pairs = [((1, 5, 6), None), ((1, 4, 5), None), ((2, 7), None)]
+        expected = [mu_exact(M) for M, _ in pairs]
+        built, alive = [], []
+        build, potential = oracle._build_state_graph, oracle._potential
+
+        def tracked(M, cap):
+            graph = build(M, cap)
+            built.append([weakref.ref(array) for array in graph])
+            return graph
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for refs in built for ref in refs))
+            return potential(*args)
+
+        monkeypatch.setattr(oracle, "_build_state_graph", tracked)
+        monkeypatch.setattr(oracle, "_potential", counted)
+        assert list(oracle.mu_exact_many(pairs)) == expected
+        assert len(built) == 3 and alive and set(alive) == {0}
+
     def test_peak_memory_of_the_workload_box(self):
-        # A batch holds its graphs and one union copy of them, 80 B per
-        # state, beside the potential's arrays; a graph above the batch
-        # size, here 5,778 states, is solved alone on its own arrays.  All
-        # 95 graphs in one union would peak near 6 MB.
+        # A batch holds its graphs until they are laid end to end, and then
+        # the union alone, 40 B per state, beside the potential's arrays;
+        # the next graph, built before the batch is solved, is held too.  A
+        # graph above the batch size, here 5,778 states, is solved alone on
+        # its own arrays.  The peak comes in the potential of a 3,571-state
+        # graph solved alone, the 5,778-state graph built: 100.5 B per state
+        # of the bound's count in a new process, against 107.5 B while a
+        # batch held its graphs beside their union.  All 95 graphs in one
+        # union would peak near 6 MB.
         pairs = self.box_pairs()
         tracemalloc.start()
         try:
@@ -891,17 +920,18 @@ class TestBatch:
         largest = max(res.states_explored for res in out)
         assert len(out) == 95 and largest == 5_778
         assert [res.value for res in out] == list(pairs.values())
-        assert peak <= 120 * max(oracle._BATCH_STATES, largest), peak
+        assert peak <= 101 * max(oracle._BATCH_STATES, largest), peak
 
 
 def propose(monkeypatch, value):
-    """Make the greedy start return `value`, so that a wrong one reaches the
-    final check."""
-    monkeypatch.setattr(oracle, "_greedy_cycle_mean", lambda succ0, succ1: value)
+    """Make the kappa start `value`, through a `_kappa_set` of that density,
+    so that a wrong one reaches the final check."""
+    bohr = PeriodicSet(value.denominator, tuple(range(value.numerator)))
+    monkeypatch.setattr(oracle, "_kappa_set", lambda M: bohr)
 
 
 class TestCertificate:
-    """A greedy start above mu, a cycle of raises that does not improve the
+    """A kappa start above mu, a cycle of raises that does not improve the
     value, and a potential that violates an edge are internal faults."""
 
     @pytest.mark.parametrize("wrong", [Fraction(1, 3), Fraction(3, 10)])
@@ -917,7 +947,7 @@ class TestCertificate:
         # Mean 0 is that of state 0, the all-zero window, looping to itself.
         propose(monkeypatch, Fraction(1, 4))
         one_cycle = np.array([0]), np.array([0]), np.array([1])
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: one_cycle)
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: one_cycle)
         with pytest.raises(InternalError, match="not above 1/4"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -928,7 +958,7 @@ class TestCertificate:
         # end, through the magnitude check rather than a pass count.
         propose(monkeypatch, Fraction(1, 4))
         no_cycle = (np.empty(0, dtype=np.int64),) * 3
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda put_step, bits, *scratch: no_cycle)
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: no_cycle)
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 
@@ -979,7 +1009,7 @@ class TestCertificate:
         assert len(seconds) == 2 and seconds[0] < 0.5
 
     def test_rejected_under_python_optimize(self):
-        # A greedy start above mu, a potential that violates an edge and a
+        # A kappa start above mu, a potential that violates an edge and a
         # wrong edge of the state graph are caught by real checks, which -O
         # does not strip.  The last patch changes succ0[0] as it is checked.
         src = os.path.dirname(os.path.dirname(oracle.__file__))
@@ -994,13 +1024,12 @@ class TestCertificate:
             "oracle.np = OneWrongEdge()"
         )
         for patch, message in [
-            ("oracle._greedy_cycle_mean = lambda succ0, succ1: Fraction(1, 3)", "no cycle attains"),
+            ("oracle._kappa_set = lambda M: oracle.PeriodicSet(3, (0,))", "no cycle attains"),
             ("oracle._potential = lambda keys, *_: np.zeros_like(keys)", "violates an edge"),
             (wrong_edge, "0-edge does not lead to its shift"),
         ]:
             script = (
                 "import sys\n"
-                "from fractions import Fraction\n"
                 "import numpy as np\n"
                 "from densitypack import cli, oracle\n"
                 "assert False, 'asserts must be disabled'\n"
