@@ -12,6 +12,11 @@ maximum mean cycle:
     k's predecessors are among k >> 1 and k >> 1 | 2**(L-1);
   * edge weight is the appended bit.
 
+This is the subgraph of the binary de Bruijn graph induced by the avoiding
+windows.  A window's two successors, 2k and 2k + 1 (mod 2**L), are adjacent
+in key order, so the graph keeps one out-edge array, the 0-successor, and
+one bool per state for whether the 1-successor, the next state, exists.
+
 Every periodic avoiding set walks a cycle of this graph with mean equal to
 its density, and conversely any cycle unrolls into a periodic avoiding set,
 so mu(M) is the maximum cycle mean.  The graph is strongly connected (the
@@ -338,27 +343,30 @@ def _check_state_count(count: int, cap: int) -> None:
 def _build_state_graph(M: DifferenceSet, cap: int):
     """Avoiding windows of length L = max(M) and their shift edges.
 
-    Returns (keys, succ0, succ1, first, last).  Built newest bit last, the
+    Returns (keys, succ0, can1, first, last).  Built newest bit last, the
     keys increase, in the window order of `avoiding_mask_chunks` (state 0 is
-    the all-zero window).  Appending a 0 moves state i to succ0[i], and
-    appending a 1 moves it to succ1[i], or succ1[i] = -1 when that would
-    create a difference in M.  v's in-edges come from first[v], keys[v] >> 1,
-    and last[v], the same with the oldest bit set where that window exists
-    and v's newest bit is 0, else first[v] again: as L is in M, a window
-    whose oldest position is set cannot append a 1.  Each level's size is
-    checked against the cap before the level is allocated, so a refused
-    graph never holds more windows than the cap.
+    the all-zero window).  Appending a 0 moves state i to succ0[i].  Where
+    the bool can1[i] holds, appending a 1 is allowed and moves it to
+    succ0[i] + 1; elsewhere it would create a difference in M.  v's
+    in-edges come from first[v], keys[v] >> 1, and last[v], the same with
+    the oldest bit set where that window exists and v's newest bit is 0,
+    else first[v] again: as L is in M, a window whose oldest position is
+    set cannot append a 1.  Each level's size is checked against the cap
+    before the level is allocated, so a refused graph never holds more
+    windows than the cap.
     """
-    # Every edge is read off the last level.  Let P be the p keys before it,
-    # w its `with_t`, top = 2**(L-1) and C = sum of 2**(L-1-d) for d in M
-    # below L.  (A) keys[:p] == P: a window whose oldest position is empty
-    # avoids M exactly when its newer positions do.  (B) keys[p:] == top |
-    # P[ok], ok = (P & C) == 0.  P[i] extended by 0 lands at c0[i] = i + (ones
-    # of w before i), by 1 right after, so shifting out the oldest position
-    # gives succ0 = c0 followed by c0[ok], and succ1 = succ0 + 1 where a 1
-    # may be appended.  first[v] is the P[i] that v extends, state i by (A),
-    # and last[v] the top-half state whose succ0 is v.  succ0, succ1 and
-    # first are checked against the keys by checks that -O keeps.
+    # Every edge is read off the last level, built from the p keys P before
+    # it, w its `with_t`.  A window whose oldest position is empty avoids M
+    # exactly when its newer positions do, so keys[:p] == P, and a window
+    # with it set is top | P[i], top = 2**(L-1), for the i with ok[i] =
+    # (P[i] & C) == 0, C = sum of 2**(L-1-d) for d in M below L.  Two facts
+    # follow.  (1) keys[v] >> 1 is v's parent P[i], state i: so first
+    # repeats each i 1 + w[i] times.  (2) The children of P[i] are adjacent,
+    # its 0-child at c0[i] = i + (ones of w before i) and its 1-child right
+    # after: so the two successors of a window are adjacent states, and
+    # shifting out the oldest position gives succ0 = c0 followed by c0[ok].
+    # last[v] is the top-half state whose succ0 is v.  Both edges and first
+    # are checked against the keys by checks that -O keeps.
     L = M.max_element
     _check_mask_bits(L)
     # Key bit d - 1 lies at distance d from the next position appended.
@@ -377,44 +385,34 @@ def _build_state_graph(M: DifferenceSet, cap: int):
         keys = _extend(keys, 0, with_t)
 
     p, n = len(with_t), len(keys)
-    # Allocated before any temporary, so that none leaves a hole below
-    # them; each is scratch until filled.  mode="wrap": see `_potential`.
-    succ0, succ1, first, last = (np.empty(n, dtype=np.int64) for _ in range(4))
-    c0 = succ0[:p]  # the exclusive cumsum of 1 + w
-    np.copyto(c0, with_t)
-    c0 += 1
-    np.cumsum(c0, out=c0)
-    c0 -= 1
-    c0 -= with_t
-    del with_t
-    np.bitwise_and(keys[:p], sum(1 << (L - 1 - d) for d in M if d < L), out=last[:p])
-    np.compress(last[:p] == 0, c0, out=succ0[p:])
-    np.left_shift(keys, 1, out=first)
-    first &= (1 << L) - 1
-    if (np.take(keys, succ0, out=last, mode="wrap") != first).any():
-        raise InternalError("a window's 0-edge does not lead to its shift")
-    first |= 1
-    can_append = np.bitwise_and(keys, conflicts, out=last) == 0
-    succ1.fill(-1)
-    np.add(succ0, 1, out=succ1, where=can_append)
-    if ((np.take(keys, succ1, out=last, mode="wrap") != first) & can_append).any():
-        raise InternalError("a window's 1-edge does not lead to its shift")
-    del can_append
-    # first[v] + 1 counts the windows up to v whose newest position is empty.
-    np.bitwise_and(keys, 1, out=first)
-    first ^= 1
-    np.cumsum(first, out=first)
-    first -= 1
+    first = np.repeat(np.arange(p), 1 + with_t)
+    c0 = np.cumsum(1 + with_t)
+    c0 -= 1 + with_t  # the exclusive cumsum
+    succ0 = np.concatenate([c0, c0[(keys[:p] & sum(1 << (L - 1 - d) for d in M if d < L)) == 0]])
+    del c0
+    # last is the checks' scratch until it is filled.  mode="wrap": see
+    # `_potential`.
+    last = np.empty(n, dtype=np.int64)
+    can1 = np.bitwise_and(keys, conflicts, out=last) == 0
+    for bit, exists in ((0, True), (1, can1)):
+        # keys[1:] gathered at succ0 is keys at succ0 + 1.  The gathered
+        # key equals (2*keys + bit) mod 2**L iff the two agree mod 2**L,
+        # as both lie in [0, 2**L).
+        np.take(keys[bit:], succ0, out=last, mode="wrap")
+        last -= keys
+        last -= keys
+        last &= (1 << L) - 1
+        if ((last != bit) & exists).any():
+            raise InternalError(f"a window's {bit}-edge does not lead to its shift")
     # keys[first] == keys >> 1 iff (keys[first] << 1) ^ keys is 0 or 1.
     np.take(keys, first, out=last, mode="wrap")
     last <<= 1
     last ^= keys
-    last >>= 1
-    if last.any():
+    if (last > 1).any():
         raise InternalError("a window has no shift predecessor")
     np.copyto(last, first)
     last[succ0[p:]] = np.arange(p, n)
-    return keys, succ0, succ1, first, last
+    return keys, succ0, can1, first, last
 
 
 def _cycle_mean(step, bits, land, buf, on_cycle):
@@ -577,7 +575,7 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
                     )
 
 
-def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
+def _tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
     """Certify that mu = values[j] on each segment j of a union (states
     offsets[j] to offsets[j + 1]) and return, for each, an optimal cycle's
     appended bits, or None when that segment has no such cycle: its value
@@ -586,16 +584,16 @@ def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
     With w' = den*w - num the claim is that the maximum cycle mean becomes
     0.  `pi` is the converged longest-walk potential of `_potential`, so no
     cycle has positive w'-weight, and pi[u] + w' <= pi[v] on every edge.
-    One rule checks this on both edge kinds, the out-edges succ0 (bit 0)
-    and succ1 (bit 1), found apart from the in-edges `_potential` relaxed
-    and weighted from `values`: the slack pi[succ[u]] - pi[u] + num -
-    bit*den is at least 0, and a missing edge (succ = -1) has slack 1.
-    This proves mu <= value.  Every cycle of tight edges (slack 0)
-    telescopes to w'-weight 0, so the first one a depth-first search meets
-    attains value: that proves mu >= value and is the witness, read as each
-    state's newest bit, keys[v] & 1.  No edge leaves a segment, so each
-    segment's search starts from its own first state and the edge check
-    runs on the whole union.
+    One rule checks this on both edge kinds, the out-edges to succ0[u]
+    (bit 0) and, where can1[u], to succ0[u] + 1 (bit 1), found apart from
+    the in-edges `_potential` relaxed and weighted from `values`: the slack
+    pi[v] - pi[u] + num - bit*den is at least 0, and a 1-edge that is not
+    allowed has slack 1.  This proves mu <= value.  Every cycle of tight
+    edges (slack 0) telescopes to w'-weight 0, so the first one a
+    depth-first search meets attains value: that proves mu >= value and is
+    the witness, read as each state's newest bit, keys[v] & 1.  No edge
+    leaves a segment, so each segment's search starts from its own first
+    state and the edge check runs on the whole union.
 
     Beside the graph and pi it holds one int64 array of the state count,
     the slack of one edge kind at a time, and the two bool arrays of tight
@@ -603,14 +601,15 @@ def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
     """
     segments = list(zip(offsets, offsets[1:], values))
     slack, tight = np.empty_like(pi), []
-    for succ, bit in ((succ0, 0), (succ1, 1)):
-        # A missing edge (succ = -1) gathers pi[n - 1]; its slack is set to
+    for bit, exists in ((0, True), (1, can1)):
+        # pi[1:] gathered at succ0 is pi at succ0 + 1.  Where no 1-edge is
+        # allowed, that is another state's, or wraps; its slack is set to
         # 1, which is neither violated nor tight.
-        np.take(pi, succ, out=slack, mode="wrap")
+        np.take(pi[bit:], succ0, out=slack, mode="wrap")
         slack -= pi
         for start, stop, value in segments:
             slack[start:stop] += value.numerator - bit * value.denominator
-        np.copyto(slack, 1, where=succ < 0)
+        np.copyto(slack, 1, where=np.logical_not(exists))
         if slack.min() < 0:
             raise InternalError("potential violates an edge")
         tight.append(slack == 0)
@@ -618,13 +617,12 @@ def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
     del slack
 
     def tight_out(v: int) -> Iterator[int]:
-        # index order: succ0[v] < succ1[v], as a window with its newest
-        # position excluded sorts first.  `item` reads Python scalars
-        # without making numpy ones.
+        # index order: the 0-edge leads to the state before the 1-edge's.
+        # `item` reads Python scalars without making numpy ones.
         if tight0.item(v):
             yield succ0.item(v)
         if tight1.item(v):
-            yield succ1.item(v)
+            yield succ0.item(v) + 1
 
     color = bytearray(len(keys))  # 0 new, 1 on the path, 2 done
 
@@ -654,18 +652,17 @@ def _tight_cycle(keys, succ0, succ1, pi, values, offsets) -> list:
 
 def _union(graphs):
     """The graphs of a batch laid end to end, with the offsets of their
-    segments: the keys as they are, and the edge arrays with each graph's
-    indices moved past the states before it (succ1's -1, no edge, stays).
-    A batch of one is its own arrays, not a copy."""
+    segments: keys and can1 as they are, and the edge arrays with each
+    graph's indices moved past the states before it.  A batch of one is
+    its own arrays, not a copy."""
     offsets = [0, *itertools.accumulate(len(keys) for keys, *_ in graphs)]
     if len(graphs) == 1:
         return graphs[0], offsets
-    keys, succ0, succ1, first, last = map(np.concatenate, zip(*graphs))
+    keys, succ0, can1, first, last = map(np.concatenate, zip(*graphs))
     shift = np.repeat(offsets[:-1], np.diff(offsets))
     for edges in (succ0, first, last):
         edges += shift
-    np.add(succ1, shift, out=succ1, where=succ1 >= 0)
-    return (keys, succ0, succ1, first, last), offsets
+    return (keys, succ0, can1, first, last), offsets
 
 
 def _kappa_set(M: DifferenceSet) -> PeriodicSet:
@@ -679,11 +676,15 @@ def _kappa_set(M: DifferenceSet) -> PeriodicSet:
     meets a falling piece of d_j, at x = c/(d_i + d_j): every maximum lies
     at some x = c/q with q = d_i + d_j, i = j included, and 1 <= c < q.
     There the bound is v/q, v the least of min(d*c mod q, q - d*c mod q)
-    over M.  Every such (q, c) is evaluated in one numpy expression, and
-    the first maximiser in (q, c) order is taken.  The argmax over the
-    doubles v/q is exact: division is correctly rounded, so equal
-    fractions give equal doubles, and two different fractions with
-    q <= 2*max(M) <= 126 differ by at least 1/126**2.
+    over M.  As ||d*(q - c)/q|| = ||d*c/q||, each c above q/2 has the
+    bound of q - c, which is smaller and comes first, so the least
+    maximising c of each q is at most q/2: only 1 <= c <= q/2 is searched,
+    and the first maximiser in (q, c) order is the same.  Every such (q, c)
+    is evaluated in one numpy expression, and the first maximiser is
+    taken.  The argmax over the doubles v/q is exact: division is
+    correctly rounded, so equal fractions give equal doubles, and two
+    different fractions with q <= 2*max(M) <= 126 differ by at least
+    1/126**2.
 
     The set avoids M: the residues n*c mod q of two members lie in [0, v),
     so their difference e has ||e*c/q|| < v/q, and e is not in M.  With
@@ -693,9 +694,9 @@ def _kappa_set(M: DifferenceSet) -> PeriodicSet:
     its density is exactly v/q.
     """
     # Not np.unique, whose first call imports numpy.ma.
-    sums = sorted({i + j for i in M for j in M})
-    q = np.concatenate([np.full(s - 1, s) for s in sums])
-    c = np.concatenate([np.arange(1, s) for s in sums])
+    sums = np.array(sorted({i + j for i in M for j in M}))
+    q = np.repeat(sums, sums // 2)
+    c = np.arange(1, len(q) + 1) - np.searchsorted(q, q)  # 1 up to q // 2 for each q
     r = np.multiply.outer(tuple(M), c) % q
     v = np.minimum(r, q - r).min(axis=0)
     best = int(np.argmax(v / q))
@@ -703,7 +704,7 @@ def _kappa_set(M: DifferenceSet) -> PeriodicSet:
     return PeriodicSet(q, tuple(n for n in range(q) if n * c % q < v))
 
 
-def _solve(keys, succ0, succ1, first, last, offsets, batch) -> list[tuple[Fraction, list[int]]]:
+def _solve(keys, succ0, can1, first, last, offsets, batch) -> list[tuple[Fraction, list[int]]]:
     """mu and an optimal cycle's appended bits for each segment of a union
     graph (`_union`), as `mu_exact` describes: the segment from offsets[j]
     to offsets[j + 1] is the graph of batch[j] = (M, candidate), the
@@ -741,7 +742,7 @@ def _solve(keys, succ0, succ1, first, last, offsets, batch) -> list[tuple[Fracti
                         raise InternalError(f"cycle of raises has mean {mean}, not above {values[i]}")
                     values[i], from_caller[i] = mean, False
             continue
-        cycles = _tight_cycle(keys, succ0, succ1, pi_or_means, values, offsets)
+        cycles = _tight_cycle(keys, succ0, can1, pi_or_means, values, offsets)
         del pi_or_means  # not held through the next potential
         if None not in cycles:
             return list(zip(values, cycles))
@@ -768,7 +769,7 @@ def mu_exact_many(
     ResourceLimit follows the batch's results.  The results of a batch are
     yielded once it is solved.  A batch holds its graphs until they are
     laid end to end (`_union`), which briefly holds both, and then only the
-    union, 40 bytes per state, beside the solver's arrays of the union; so
+    union, 33 bytes per state, beside the solver's arrays of the union; so
     memory is bounded by the larger of _BATCH_STATES and the largest graph,
     not by the number of graphs.
     """

@@ -89,7 +89,10 @@ def record_potentials(monkeypatch) -> list:
 def reference_state_graph(M):
     """`oracle._build_state_graph` as it was before its edges were read off
     the last level: the same level loop, then every edge a `searchsorted`
-    over the sorted keys."""
+    over the sorted keys.  It returns (keys, succ0, succ1, first, last),
+    with the 1-edge searched apart from the 0-edge: succ1[i] is the state
+    appending a 1 leads to, or -1 where that would create a difference in
+    M."""
     L = max(M)
     keys = np.zeros(1, dtype=np.int64)
     for t in range(L):
@@ -202,10 +205,11 @@ def iter_avoiding_masks(distances, n: int, require_zero: bool):
     yield from rec(1, 1) if require_zero else rec(0, 0)
 
 
-def karp_max_mean(succ0, succ1) -> Fraction:
+def karp_max_mean(succ0, can1) -> Fraction:
     """Maximum cycle mean of a state graph by Karp's recurrence (Karp 1978),
     exact in int64: the independent reference for the package's oracle,
-    on the same (succ0, succ1) arrays from `_build_state_graph`.
+    on the same (succ0, can1) arrays from `_build_state_graph`, whose
+    1-edges lead from u to succ0[u] + 1 where can1[u].
 
     F_j(v) is the largest weight of a j-edge walk from state 0 to v, and the
     answer is max_v min_j (F_n(v) - F_j(v)) / (n - j).  Two relaxation sweeps
@@ -214,9 +218,9 @@ def karp_max_mean(succ0, succ1) -> Fraction:
     O(n^2), so it suits small graphs only.
     """
     n = len(succ0)
-    ones = np.flatnonzero(succ1 >= 0)
+    ones = np.flatnonzero(can1)
     src = np.concatenate([np.arange(n), ones])
-    dst = np.concatenate([succ0, succ1[ones]])
+    dst = np.concatenate([succ0, succ0[ones] + 1])
     wgt = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(len(ones), dtype=np.int64)])
     order = np.argsort(dst, kind="stable")
     src, wgt = src[order], wgt[order]

@@ -1,5 +1,6 @@
 """Window machinery, exhaustive enumeration, and the exact density oracle."""
 
+import inspect
 import itertools
 import math
 import os
@@ -65,10 +66,10 @@ def random_difference_set(rng: random.Random, max_element: int = 9) -> tuple[int
 def check_state_graph(M):
     """`_build_state_graph` against the recursive enumeration, in which bit
     j of a mask is the j-th oldest position: the keys are those masks
-    bit-reversed, succ0/succ1 their shifts, and first/last the smallest and
-    largest source of each window's in-edges."""
+    bit-reversed, succ0 and succ0 + 1 (where can1) their shifts, and
+    first/last the smallest and largest source of each window's in-edges."""
     L = max(M)
-    keys, succ0, succ1, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    keys, succ0, can1, first, last = oracle._build_state_graph(as_difference_set(M), 1 << 22)
     masks = list(iter_avoiding_masks(M, L, False))
     assert keys.tolist() == [int(format(mask, f"0{L}b")[::-1], 2) for mask in masks]
     index = {mask: i for i, mask in enumerate(masks)}
@@ -79,9 +80,10 @@ def check_state_graph(M):
         # the appended position must avoid the whole old window
         new = mask | 1 << L
         ok = all(new & (new >> d) == 0 for d in M)
-        assert succ1[i] == (index[mask >> 1 | 1 << (L - 1)] if ok else -1)
+        assert can1[i] == ok
         if ok:
-            sources[succ1[i]].append(i)
+            assert succ0[i] + 1 == index[mask >> 1 | 1 << (L - 1)]
+            sources[succ0[i] + 1].append(i)
     assert first.tolist() == [min(s) for s in sources]
     assert last.tolist() == [max(s) for s in sources]
 
@@ -313,9 +315,9 @@ class TestMuExact:
         rng = random.Random(404)
         for _ in range(12):
             M = random_difference_set(rng)
-            _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+            _, succ0, can1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
             out = mu_exact(M)
-            assert karp_max_mean(succ0, succ1) == out.value
+            assert karp_max_mean(succ0, can1) == out.value
             assert check_periodic_avoiding(out.witness, M)
             assert out.witness.density() == out.value
 
@@ -410,6 +412,8 @@ class TestMuExact:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
+@example({1})  # two states: state 0's 1-edge leads into the last state
+@example({7})
 def test_state_graph_edges_match_recursive_enumeration(distances):
     check_state_graph(sorted(distances))
 
@@ -418,12 +422,19 @@ def test_state_graph_edges_match_recursive_enumeration(distances):
 @given(st.sets(st.integers(1, 20), min_size=1, max_size=5))
 @example({20})
 @example({1, 20})
+@example({1})  # one-element M: a 1-edge leads into the last state
+@example({13})
 def test_state_graph_equals_the_searched_reference(distances):
-    # The edges read off the last level are the searched ones, byte for byte.
+    # The edges read off the last level are the searched ones, byte for
+    # byte, and each searched 1-edge leads to the state after the 0-edge's.
     M = sorted(distances)
     built = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-    for got, expected in zip(built, reference_state_graph(M), strict=True):
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    searched = reference_state_graph(M)
+    for i in (0, 1, 3, 4):  # keys, succ0, first and last
+        assert built[i].dtype == searched[i].dtype and built[i].tobytes() == searched[i].tobytes()
+    (_, succ0, can1, _, _), succ1 = built, searched[2]
+    assert can1.dtype == bool and np.array_equal(can1, succ1 >= 0)
+    assert np.array_equal(succ1[can1], succ0[can1] + 1)
 
 
 class _OneWrongEdge:
@@ -443,12 +454,14 @@ class _OneWrongEdge:
         return np.take(a, indices, *args, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "which, message",
-    [(0, "0-edge does not lead"), (1, "1-edge does not lead"), (2, "no shift predecessor")],
-)
+# Each `take` of the build, in order, with the check that its wrong edge trips.
+BUILD_CHECKS = [(0, "0-edge does not lead"), (1, "1-edge does not lead"), (2, "no shift predecessor")]
+
+
+@pytest.mark.parametrize("which, message", BUILD_CHECKS)
 def test_state_graph_checks_every_edge_it_reads_off(monkeypatch, which, message):
-    # The build gathers succ0, succ1 and first, in that order, to check them.
+    # The build gathers keys at succ0, at succ0 + 1 and at first, in that
+    # order, to check them.
     monkeypatch.setattr(oracle, "np", _OneWrongEdge(which))
     with pytest.raises(InternalError, match=message):
         oracle._build_state_graph(as_difference_set([1, 5, 6]), 1 << 22)
@@ -458,9 +471,9 @@ def test_state_graph_checks_every_edge_it_reads_off(monkeypatch, which, message)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
 def test_karp_and_oracle_identical_with_avoiding_witness(distances):
     M = sorted(distances)
-    _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+    _, succ0, can1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
     out = mu_exact(M)
-    assert karp_max_mean(succ0, succ1) == out.value
+    assert karp_max_mean(succ0, can1) == out.value
     period, residues = out.witness.period, out.witness.residues
     assert all((x + d - y) % period for x in residues for y in residues for d in M)
     assert out.witness.density() == out.value
@@ -468,9 +481,11 @@ def test_karp_and_oracle_identical_with_avoiding_witness(distances):
 
 def test_peak_memory_per_state():
     # tracemalloc sees numpy's buffers, so the peak repeats to a few kB.  The
-    # graph's five int64 arrays are 40 B per state; each stage holds a few
-    # more arrays of the state count and reuses them on every pass.  The
-    # allocate-per-pass stages peaked at 113 B per state (8.48 MB).
+    # graph's four int64 arrays and one bool array are 33 B per state; each
+    # stage holds a few more arrays of the state count and reuses them on
+    # every pass.  The peak was 66.1 B per state, and 73.1 while the graph
+    # held a second out-edge array; the allocate-per-pass stages peaked at
+    # 113 B per state (8.48 MB).
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -479,13 +494,14 @@ def test_peak_memory_per_state():
     finally:
         tracemalloc.stop()
     assert out.states_explored == 75_025 and out.value == Fraction(1, 2)
-    assert peak <= 80 * out.states_explored, peak / out.states_explored
+    assert peak <= 70 * out.states_explored, peak / out.states_explored
 
 
 def test_peak_memory_per_state_of_the_set_up_stages():
-    # The peak above the start counts the graph's 40 B per state.  The
-    # build fills its four edge arrays in place, each one scratch for the
-    # checks until its turn.  The searched build peaked at 57 B per state.
+    # The peak above the start counts the graph's 33 B per state.  The
+    # build fills its edge arrays in place, and `last` is the checks'
+    # scratch until its turn: 36.7 B per state, against 46.8 with a second
+    # out-edge array.  The searched build peaked at 57 B per state.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -495,7 +511,7 @@ def test_peak_memory_per_state_of_the_set_up_stages():
         tracemalloc.stop()
     n = len(keys)
     assert n == 75_025
-    assert build <= 50 * n, build / n
+    assert build <= 38 * n, build / n
 
 
 class TestCandidate:
@@ -575,7 +591,7 @@ def test_candidate_never_changes_the_result(distances, ratio):
         assert mu_exact(M, candidate=Fraction(candidate)) == out, candidate
 
 
-class TestGreedyProposal:
+class TestKappaStart:
     """Without a candidate, kappa(M), the density of `_kappa_set(M)`, is
     tried first.  On these M it is below mu, so the potential diverges and
     a cycle of raises improves it."""
@@ -584,16 +600,16 @@ class TestGreedyProposal:
         # kappa = 5/22 at q = 9 + 13, below mu = 1/4; one improvement
         # round reaches mu.
         M = [3, 4, 5, 9, 13]
-        _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        _, succ0, can1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
         assert oracle._kappa_set(as_difference_set(M)).density() == Fraction(5, 22)
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
-        assert out.value == karp_max_mean(succ0, succ1) == Fraction(1, 4)
+        assert out.value == karp_max_mean(succ0, can1) == Fraction(1, 4)
         assert out.witness == PeriodicSet(8, (0, 2))
         assert runs == [(Fraction(5, 22), Fraction(1, 4)), (Fraction(1, 4), "pi")]
 
     @pytest.mark.parametrize(
-        "M, greedy, mu, witness",
+        "M, kappa, mu, witness",
         [
             (
                 (4, 9, 12, 15, 16), Fraction(6, 25), Fraction(1, 4),
@@ -609,22 +625,21 @@ class TestGreedyProposal:
             ),
         ],
     )
-    def test_other_refuted_proposals_are_improved(self, monkeypatch, M, greedy, mu, witness):
-        # `greedy` is the kappa start.  The witness is pinned: the tight
-        # cycle depends only on the graph and the proved value, not on the
-        # values tried before it.
-        _, succ0, succ1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
-        assert oracle._kappa_set(as_difference_set(M)).density() == greedy
+    def test_other_refuted_proposals_are_improved(self, monkeypatch, M, kappa, mu, witness):
+        # The witness is pinned: the tight cycle depends only on the graph
+        # and the proved value, not on the values tried before it.
+        _, succ0, can1, _, _ = oracle._build_state_graph(as_difference_set(M), 1 << 22)
+        assert oracle._kappa_set(as_difference_set(M)).density() == kappa
         runs = record_potentials(monkeypatch)
         out = mu_exact(M)
-        assert out.value == karp_max_mean(succ0, succ1) == mu
+        assert out.value == karp_max_mean(succ0, can1) == mu
         assert out.witness == witness
-        assert runs[0][0] == greedy and runs[0][1] != "pi" and runs[-1] == (mu, "pi")
+        assert runs[0][0] == kappa and runs[0][1] != "pi" and runs[-1] == (mu, "pi")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(st.sets(st.integers(1, 16), min_size=1, max_size=5))
-def test_greedy_proposal_never_changes_the_result(distances):
+def test_kappa_start_never_changes_the_result(distances):
     # The start is forced through `_kappa_set`.
     M = sorted(distances)
     out = mu_exact(M)
@@ -901,14 +916,15 @@ class TestBatch:
 
     def test_peak_memory_of_the_workload_box(self):
         # A batch holds its graphs until they are laid end to end, and then
-        # the union alone, 40 B per state, beside the potential's arrays;
+        # the union alone, 33 B per state, beside the potential's arrays;
         # the next graph, built before the batch is solved, is held too.  A
         # graph above the batch size, here 5,778 states, is solved alone on
         # its own arrays.  The peak comes in the potential of a 3,571-state
-        # graph solved alone, the 5,778-state graph built: 100.5 B per state
-        # of the bound's count in a new process, against 107.5 B while a
-        # batch held its graphs beside their union.  All 95 graphs in one
-        # union would peak near 6 MB.
+        # graph solved alone, the 5,778-state graph built: 87.4 B per state
+        # of the bound's count in a new process, against 100.5 B while the
+        # graph held a second out-edge array and 107.5 B while a batch held
+        # its graphs beside their union.  All 95 graphs in one union would
+        # peak near 6 MB.
         pairs = self.box_pairs()
         tracemalloc.start()
         try:
@@ -920,7 +936,7 @@ class TestBatch:
         largest = max(res.states_explored for res in out)
         assert len(out) == 95 and largest == 5_778
         assert [res.value for res in out] == list(pairs.values())
-        assert peak <= 101 * max(oracle._BATCH_STATES, largest), peak
+        assert peak <= 90 * max(oracle._BATCH_STATES, largest), peak
 
 
 def propose(monkeypatch, value):
@@ -966,13 +982,13 @@ class TestCertificate:
         # The out-edges are found apart from the in-edges `_potential`
         # relaxes, and each one is checked against the potential.
         M, value = as_difference_set([1, 5, 6]), Fraction(2, 7)
-        keys, succ0, succ1, first, last = oracle._build_state_graph(M, 1 << 22)
+        keys, succ0, can1, first, last = oracle._build_state_graph(M, 1 << 22)
         one = [0, len(keys)]
         pi = oracle._potential(keys, first, last, [value], one)
-        assert oracle._tight_cycle(keys, succ0, succ1, pi, [value], one) != [None]
-        pi[succ1[0]] -= len(keys) * value.denominator  # breaks the edge 0 -> succ1[0]
+        assert oracle._tight_cycle(keys, succ0, can1, pi, [value], one) != [None]
+        pi[succ0[0] + 1] -= len(keys) * value.denominator  # breaks the 1-edge 0 -> succ0[0] + 1
         with pytest.raises(InternalError, match="potential violates an edge"):
-            oracle._tight_cycle(keys, succ0, succ1, pi, [value], one)
+            oracle._tight_cycle(keys, succ0, can1, pi, [value], one)
         # Every edge into a state appends that state's newest bit, so pi at
         # succ0[v] one below tight breaks v -> succ0[v] and no edge that
         # appends a 1.
@@ -980,7 +996,7 @@ class TestCertificate:
         v = next(v for v in range(len(keys)) if succ0[v] != v)
         pi[succ0[v]] = pi[v] - value.numerator - 1
         with pytest.raises(InternalError, match="potential violates an edge"):
-            oracle._tight_cycle(keys, succ0, succ1, pi, [value], one)
+            oracle._tight_cycle(keys, succ0, can1, pi, [value], one)
         # A potential of zeros violates every edge that appends a 1.
         monkeypatch.setattr(oracle, "_potential", lambda keys, *_: np.zeros_like(keys))
         with pytest.raises(InternalError, match="potential violates an edge"):
@@ -1011,22 +1027,15 @@ class TestCertificate:
     def test_rejected_under_python_optimize(self):
         # A kappa start above mu, a potential that violates an edge and a
         # wrong edge of the state graph are caught by real checks, which -O
-        # does not strip.  The last patch changes succ0[0] as it is checked.
+        # does not strip.  The last patches each change one edge of the
+        # build as it is checked, one for each of its three checks.
         src = os.path.dirname(os.path.dirname(oracle.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        wrong_edge = (
-            "class OneWrongEdge:\n"
-            "    def __getattr__(self, name):\n"
-            "        return getattr(np, name)\n"
-            "    def take(self, a, indices, *args, **kwargs):\n"
-            "        oracle.np, indices[0] = np, 1 - indices[0]\n"
-            "        return np.take(a, indices, *args, **kwargs)\n"
-            "oracle.np = OneWrongEdge()"
-        )
+        wrong_edge = inspect.getsource(_OneWrongEdge) + "oracle.np = _OneWrongEdge"
         for patch, message in [
             ("oracle._kappa_set = lambda M: oracle.PeriodicSet(3, (0,))", "no cycle attains"),
             ("oracle._potential = lambda keys, *_: np.zeros_like(keys)", "violates an edge"),
-            (wrong_edge, "0-edge does not lead to its shift"),
+            *((f"{wrong_edge}({which})", message) for which, message in BUILD_CHECKS),
         ]:
             script = (
                 "import sys\n"
