@@ -9,6 +9,21 @@ delta, and machine-checks every counting step of the matching upper-bound
 argument in the regimes where it is a theorem.
 """
 
+import os as _os
+import sys as _sys
+
+# When numpy loads, OpenBLAS starts a worker thread per extra core, and each
+# spins for about 0.1 s before it sleeps.  The package calls no BLAS routine
+# (tests/test_source.py checks that), so numpy loads with a one-thread pool,
+# unless the caller imported numpy first or set OPENBLAS_NUM_THREADS.  The
+# variable is removed again, so os.environ and child processes are untouched.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     DensityPackError,
     InternalError,
