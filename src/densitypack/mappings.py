@@ -44,33 +44,35 @@ stride (k' * a with i < k' <= k for m = 1; a + m'*b with m' < eta_n for
 k = 1).  Each walk step is built once as (quotient, offset, witness mask),
 the mask holding those positions.  All of them lie inside [0, n2), so on a
 window of length >= n2, as `profile` requires, A meets the mask exactly
-when it holds one of them.  A trajectory tests the mask at every step
-whose offset misses I, as it walks, and raises "witness-missing" when A
-does not meet it.
+when it holds one of them.  The image functions test the mask at every
+step whose offset misses I, as they walk, and raise "witness-missing"
+when A does not meet it.
 
 Trajectories are guarded by a hard iteration cap of n2 + 1 steps; both stop
 rules provably fire long before that, so hitting the cap is itself reported
 as a violation ("trajectory-unterminated") rather than an infinite loop.
 
-The functions above check one window and are the reference.  The exhaustive
-harnesses (`m1_check`, `k1_check`, run by `profile.scan_windows`) do not
-call them on every window.  In a fixed family each band position alpha
-walks a fixed sequence of steps, each with its witness mask, and has a
-fixed image for each stop step; a window decides only where the walk stops
-(its first offset in I) and which membership facts hold.  These
-window-free parts are written once (`_m1_walk`, `_k1_steps`, `_k1_blocks`
-and `_k1_union`), and the reference and the harnesses' plans read the
-same steps as built.  The plans evaluate the walks as array filters over a
-whole batch of window masks: I-membership rows, each step's witness mask
-ANDed with the masks, running ORs of the images for disjointness, and
-pairwise tests for the m = 1 chain edges.  A filter flags a superset of the
+The functions above check one window and are the reference.  Each band
+element walks once: `image_pair` and `k1_image` build its walk and read
+its stop off `_first_stop`.  The exhaustive harnesses (`m1_check`,
+`k1_check`, run by `profile.scan_windows`) do not call them on every
+window.  In a fixed family each band position alpha walks a fixed
+sequence of steps, each with its witness mask, and has a fixed image for
+each stop step; a window decides only where the walk stops (its first
+offset in I) and which membership facts hold.  These window-free parts
+are written once (`_m1_walk`, `_k1_steps`, `_k1_blocks` and `_k1_union`),
+and the reference and the harnesses' plans read the same steps as built.
+The plans evaluate the walks as array filters over a whole batch of
+window masks: I-membership rows, each step's witness mask ANDed with the
+masks, running ORs of the images for disjointness, and pairwise tests for
+the m = 1 chain edges.  A filter flags a superset of the
 windows on which the reference raises, and every flagged window is
 re-checked by the reference, in order; only a reference failure counts.
 The first counterexample, its index and its violation text are therefore
 exactly those of running the reference on every window.  The
-filter-versus-reference tests check the flag logic; the pinned
-trajectories and images and the tests that the maps hold on every window
-of small families guard the shared definitions.
+filter-versus-reference tests check the flag logic; the pinned walks and
+images, an independent walk in the tests, and the tests that the maps
+hold on every window of small families guard the shared definitions.
 
 Every reader of a route first refuses a family outside its regime (m = 1
 for the chain route, k = 1 for the block route) with UnsupportedRegime.
@@ -84,12 +86,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    LemmaViolation,
-    NotInBand,
-    UnsupportedRegime,
-)
+from .errors import LemmaViolation, NotInBand, UnsupportedRegime
 from .family import CanonicalParams, as_int, require_type
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
@@ -97,15 +94,12 @@ from .profile import VerificationReport, WindowBatch, WindowCheck, _scan_one, pr
 
 __all__ = [
     "GapDecomposition",
-    "Trajectory",
     "ImageAssignment",
     "ChainPartition",
     "gap_decompose",
-    "m1_trajectory",
     "image_pair",
     "build_chain_partition",
     "verify_m1_inequality",
-    "k1_trajectory",
     "k1_image",
     "verify_k1_mapping",
     "check_m1_machinery",
@@ -121,29 +115,6 @@ class GapDecomposition:
     band: int
     quotient: int
     offset: int
-
-
-@dataclass(frozen=True, slots=True)
-class Trajectory:
-    """A stopped offset trajectory.
-
-    steps[n] = (quotient, offset) of the n-th term; the k = 1 flavour
-    carries the Euclidean quotient eta_n, the m = 1 flavour has no
-    quotient and stores None there.  stop_reason is "empty_translate"
-    (the final offset lies in I) or "threshold".  final_quotient is the
-    k = 1 value eta_{N+1} after clamping to m + 1 (None when stopping in
-    I or in the m = 1 flavour); truncated records whether clamping
-    actually lowered it.
-    """
-
-    steps: tuple[tuple[int | None, int], ...]
-    stop_reason: str
-    truncated: bool
-    final_quotient: int | None
-
-    @property
-    def last_offset(self) -> int:
-        return self.steps[-1][1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +247,8 @@ def _first_stop(
     p: CanonicalParams,
     missing: Callable[[int | None, int], str],
 ) -> int | None:
-    """Index of the first step of a walk whose offset lies in I, or None.
+    """Index of the first step of a walk whose offset lies in I, or None:
+    where `image_pair` and `k1_image` stop an element's walk.
 
     Every step before it owes a translate witness: A must meet its witness
     mask, or LemmaViolation "witness-missing" is raised with the detail
@@ -333,50 +305,28 @@ def _k1_union(
 # ──────────────────────────────────────────────────────────────────────────
 
 
-def m1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
-    """Offset trajectory off, off + (a-b), ... for the m = 1 route.
-
-    Stops at the first term lying in I or reaching 2*b - a, whichever comes
-    first (I wins a tie); with a >= 2*b the threshold is vacuous at n = 0,
-    so only an immediate I-hit can produce an empty-translate stop.  All
-    terms stay below b, so I-membership is meaningful throughout.  Every
-    term outside I must have its translate witness off + k'*a in A for some
-    band < k' <= k; a missing one raises LemmaViolation "witness-missing".
-    """
-    _require_route(p, "m")
-    dec = _require_band_member(alpha, window, p)
-    if dec.quotient != 1:
-        raise InvalidInput(
-            f"alpha = {alpha} has quotient {dec.quotient}; trajectories apply to quotient 1"
-        )
-    walk, _, w = _m1_walk(dec, p)
-    missing = f"(band {dec.band}): no offset + k'*a in A for {dec.band} < k' <= {p.k}"
-    stop = _first_stop(walk, window, p, lambda _, off: f"offset {off} {missing}")
-    steps = tuple((q, off) for q, off, _ in walk)
-    if stop is not None:
-        return Trajectory(steps[: stop + 1], "empty_translate", False, None)
-    if w is None:
-        raise LemmaViolation(
-            "trajectory-unterminated",
-            f"m=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
-        )
-    return Trajectory(steps, "threshold", False, None)
-
-
 def image_pair(alpha: int, window: Window, p: CanonicalParams) -> tuple[int, int]:
     """The image pair (v, w) of a band element for the m = 1 route.
 
-    Verifies the membership facts the counting needs: v is a top hole, w is
-    an empty translate or a top hole, and v != w.
+    A quotient-1 element walks the offsets of `_m1_walk`; w is the first
+    one in I, if any (I wins a tie with the threshold 2*b - a).  Every
+    offset before it owes a translate witness (`_first_stop`).  Verifies
+    the membership facts the counting needs: v is a top hole, w is an
+    empty translate or a top hole, and v != w.
     """
     _require_route(p, "m")
     prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
-    _, v, w = _m1_walk(dec, p)
-    if dec.quotient == 1:
-        traj = m1_trajectory(alpha, window, p)
-        if traj.stop_reason == "empty_translate":
-            w = traj.last_offset
+    walk, v, w = _m1_walk(dec, p)
+    missing = f"(band {dec.band}): no offset + k'*a in A for {dec.band} < k' <= {p.k}"
+    stop = _first_stop(walk, window, p, lambda _, off: f"offset {off} {missing}")
+    if stop is not None:
+        w = walk[stop][1]
+    elif w is None:
+        raise LemmaViolation(
+            "trajectory-unterminated",
+            f"m=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
+        )
 
     if v not in prof.top_holes:
         raise LemmaViolation("image-outside-holes", f"v = {v} of alpha = {alpha}")
@@ -495,57 +445,34 @@ def verify_m1_inequality(window: Window, p: CanonicalParams) -> bool:
 
 
 # ──────────────────────────────────────────────────────────────────────────
-# k = 1: trajectories and block images
+# k = 1: block images
 # ──────────────────────────────────────────────────────────────────────────
-
-
-def k1_trajectory(alpha: int, window: Window, p: CanonicalParams) -> Trajectory:
-    """Euclidean trajectory (eta_n, off_n) of alpha + n*(a-b) by b.
-
-    Stops at the first n with off_n in I ("empty_translate") or with the
-    upcoming quotient eta_{n+1} >= m + 1 ("threshold", I wins a tie at the
-    same n); in the threshold case eta_{N+1} is clamped to m + 1 and
-    `truncated` records whether the clamp changed it.  Every step with off_n
-    outside I must have its translate witness off_n + a + m'*b in A for some
-    m' < eta_n; a missing one raises LemmaViolation "witness-missing".
-    """
-    _require_route(p, "k")
-    j0 = _require_band_member(alpha, window, p).quotient
-    if j0 > p.m:
-        raise InvalidInput(
-            f"alpha = {alpha} has quotient {j0} > m = {p.m}; that case bypasses trajectories"
-        )
-    walk, nxt_q = _k1_steps(alpha, p)
-    stop = _first_stop(
-        walk, window, p, lambda q, off: f"offset {off}: no offset + a + m'*b in A for 0 <= m' < {q}"
-    )
-    steps = tuple((q, off) for q, off, _ in walk)
-    if stop is not None:
-        return Trajectory(steps[: stop + 1], "empty_translate", False, None)
-    if nxt_q is None:
-        raise LemmaViolation(
-            "trajectory-unterminated",
-            f"k=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
-        )
-    return Trajectory(steps, "threshold", nxt_q > p.m + 1, p.m + 1)
 
 
 def k1_image(alpha: int, window: Window, p: CanonicalParams) -> ImageAssignment:
     """Image of a band element under the k = 1 map, fully verified.
 
-    Either a single empty-translate target, or a union of exactly m + 1 top
-    holes assembled from the primary block and the per-step blocks; block
-    disjointness, the cardinality, and hole membership are all checked.
+    A quotient j0 <= m walks the steps of `_k1_steps`; the target is the
+    first offset in I, if any (I wins a tie with the threshold), and every
+    step before it owes a translate witness (`_first_stop`).  Otherwise
+    the image is a union of exactly m + 1 top holes assembled from the
+    primary block and the per-step blocks; block disjointness, the
+    cardinality, and hole membership are all checked.
     """
     _require_route(p, "k")
     prof = profile(window, p)
     dec = _require_band_member(alpha, window, p)
-    steps: tuple[tuple[int, int, int], ...] = ()
-    if dec.quotient <= p.m:
-        traj = k1_trajectory(alpha, window, p)
-        if traj.stop_reason == "empty_translate":
-            return ImageAssignment(alpha, traj.last_offset, None, (), None)
-        steps = _k1_steps(alpha, p)[0]
+    steps, nxt = _k1_steps(alpha, p) if dec.quotient <= p.m else ((), p.m + 1)
+    stop = _first_stop(
+        steps, window, p, lambda q, off: f"offset {off}: no offset + a + m'*b in A for 0 <= m' < {q}"
+    )
+    if stop is not None:
+        return ImageAssignment(alpha, steps[stop][1], None, (), None)
+    if nxt is None:
+        raise LemmaViolation(
+            "trajectory-unterminated",
+            f"k=1 trajectory from alpha={alpha} ran past the n2={p.n2} cap",
+        )
     primary, blocks = _k1_blocks(alpha, dec.quotient, steps, p)
     union = _k1_union(alpha, primary, blocks, p)
     bad = [u for u in union if u not in prof.top_holes]

@@ -174,6 +174,40 @@ def reference_potential(keys, first, last, value: Fraction):
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
 
 
+def reference_walk_stop(alpha: int, p: CanonicalParams, route: str, translates) -> int | None:
+    """Where the offset walk of band element alpha first meets I (the
+    offsets in `translates`), or None when it ends outside I: route "m" is
+    the m = 1 map, "k" the k = 1 map.  Written from the recurrences in the
+    `densitypack.mappings` docstring alone, with none of its helpers.
+
+    m = 1: alpha = i*a + j*b + off in band i walks off + n*(a - b),
+    n = 0, 1, ..., up to the first offset at least 2*b - a, when j = 1;
+    for j >= 2 there is no walk.  k = 1: alpha = j0*b + off0 walks the
+    Euclidean pairs (eta_n, off_n) of alpha + n*(a - b) by b until
+    eta_{n+1} >= m + 1, when j0 <= m; for j0 > m there is no walk.  In
+    both, I wins a tie with the threshold.
+    """
+    a, b = p.a, p.b
+    if route == "m":
+        j, x = divmod(alpha % a, b)
+        while j == 1:
+            if x in translates:
+                return x
+            if x >= 2 * b - a:
+                return None
+            x += a - b
+        return None
+    x = alpha
+    if x // b > p.m:
+        return None
+    while True:
+        if x % b in translates:
+            return x % b
+        x += a - b
+        if x // b >= p.m + 1:
+            return None
+
+
 def brute_avoiding_masks(distances, n: int, require_zero: bool) -> list[int]:
     """All avoiding bitmasks over [0, n) by checking every subset shift."""
     M = tuple(distances)

@@ -1,5 +1,5 @@
-"""Band decompositions, offset trajectories, image assignments, chains,
-and the two per-regime counting harnesses."""
+"""Band decompositions, offset walks, image assignments, chains, and the
+two per-regime counting harnesses."""
 
 import importlib
 from unittest import mock
@@ -38,12 +38,11 @@ from densitypack.mappings import (
     image_pair,
     k1_check,
     k1_image,
-    k1_trajectory,
     m1_check,
-    m1_trajectory,
 )
+from densitypack.oracle import avoiding_mask_chunks
 from densitypack.profile import WindowBatch, _profile_masks, scan_windows
-from helpers import INTEGER_LIKE, canonical_instances
+from helpers import INTEGER_LIKE, canonical_instances, reference_walk_stop
 
 # The package root re-exports the function `profile`, which shadows the
 # module of the same name as an attribute.
@@ -108,18 +107,18 @@ class TestM1Trajectory:
     def test_threshold_stop(self):
         # offset 1 is not an empty translate and already sits at 2b - a = 1.
         w = Window.from_members(18, [0, 5, 8])
-        traj = m1_trajectory(5, w, P741)
-        assert traj.steps == ((None, 1),)
-        assert traj.stop_reason == "threshold"
-        assert not traj.truncated and traj.final_quotient is None
-        assert traj.last_offset == 1
+        steps, _, end = _m1_walk(gap_decompose(5, P741), P741)
+        assert [off for _, off, _ in steps] == [1] and end == 1 + 2 * P741.a
+        assert 1 not in profile(w, P741).empty_translates
+        assert image_pair(5, w, P741) == (16, 15)
 
     def test_multi_step_walk(self):
         # I = {2, 4}; offsets walk 1, 3 and stop at the threshold 3.
         w = Window.from_members(19, [0, 6, 8, 10])
-        traj = m1_trajectory(6, w, P751)
-        assert [off for _, off in traj.steps] == [1, 3]
-        assert traj.stop_reason == "threshold"
+        steps, _, end = _m1_walk(gap_decompose(6, P751), P751)
+        assert [off for _, off, _ in steps] == [1, 3] and end == 3 + 2 * P751.a
+        assert profile(w, P751).empty_translates == frozenset({2, 4})
+        assert image_pair(6, w, P751) == (18, 17)
 
     def test_empty_translate_stop_wins_tie(self):
         # A = {0, 6, 8}: offset 1 is occupied (1 + S meets A at 8), offset 3
@@ -128,15 +127,8 @@ class TestM1Trajectory:
         prof = profile(w, P751)
         assert 1 not in prof.empty_translates
         assert 3 in prof.empty_translates
-        traj = m1_trajectory(6, w, P751)
-        assert traj.stop_reason == "empty_translate"
-        assert traj.last_offset == 3
+        assert [off for _, off, _ in _m1_walk(gap_decompose(6, P751), P751)[0]] == [1, 3]
         assert image_pair(6, w, P751) == (18, 3)
-
-    def test_quotient_gate(self):
-        w = Window.from_members(11, [0, 3, 7, 10])
-        with pytest.raises(InvalidInput):
-            m1_trajectory(3, w, P511)  # quotient 3, not 1
 
     def test_missing_witness_raises_during_walk(self):
         # A = {0, 5, 12} is not avoiding (12 - 5 = 7 = a): offset 1 of alpha = 5
@@ -144,12 +136,12 @@ class TestM1Trajectory:
         w = Window.from_members(18, [0, 5, 12])
         assert 1 not in profile(w, P741).empty_translates
         with pytest.raises(LemmaViolation, match="witness-missing.*offset 1 \\(band 0\\)"):
-            m1_trajectory(5, w, P741)
+            image_pair(5, w, P741)
 
     def test_regime_gate(self):
-        w = Window.from_members(16, [0])
+        # The route is refused before the element is looked up: 4 is not in A.
         with pytest.raises(UnsupportedRegime):
-            m1_trajectory(4, w, P532)
+            image_pair(4, Window.from_members(16, [0]), P532)
         with pytest.raises(UnsupportedRegime, match="m = 2: the chain route needs m = 1"):
             image_pair(4, Window.from_members(16, [0, 4]), P532)
 
@@ -255,35 +247,28 @@ class TestK1View:
 
 class TestK1Trajectory:
     def test_threshold_with_blocks(self):
+        # One step (eta, off) = (1, 1); the next quotient 3 = m + 1 ends it.
         w = Window.from_members(14, [0, 3, 6])
-        traj = k1_trajectory(3, w, P512)
-        assert traj.steps == ((1, 1),)
-        assert traj.stop_reason == "threshold"
-        assert traj.final_quotient == 3 and not traj.truncated
+        steps, nxt = _k1_steps(3, P512)
+        assert [(q, off) for q, off, _ in steps] == [(1, 1)] and nxt == 3
+        assert k1_image(3, w, P512).union == frozenset({11, 12, 13})
 
     def test_empty_translate_stop(self):
+        # The walk's first offset 1 is in I, so the walk stops there.
         w = Window.from_members(16, [0, 4])
-        traj = k1_trajectory(4, w, P532)
-        assert traj.steps == ((1, 1),)
-        assert traj.stop_reason == "empty_translate"
-        assert traj.last_offset == 1
+        steps, _ = _k1_steps(4, P532)
+        assert (steps[0][0], steps[0][1]) == (1, 1) and len(steps) > 1
+        assert k1_image(4, w, P532).translate_target == 1
 
     def test_quotient_monotone(self):
-        for p in [P512, P532]:
-            M = forbidden_differences(p)
-            for w in enumerate_avoiding_windows(M, p.n2):
-                prof = profile(w, p)
-                for alpha in sorted(prof.band_all):
-                    if gap_decompose(alpha, p).quotient > p.m:
-                        continue
-                    traj = k1_trajectory(alpha, w, p)
-                    quots = [q for q, _ in traj.steps]
-                    assert quots == sorted(quots)
-
-    def test_large_quotient_gate(self):
-        w = Window.from_members(P912.n2, [0, 7])
-        with pytest.raises(InvalidInput):
-            k1_trajectory(7, w, P912)
+        for p in canonical_instances(max_n2=30):
+            if p.k != 1:
+                continue
+            for alpha in range(p.b + 1, p.a):
+                if gap_decompose(alpha, p).quotient > p.m:
+                    continue
+                quots = [q for q, _, _ in _k1_steps(alpha, p)[0]]
+                assert quots == sorted(quots), (p, alpha)
 
     def test_missing_witness_raises_during_walk(self):
         # A = {0, 3, 8} is not avoiding (8 - 3 = 5 = a): offset 1 of alpha = 3
@@ -291,11 +276,11 @@ class TestK1Trajectory:
         w = Window.from_members(14, [0, 3, 8])
         assert 1 not in profile(w, P512).empty_translates
         with pytest.raises(LemmaViolation, match="witness-missing.*offset 1: .* m' < 1"):
-            k1_trajectory(3, w, P512)
+            k1_image(3, w, P512)
 
     def test_regime_gate(self):
         with pytest.raises(UnsupportedRegime):
-            k1_trajectory(3, Window.from_members(P521.n2, [0, 3]), P521)
+            k1_image(3, Window.from_members(P521.n2, [0, 3]), P521)
 
 
 class TestK1Images:
@@ -372,12 +357,12 @@ class TestK1Mapping:
         (check_m1_machinery, (5,), "params must be a CanonicalParams, got 5"),
         (check_k1_machinery, (5,), "params must be a CanonicalParams, got 5"),
         (gap_decompose, (5, 5), "params must be a CanonicalParams, got 5"),
-        (m1_trajectory, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (image_pair, (2.5, Window.from_members(P741.n2, [0, 5]), P741), "alpha must be an integer"),
         (image_pair, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
-        (k1_trajectory, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
+        (k1_image, (2.5, Window.from_members(P512.n2, [0, 3]), P512), "alpha must be an integer"),
         (k1_image, (5, Window.from_members(P741.n2, [0, 5]), 5), "params must be a"),
         (build_chain_partition, (Window.from_members(P741.n2, [0]), 5), "params must be a"),
-        (m1_trajectory, (5, 7, P741), "window must be a Window, got 7"),
+        (image_pair, (5, 7, P741), "window must be a Window, got 7"),
         (k1_image, (5, 7, P741), "window must be a Window, got 7"),
     ],
 )
@@ -391,11 +376,11 @@ class TestTranslateWitness:
     def test_vacuous_when_offset_in_translates(self):
         # I = {1, 2} for (5,3,1,2).  Offset 1 of alpha = 4 has no witness (its
         # mask holds only 1 + a = 6, not in A), but it is an empty translate,
-        # so the trajectory owes none.
+        # so the walk owes none.
         w = Window.from_members(16, [0, 4])
         q, off, witness = _k1_steps(4, P532)[0][0]
         assert (q, off, witness) == (1, 1, 1 << 6) and not w.mask & witness
-        assert k1_trajectory(4, w, P532).stop_reason == "empty_translate"
+        assert k1_image(4, w, P532).translate_target == 1
 
     def test_present_m1(self):
         # alpha = 5 walks the one offset 1, whose mask holds 1 + 1*a = 8.
@@ -550,6 +535,46 @@ class TestArrayFilter:
             batch = WindowBatch(p, masks)
             for name, _, flag_rows, _ in harnesses(p):
                 assert not flag_rows(batch).any(), (p, name)
+        # The proved families of `verify --level machinery`'s benchmark
+        # workload (k, m <= 3, n2 <= 26): no row is flagged, so no window
+        # there runs the per-window reference.
+        lattice = [
+            p for p in canonical_instances(max_n2=26, proved_only=True) if max(p.k, p.m) <= 3
+        ]
+        rows = 0
+        for p in lattice:
+            routes = harnesses(p)
+            for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2):
+                batch = WindowBatch(p, masks)
+                for name, _, flag_rows, _ in routes:
+                    assert not flag_rows(batch).any(), (p, name)
+                    rows += len(masks)
+        assert len(lattice) == 109 and rows == 129_300
+
+
+def test_walks_stop_where_an_independent_walk_does():
+    # Every band element of every avoiding window of each m = 1 and k = 1
+    # family with n2 <= 18: image_pair's w is an offset (below b) exactly
+    # when the walk stops in I, and k1_image's translate target is that stop.
+    walks = {"m": 0, "k": 0}
+    stops = {"m": 0, "k": 0}
+    for p in canonical_instances(max_n2=18, proved_only=True):
+        for w in enumerate_avoiding_windows(forbidden_differences(p), p.n2):
+            prof = profile(w, p)
+            for alpha in sorted(prof.band_all):
+                found = {}
+                if p.m == 1:
+                    image = image_pair(alpha, w, p)[1]
+                    found["m"] = image if image < p.b else None
+                if p.k == 1:
+                    found["k"] = k1_image(alpha, w, p).translate_target
+                for route, stop in found.items():
+                    assert stop == reference_walk_stop(alpha, p, route, prof.empty_translates), (
+                        p, w, route, alpha,
+                    )
+                    walks[route] += 1
+                    stops[route] += stop is not None
+    assert (walks, stops) == ({"m": 892, "k": 917}, {"m": 193, "k": 199})
 
 
 PROVED_UP_TO_20 = list(canonical_instances(max_n2=20, proved_only=True))
