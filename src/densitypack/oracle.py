@@ -24,43 +24,46 @@ all-zero window reaches and is reached by every state), every state has an
 out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
-One solver path computes it, in int64 numpy arrays throughout: the graph is
-built level by level in key order, each edge read off the last level by
-position, a value p/q is proposed, and a longest-walk potential for the
-reweighted graph w' = q*w - p certifies it.  The potential converging, and
-satisfying every edge, proves mu <= p/q; a cycle of its tight edges proves
-mu >= p/q and is the periodic witness.  A caller that already holds a
-likely value (the closed form delta) passes it as the candidate, which is
-certified first.  Without one, the first proposal is the Cantor-Gordon
-bound kappa(M) (`_kappa_set`), a closed form over M that needs no graph:
-the density of an M-avoiding Bohr set, so a lower bound, and nearly always
-mu itself.  A potential that diverges finds cycles of strict raises, real
-cycles with means above the value, and the best of those means is the next
-proposal (cycle improvement, as in Dasdan 2004); a caller's candidate with
-no tight cycle is above mu and gives way to kappa.  Every way, the same
-value is proved on the same graph, so the witness is the same.
+One solver path computes it, in int64 numpy arrays throughout: the windows
+are built level by level in key order, up to the last level before the full
+windows; the graph, keys and edges, is laid out once from that level, each
+edge read off it by position; a value p/q is proposed, and a longest-walk
+potential for the reweighted graph w' = q*w - p certifies it.  The
+potential converging, and satisfying every edge, proves mu <= p/q; a cycle
+of its tight edges proves mu >= p/q and is the periodic witness.  A caller
+that already holds a likely value (the closed form delta) passes it as the
+candidate, which is certified first.  Without one, the first proposal is
+the Cantor-Gordon bound kappa(M) (`_kappa_set`), a closed form over M that
+needs no graph: the density of an M-avoiding Bohr set, so a lower bound,
+and nearly always mu itself.  A potential that diverges finds cycles of
+strict raises, real cycles with means above the value, and the best of
+those means is the next proposal (cycle improvement, as in Dasdan 2004); a
+caller's candidate with no tight cycle is above mu and gives way to kappa.
+Every way, the same value is proved on the same graph, so the witness is
+the same.
 
 The path solves a batch of graphs at once (`mu_exact_many`, which `sweep`
-uses): the graphs are laid end to end once, as segments of one union
-graph, and every round runs one potential, one edge check and one
-tight-cycle search over the whole union, each segment at its own value,
-until every segment is proved.  A refused M closes its batch.  `mu_exact`
-is a batch of one, on the graph's own arrays.
+uses): a batch holds only the last level of each M, and its graphs are laid
+end to end once, as segments of one union graph, their edges read off and
+checked in one pass over the union; then every round runs one potential,
+one edge check and one tight-cycle search over the whole union, each
+segment at its own value, until every segment is proved.  A refused M
+closes its batch.  `mu_exact` is a batch of one.
 
 A second, entirely independent route -- exhaustive search over periodic sets
 of bounded period -- lives in `best_periodic_density` and exists to
 cross-examine the mean-cycle answer in tests.
 
-Window enumeration (`avoiding_mask_chunks`) shares the graph build's
-level-by-level construction and yields int64 masks in bounded chunks, in
+Window enumeration (`avoiding_mask_chunks`) extends prefixes one position
+per level (`_extend`) and yields int64 masks in bounded chunks, in
 lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
 
 Resource guards: max(M) must stay within a window cap (default 22), the
 admissible-state count within a state cap (default 2**22, set only by the
-DENSITYPACK_MAX_STATES environment variable; the graph build checks each
-level's size against it before allocating the level), and window enumeration
-length within an enumeration cap (default 49).  Masks are int64, so no
-window may be longer than 63 positions.  Exceeding any raises
+DENSITYPACK_MAX_STATES environment variable; each level's size, and the
+graph's, is checked against it before it is allocated), and window
+enumeration length within an enumeration cap (default 49).  Masks are
+int64, so no window may be longer than 63 positions.  Exceeding any raises
 ResourceLimit; a cap below 1 would refuse everything and is InvalidInput.
 """
 
@@ -239,10 +242,9 @@ def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
 
 
 def _extend(states: np.ndarray, t: int, with_t: np.ndarray) -> np.ndarray:
-    """One level of windows: each entry is followed by itself with bit t set
-    where `with_t` allows it (excluding a position sorts first).  The
-    enumeration sets position t; the graph build shifts its keys left and
-    sets bit 0, the newest position.  The (entry, extension) pairs and their
+    """One level of the window enumeration: each prefix is followed by
+    itself with position t set where `with_t` allows it (excluding a
+    position sorts first).  The (entry, extension) pairs and their
     keep-mask fill preallocated (n, 2) arrays, row-major, so reading the
     kept entries gives that order."""
     n = len(states)
@@ -340,60 +342,99 @@ def _check_state_count(count: int, cap: int) -> None:
         )
 
 
-def _build_state_graph(M: DifferenceSet, cap: int):
-    """Avoiding windows of length L = max(M) and their shift edges.
+def _last_level(M: DifferenceSet, cap: int):
+    """The last level of M's state graph: (P, with_t, n), P the sorted
+    M-avoiding keys of length L - 1, L = max(M), with_t whether each can
+    take a newest 1, and n = len(P) + count(with_t) the graph's state count.
 
-    Returns (keys, succ0, can1, first, last).  Built newest bit last, the
-    keys increase, in the window order of `avoiding_mask_chunks` (state 0 is
-    the all-zero window).  Appending a 0 moves state i to succ0[i].  Where
-    the bool can1[i] holds, appending a 1 is allowed and moves it to
-    succ0[i] + 1; elsewhere it would create a difference in M.  v's
-    in-edges come from first[v], keys[v] >> 1, and last[v], the same with
-    the oldest bit set where that window exists and v's newest bit is 0,
-    else first[v] again: as L is in M, a window whose oldest position is
-    set cannot append a 1.  Each level's size is checked against the cap
-    before the level is allocated, so a refused graph never holds more
-    windows than the cap.
+    The levels grow by the oldest bit: the keys of length t + 1 are those of
+    length t, whose bit t is clear, followed by each key whose bit t may be
+    set with bit t set, so every level is sorted.  Each level's size, and
+    then n, is checked against the cap before it is allocated, so a refused
+    graph never holds more windows than the cap.
     """
-    # Every edge is read off the last level, built from the p keys P before
-    # it, w its `with_t`.  A window whose oldest position is empty avoids M
-    # exactly when its newer positions do, so keys[:p] == P, and a window
-    # with it set is top | P[i], top = 2**(L-1), for the i with ok[i] =
-    # (P[i] & C) == 0, C = sum of 2**(L-1-d) for d in M below L.  Two facts
-    # follow.  (1) keys[v] >> 1 is v's parent P[i], state i: so first
-    # repeats each i 1 + w[i] times.  (2) The children of P[i] are adjacent,
-    # its 0-child at c0[i] = i + (ones of w before i) and its 1-child right
-    # after: so the two successors of a window are adjacent states, and
-    # shifting out the oldest position gives succ0 = c0 followed by c0[ok].
-    # last[v] is the top-half state whose succ0 is v.  Both edges and first
-    # are checked against the keys by checks that -O keeps.
     L = M.max_element
     _check_mask_bits(L)
-    # Key bit d - 1 lies at distance d from the next position appended.
-    # Position t conflicts only with such bits below t; a full window's
-    # next position conflicts with them all.
-    conflicts = sum(1 << (d - 1) for d in M)
-    # No position below min(M) has a conflict, so the first t0 levels hold
-    # every window; the loop still runs once, for the last level's with_t.
+    # No window of at most min(M) positions holds a difference in M, so the
+    # first level, of length t0, holds every key.
     t0 = min(M.elements[0], L - 1)
     _check_state_count(1 << t0, cap)
-    keys = np.arange(1 << t0, dtype=np.int64)
-    for t in range(t0, L):
-        with_t = (keys & (conflicts & ((1 << t) - 1))) == 0
-        _check_state_count(len(keys) + int(np.count_nonzero(with_t)), cap)
-        keys <<= 1
-        keys = _extend(keys, 0, with_t)
+    P = np.arange(1 << t0, dtype=np.int64)
+    for t in range(t0, L - 1):
+        # Bit t, the new oldest position, lies at distance d from bit t - d.
+        ok = (P & sum(1 << (t - d) for d in M if d <= t)) == 0
+        _check_state_count(len(P) + int(np.count_nonzero(ok)), cap)
+        top = P[ok]
+        top |= 1 << t
+        P = np.concatenate([P, top])
+    # A newest 1 lies at distance d from key bit d - 1.
+    with_t = (P & sum(1 << (d - 1) for d in M if d < L)) == 0
+    n = len(P) + int(np.count_nonzero(with_t))
+    _check_state_count(n, cap)
+    return P, with_t, n
 
-    p, n = len(with_t), len(keys)
-    first = np.repeat(np.arange(p), 1 + with_t)
-    c0 = np.cumsum(1 + with_t)
-    c0 -= 1 + with_t  # the exclusive cumsum
-    succ0 = np.concatenate([c0, c0[(keys[:p] & sum(1 << (L - 1 - d) for d in M if d < L)) == 0]])
-    del c0
+
+def _lay_out(Ms, levels):
+    """The state graphs of the difference sets `Ms`, from their last levels
+    (`_last_level`), laid end to end as segments of one union graph:
+    ((keys, succ0, can1, first, last), offsets), segment j the states
+    offsets[j] to offsets[j + 1].  `levels` is emptied once the keys are
+    laid out.
+
+    Segment j is M's graph with every index moved past the states before
+    it.  Its keys increase, in the window order of `avoiding_mask_chunks`
+    (its state 0 is the all-zero window).  Appending a 0 moves state i to
+    succ0[i].  Where the bool can1[i] holds, appending a 1 is allowed and
+    moves it to succ0[i] + 1; elsewhere it would create a difference in M.
+    v's in-edges come from first[v], keys[v] >> 1, and last[v], the same
+    with the oldest bit set where that window exists and v's newest bit is
+    0, else first[v] again: as L is in M, a window whose oldest position is
+    set cannot append a 1.
+    """
+    # A segment's keys are P, the windows whose oldest position, bit L - 1,
+    # is empty, followed by P[i] | 2**(L-1) for the i with ok[i] = (P[i] &
+    # C) == 0, C = sum of 2**(L-1-d) for d in M below L.  Two facts
+    # follow.  (1) keys[v] >> 1 is v's parent P[i], state i: so first
+    # repeats each i 1 + w[i] times, w = with_t.  (2) The children of P[i]
+    # are adjacent, its 0-child at c0[i] = i + (ones of w before i) and its
+    # 1-child right after: so the two successors of a window are adjacent
+    # states, and shifting out the oldest position gives succ0 = c0
+    # followed by c0[ok].  last[v] is the top-half state whose succ0 is v.
+    # Over the union, c0 and first count the states of the segments before
+    # too; constants of one segment apply to its slice.  Both edges and
+    # first are checked against the keys by checks that -O keeps.
+    offsets = [0, *itertools.accumulate(n for _, _, n in levels)]
+    sizes = [len(P) for P, _, _ in levels]
+    starts = [0, *itertools.accumulate(sizes)]
+    reps = np.concatenate([with_t for _, with_t, _ in levels]) + 1
+    c0 = np.cumsum(reps)
+    c0 -= reps  # the exclusive cumsum
+    parents = np.arange(starts[-1])
+    for start, stop, offset in zip(starts[1:], starts[2:], offsets[1:]):
+        parents[start:stop] += offset - start
+    first = np.repeat(parents, reps)
+    del reps, parents
+    key_parts, succ0_parts = [], []
+    for M, (P, _, _), start, stop in zip(Ms, levels, starts, starts[1:]):
+        L = M.max_element
+        ok = (P & sum(1 << (L - 1 - d) for d in M if d < L)) == 0
+        top = P[ok]
+        top |= 1 << (L - 1)
+        key_parts += [P, top]
+        succ0_parts += [c0[start:stop], c0[start:stop][ok]]
+    del P, ok, top
+    levels.clear()
+    keys = np.concatenate(key_parts)
+    del key_parts
+    succ0 = np.concatenate(succ0_parts)
+    del succ0_parts, c0
+    segments = list(zip(Ms, offsets, offsets[1:]))
     # last is the checks' scratch until it is filled.  mode="wrap": see
     # `_potential`.
-    last = np.empty(n, dtype=np.int64)
-    can1 = np.bitwise_and(keys, conflicts, out=last) == 0
+    last = np.empty(len(keys), dtype=np.int64)
+    for M, start, stop in segments:
+        np.bitwise_and(keys[start:stop], sum(1 << (d - 1) for d in M), out=last[start:stop])
+    can1 = last == 0
     for bit, exists in ((0, True), (1, can1)):
         # keys[1:] gathered at succ0 is keys at succ0 + 1.  The gathered
         # key equals (2*keys + bit) mod 2**L iff the two agree mod 2**L,
@@ -401,7 +442,8 @@ def _build_state_graph(M: DifferenceSet, cap: int):
         np.take(keys[bit:], succ0, out=last, mode="wrap")
         last -= keys
         last -= keys
-        last &= (1 << L) - 1
+        for M, start, stop in segments:
+            last[start:stop] &= (1 << M.max_element) - 1
         if ((last != bit) & exists).any():
             raise InternalError(f"a window's {bit}-edge does not lead to its shift")
     # keys[first] == keys >> 1 iff (keys[first] << 1) ^ keys is 0 or 1.
@@ -411,8 +453,16 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     if (last > 1).any():
         raise InternalError("a window has no shift predecessor")
     np.copyto(last, first)
-    last[succ0[p:]] = np.arange(p, n)
-    return keys, succ0, can1, first, last
+    for start, stop, p in zip(offsets, offsets[1:], sizes):
+        last[succ0[start + p : stop]] = np.arange(start + p, stop)
+    return (keys, succ0, can1, first, last), offsets
+
+
+def _build_state_graph(M: DifferenceSet, cap: int):
+    """Avoiding windows of length L = max(M) and their shift edges, as
+    (keys, succ0, can1, first, last): a union of one segment (`_lay_out`)."""
+    graph, _ = _lay_out([M], [_last_level(M, cap)])
+    return graph
 
 
 def _cycle_mean(step, bits, land, buf, on_cycle):
@@ -481,7 +531,7 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     num/den: the fixpoint of pi <- max(pi, relax(pi)) from 0, which exists
     exactly when no cycle has positive w'-weight, i.e. when mu <= value on
     every segment.  Each state v is relaxed over its in-edges from first[v]
-    and last[v] (`_build_state_graph`), both weighted by its newest bit,
+    and last[v] (`_lay_out`), both weighted by its newest bit,
     keys[v] & 1, and no edge leaves a segment, so each segment's pi is the
     one its graph alone would reach.  The caller checks every out-edge
     against the result, so the certificate stays sound whatever is relaxed
@@ -650,21 +700,6 @@ def _tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
     return [first_cycle(range(start, stop)) for start, stop, _ in segments]
 
 
-def _union(graphs):
-    """The graphs of a batch laid end to end, with the offsets of their
-    segments: keys and can1 as they are, and the edge arrays with each
-    graph's indices moved past the states before it.  A batch of one is
-    its own arrays, not a copy."""
-    offsets = [0, *itertools.accumulate(len(keys) for keys, *_ in graphs)]
-    if len(graphs) == 1:
-        return graphs[0], offsets
-    keys, succ0, can1, first, last = map(np.concatenate, zip(*graphs))
-    shift = np.repeat(offsets[:-1], np.diff(offsets))
-    for edges in (succ0, first, last):
-        edges += shift
-    return (keys, succ0, can1, first, last), offsets
-
-
 def _kappa_set(M: DifferenceSet) -> PeriodicSet:
     """The Bohr set {n : n*c mod q < v} at the first maximiser (q, c) of
     the Cantor-Gordon bound kappa(M) = max over x of min over d in M of
@@ -706,7 +741,7 @@ def _kappa_set(M: DifferenceSet) -> PeriodicSet:
 
 def _solve(keys, succ0, can1, first, last, offsets, batch) -> list[tuple[Fraction, list[int]]]:
     """mu and an optimal cycle's appended bits for each segment of a union
-    graph (`_union`), as `mu_exact` describes: the segment from offsets[j]
+    graph (`_lay_out`), as `mu_exact` describes: the segment from offsets[j]
     to offsets[j + 1] is the graph of batch[j] = (M, candidate), the
     candidate None for none.  Each segment starts at its candidate, if that
     is tried, else at kappa(M) (`_kappa_set`), and each round runs one
@@ -763,50 +798,53 @@ def mu_exact_many(
     The window cap and the state cap are read once, on the first `next`,
     before any pair.
 
-    The graphs are built one by one and solved in batches: a batch closes
-    when the next graph would take its states past _BATCH_STATES, so a
-    graph that large is a batch of its own, or when an M is refused, whose
-    ResourceLimit follows the batch's results.  The results of a batch are
-    yielded once it is solved.  A batch holds its graphs until they are
-    laid end to end (`_union`), which briefly holds both, and then only the
-    union, 33 bytes per state, beside the solver's arrays of the union; so
-    memory is bounded by the larger of _BATCH_STATES and the largest graph,
-    not by the number of graphs.
+    Each M's level loop runs in turn (`_last_level`), and the graphs are
+    solved in batches: a batch closes when the next graph's state count,
+    known from its last level, would take the batch past _BATCH_STATES, so
+    a graph that large is a batch of its own, or when an M is refused,
+    whose ResourceLimit follows the batch's results.  The results of a
+    batch are yielded once it is solved.  Until then a batch holds only
+    the last level of each graph, 9 bytes per window of length max(M) - 1
+    (the keys and with_t), and the next graph's last level is held while
+    the batch it closes is solved.  The batch is laid out once
+    (`_lay_out`), as one union of 33 bytes per state, which alone is held
+    beside the solver's arrays; so memory is bounded by the larger of
+    _BATCH_STATES and the largest graph, not by the number of graphs.
     """
     max_window = as_positive_int(max_window, "window cap")
     cap = _state_cap()
-    batch, graphs, states = [], [], 0
+    batch, levels, states = [], [], 0
     for distances, candidate in pairs:
         M = as_difference_set(distances)
         candidate = None if candidate is None else as_fraction(candidate, "candidate")
         try:
             if M.max_element > max_window:
                 raise ResourceLimit(f"max(M) = {M.max_element} exceeds window cap {max_window}")
-            graph = _build_state_graph(M, cap)
+            level = _last_level(M, cap)
         except ResourceLimit as exc:
-            yield from _finish(batch, graphs)
+            yield from _finish(batch, levels)
             yield exc
-            batch, graphs, states = [], [], 0
+            batch, levels, states = [], [], 0
             continue
-        if states + len(graph[0]) > _BATCH_STATES:
-            yield from _finish(batch, graphs)
-            batch, graphs, states = [], [], 0
+        if states + level[2] > _BATCH_STATES:
+            yield from _finish(batch, levels)
+            batch, levels, states = [], [], 0
         batch.append((M, candidate))
-        graphs.append(graph)
-        states += len(graph[0])
-        del graph  # `graphs` alone holds it, which `_finish` empties
-    yield from _finish(batch, graphs)
+        levels.append(level)
+        states += level[2]
+        del level  # `levels` alone holds it, which `_lay_out` empties
+    yield from _finish(batch, levels)
 
 
-def _finish(batch, graphs) -> Iterator[ExactDensity]:
-    """Solve a batch of `mu_exact_many`, its (M, candidate) pairs and their
-    built graphs, which may be empty, and check each witness.  The graphs
-    are laid end to end and their list is emptied before the first
-    potential, so the union alone is held while they are solved."""
+def _finish(batch, levels) -> Iterator[ExactDensity]:
+    """Solve a batch of `mu_exact_many`, its (M, candidate) pairs and the
+    last levels of their graphs, which may be empty, and check each
+    witness.  The graphs are laid end to end once (`_lay_out`), which
+    empties the list of levels, so the union alone is held while they are
+    solved."""
     if not batch:
         return
-    union, offsets = _union(graphs)
-    graphs.clear()
+    union, offsets = _lay_out([M for M, _ in batch], levels)
     solved = _solve(*union, offsets, batch)
     for (M, _), (value, bits), start, stop in zip(batch, solved, offsets, offsets[1:]):
         witness = PeriodicSet(
@@ -845,7 +883,7 @@ def mu_exact(
     same whichever value was proposed, and `method` is "PolicyIteration",
     the name this certified pipeline has always reported, which keeps the
     output unchanged.  It is a batch of one of
-    `mu_exact_many`: a union of one segment, the graph's own arrays.
+    `mu_exact_many`: a union of one segment.
 
     Raises ResourceLimit when max(M) exceeds `max_window` or the admissible
     state count exceeds the state cap (DENSITYPACK_MAX_STATES, default

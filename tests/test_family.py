@@ -367,3 +367,11 @@ class TestAveragingSlack:
         assert not has_averaging_slack(2, 2, 2)
         # and a case where it does hold with k, m >= 2
         assert has_averaging_slack(2, 2, 1)
+
+
+def test_instance_generator_refuses_no_size_bound():
+    # `tests/conftest.py` has pytest rewrite the helpers' asserts, so this
+    # guard fires under `python -O` too, where the generator would otherwise
+    # run without a bound.
+    with pytest.raises(AssertionError, match="need a size bound"):
+        next(canonical_instances())

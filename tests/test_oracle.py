@@ -381,16 +381,20 @@ class TestMuExact:
         assert mu_exact([1, 23], max_window=23).states_explored == 75025
 
     def test_refused_graph_never_exceeds_the_cap(self, monkeypatch):
-        # Each level is checked before it is allocated, not after.
+        # Each level is checked before it is allocated, not after: every
+        # level, and every union, is one `concatenate`.
         sizes = []
-        real_extend = oracle._extend
 
-        def extend(*args):
-            level = real_extend(*args)
-            sizes.append(len(level))
-            return level
+        class Concatenations:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(oracle, "_extend", extend)
+            def concatenate(self, *args, **kwargs):
+                level = np.concatenate(*args, **kwargs)
+                sizes.append(len(level))
+                return level
+
+        monkeypatch.setattr(oracle, "np", Concatenations())
         monkeypatch.setenv(STATE_CAP_ENV, "1000")
         with pytest.raises(ResourceLimit, match="exceeds cap 1000"):
             mu_exact([1, 23], max_window=23)
@@ -467,6 +471,58 @@ def test_state_graph_checks_every_edge_it_reads_off(monkeypatch, which, message)
         oracle._build_state_graph(as_difference_set([1, 5, 6]), 1 << 22)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(st.sets(st.integers(1, 14), min_size=1, max_size=5), min_size=1, max_size=8))
+@example([{1}])  # two states: state 0's 1-edge leads into the last state
+@example([{13}])
+def test_union_is_the_searched_references_end_to_end(batch):
+    # Each segment of a union is its M's searched graph, with every index
+    # moved past the states before it.
+    Ms = [as_difference_set(M) for M in batch]
+    union, offsets = oracle._lay_out(Ms, [oracle._last_level(M, 1 << 22) for M in Ms])
+    searched = [reference_state_graph(sorted(M)) for M in batch]
+    assert offsets == [0, *itertools.accumulate(len(keys) for keys, *_ in searched)]
+    keys, succ0, can1, first, last = union
+    expected = [
+        np.concatenate([graph[i] + (start if i else 0) for graph, start in zip(searched, offsets)])
+        for i in (0, 1, 3, 4)  # keys, succ0, first and last
+    ]
+    for built, want in zip((keys, succ0, first, last), expected):
+        assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
+    succ1 = np.concatenate([graph[2] for graph in searched])
+    assert can1.dtype == bool and np.array_equal(can1, succ1 >= 0)
+
+
+class _OneWrongEdgeAt(_OneWrongEdge):
+    """`_OneWrongEdge` whose wrong edge is entry `at` of the indices, set
+    to `to`."""
+
+    def __init__(self, which: int, at: int, to: int):
+        super().__init__(which)
+        self.at, self.to = at, to
+
+    def take(self, a, indices, *args, **kwargs):
+        if self.which == 0:
+            indices[self.at] = self.to
+        self.which -= 1
+        return np.take(a, indices, *args, **kwargs)
+
+
+@pytest.mark.parametrize("which, message", BUILD_CHECKS)
+def test_union_checks_every_segment_it_lays_out(monkeypatch, which, message):
+    # {2, 7} is laid out after {1, 5, 6}, whose 18 states come first.  Its
+    # state 0, the all-zero window, gets an edge to the window with only
+    # bit 6 set, whose successor has bits 6 and 0: below bit 6 = max({1, 5,
+    # 6}) these agree with the right keys 0 and 1, so a check masked for
+    # the first segment would pass them.
+    keys = reference_state_graph([2, 7])[0]
+    wrong = int(np.searchsorted(keys, 1 << 6))
+    assert keys[wrong : wrong + 2].tolist() == [1 << 6, 1 << 6 | 1]
+    monkeypatch.setattr(oracle, "np", _OneWrongEdgeAt(which, 18, 18 + wrong))
+    with pytest.raises(InternalError, match=message):
+        list(oracle.mu_exact_many([((1, 5, 6), None), ((2, 7), None)]))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))
 def test_karp_and_oracle_identical_with_avoiding_witness(distances):
@@ -499,9 +555,11 @@ def test_peak_memory_per_state():
 
 def test_peak_memory_per_state_of_the_set_up_stages():
     # The peak above the start counts the graph's 33 B per state.  The
-    # build fills its edge arrays in place, and `last` is the checks'
-    # scratch until its turn: 36.7 B per state, against 46.8 with a second
-    # out-edge array.  The searched build peaked at 57 B per state.
+    # layout frees the last level once the keys and edges are laid out, and
+    # `last` is the checks' scratch until its turn: 36.1 B per state,
+    # against 36.7 for the build before the layout was split from the level
+    # loop, and 46.8 with a second out-edge array.  The searched build
+    # peaked at 57 B per state.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -826,15 +884,16 @@ class TestBatch:
 
     @staticmethod
     def count_unions(monkeypatch) -> list:
-        """Record the state count of each union `oracle._union` lays out."""
+        """Record the state count of each union `oracle._lay_out` lays out."""
         unions = []
-        union = oracle._union
+        lay_out = oracle._lay_out
 
-        def counted(graphs):
-            unions.append(sum(len(keys) for keys, *_ in graphs))
-            return union(graphs)
+        def counted(Ms, levels):
+            union, offsets = lay_out(Ms, levels)
+            unions.append(offsets[-1])
+            return union, offsets
 
-        monkeypatch.setattr(oracle, "_union", counted)
+        monkeypatch.setattr(oracle, "_lay_out", counted)
         return unions
 
     def test_a_union_with_a_diverging_segment(self, monkeypatch):
@@ -893,38 +952,39 @@ class TestBatch:
                 next(oracle.mu_exact_many(pairs, max_window=max_window))
 
     def test_only_the_union_is_held_while_a_batch_is_solved(self, monkeypatch):
-        # `_finish` empties its list of graphs once they are laid end to
-        # end, so no graph of a batch of three outlives `_union`.
+        # `_lay_out` empties the batch's list of last levels once it has
+        # laid them end to end, so no level of a batch of three outlives it.
         pairs = [((1, 5, 6), None), ((1, 4, 5), None), ((2, 7), None)]
         expected = [mu_exact(M) for M, _ in pairs]
         built, alive = [], []
-        build, potential = oracle._build_state_graph, oracle._potential
+        build, potential = oracle._last_level, oracle._potential
 
         def tracked(M, cap):
-            graph = build(M, cap)
-            built.append([weakref.ref(array) for array in graph])
-            return graph
+            level = build(M, cap)
+            built.append([weakref.ref(array) for array in level[:2]])
+            return level
 
         def counted(*args):
             alive.append(sum(ref() is not None for refs in built for ref in refs))
             return potential(*args)
 
-        monkeypatch.setattr(oracle, "_build_state_graph", tracked)
+        monkeypatch.setattr(oracle, "_last_level", tracked)
         monkeypatch.setattr(oracle, "_potential", counted)
         assert list(oracle.mu_exact_many(pairs)) == expected
         assert len(built) == 3 and alive and set(alive) == {0}
 
     def test_peak_memory_of_the_workload_box(self):
-        # A batch holds its graphs until they are laid end to end, and then
-        # the union alone, 33 B per state, beside the potential's arrays;
-        # the next graph, built before the batch is solved, is held too.  A
-        # graph above the batch size, here 5,778 states, is solved alone on
-        # its own arrays.  The peak comes in the potential of a 3,571-state
-        # graph solved alone, the 5,778-state graph built: 87.4 B per state
-        # of the bound's count in a new process, against 100.5 B while the
-        # graph held a second out-edge array and 107.5 B while a batch held
-        # its graphs beside their union.  All 95 graphs in one union would
-        # peak near 6 MB.
+        # A batch holds the last level of each graph, 9 B per window, until
+        # it is laid out, and then the union alone, 33 B per state, beside
+        # the potential's arrays; the next graph's last level, built before
+        # the batch is solved, is held too.  A graph above the batch size,
+        # here 5,778 states, is a batch of its own.  The peak comes in its
+        # potential, beside the 377-window last level of the next graph:
+        # 84.7 B per state of the bound's count in a new process, against
+        # 87.4 B while a batch held its whole graphs and the next graph was
+        # built, 100.5 B while the graph held a second out-edge array and
+        # 107.5 B while a batch held its graphs beside their union.  All 95
+        # graphs in one union would peak near 6 MB.
         pairs = self.box_pairs()
         tracemalloc.start()
         try:
@@ -936,7 +996,7 @@ class TestBatch:
         largest = max(res.states_explored for res in out)
         assert len(out) == 95 and largest == 5_778
         assert [res.value for res in out] == list(pairs.values())
-        assert peak <= 90 * max(oracle._BATCH_STATES, largest), peak
+        assert peak <= 87.3 * max(oracle._BATCH_STATES, largest), peak
 
 
 def propose(monkeypatch, value):
