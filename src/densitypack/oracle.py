@@ -111,7 +111,7 @@ DEFAULT_WINDOW_CAP = 22
 DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
-# For a union of N states a potential stays below (N + 2*log2 N)*den, with
+# For a union of N states a potential stays below (N + 3*log2 N)*den, with
 # den at most the largest segment's state count (a caller's candidate or a
 # cycle's mean) or at most 2*max(M) <= 126 (kappa), so under 2**61 while N
 # is at most this limit: the solver's int64 arithmetic cannot overflow.  A
@@ -543,36 +543,44 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     as the default mode="raise" buffers its output; first and last are in
     range.
 
-    A value below mu makes pi diverge.  After the first log2 n passes, each
-    raised state remembers the in-edge of its last strict raise, in `pred`,
-    allocated then with one more bool array; a state not raised since then
-    is a fixed point of `pred`.  Every log2 n passes `_cycle_mean` reads
-    the cycles of `pred`, its step, that are not fixed points, weighing
-    each state by its newest bit, in the two gathers and the raises, which
-    are free until the next pass, so nothing of the state count is released
-    or allocated for it.  A cycle of those edges has positive w'-weight:
-    each raise on it used a value of its source no larger than the current
-    one, and the raise that followed the cycle's latest raise used a
-    strictly smaller one.  So each is a real cycle of its segment's graph with mean above
-    that segment's value.  Once there is one, a list is returned in place
-    of pi: the best such mean of each segment, or None for a segment with
-    no cycle.  No cycle of raises is a fixed point, so none is missed: a
-    strict raise of v uses the in-edge from first[v] or from last[v], and
-    neither is v.  first[v] == v only for a segment's state 0, the all-zero
-    key, whose edge to itself has weight w' = -num < 0 and so never
-    strictly raises it: when pi[first] >= pi[last] state 0 is not raised at
-    all, and otherwise its raise uses last[0], the key with only its oldest
-    bit set.  last[v] == v never holds: last[v] differs from first[v] only
-    where v's newest bit is 0, and there it is the top-half key (key >> 1)
-    | top, which equals v's key only when that is all ones, whose newest
-    bit is 1.  While those edges form no cycle they form a forest whose
-    roots, the fixed points, have not been raised since tracking began, so
-    every potential is at most (n + log2 n)*den after a check, den the
-    largest of the values' denominators (each a caller's candidate,
-    kappa(M) or a cycle's mean; _INT64_STATE_LIMIT bounds it), and grows by
-    at most den per pass until the next one: a potential that diverges must
-    close a cycle, and one past that bound without a cycle is
-    InternalError.
+    A value below mu makes pi diverge.  After the first 2*log2 n passes,
+    each raised state remembers the in-edge of its last strict raise, in
+    `pred`, allocated then with one more bool array; a state not raised
+    since then is a fixed point of `pred`.  From pass 3*log2 n on, every
+    log2 n passes, `_cycle_mean` reads the cycles of `pred`, its step, that
+    are not fixed points, weighing each state by its newest bit, in the two
+    gathers and the raises, which are free until the next pass, so nothing
+    of the state count is released or allocated for it.  A cycle of those
+    edges has positive w'-weight: each raise on it used a value of its
+    source no larger than the current one, and the raise that followed the
+    cycle's latest raise used a strictly smaller one.  So each is a real
+    cycle of its segment's graph with mean above that segment's value.
+    Once there is one, a list is returned in place of pi: the best such
+    mean of each segment, or None for a segment with no cycle.  No cycle of
+    raises is a fixed point, so none is missed: a strict raise of v uses
+    the in-edge from first[v] or from last[v], and neither is v.  first[v]
+    == v only for a segment's state 0, the all-zero key, whose edge to
+    itself has weight w' = -num < 0 and so never strictly raises it: when
+    pi[first] >= pi[last] state 0 is not raised at all, and otherwise its
+    raise uses last[0], the key with only its oldest bit set.  last[v] == v
+    never holds: last[v] differs from first[v] only where v's newest bit is
+    0, and there it is the top-half key (key >> 1) | top, which equals v's
+    key only when that is all ones, whose newest bit is 1.  While those
+    edges form no cycle they form a forest whose roots, the fixed points,
+    have not been raised since tracking began.  A pass raises the largest
+    potential by at most den, den the largest of the values' denominators
+    (each a caller's candidate, kappa(M) or a cycle's mean;
+    _INT64_STATE_LIMIT bounds it), as no weight w' exceeds it; so a root is
+    at most 2*log2 n*den, and each of the fewer than n edges on the way
+    from a root to a state adds at most den: every potential is at most
+    (n + 2*log2 n)*den after a check, and grows by at most den per pass
+    until the next one.  A potential that diverges must close a cycle, and
+    one past that bound without a cycle is InternalError.
+
+    Tracking starts late because most potentials converge early, and a
+    converging run pays for every tracked pass and search: the unions of
+    `sweep` settle in 22 to 29 passes, with log2 n from 10 to 13, so none
+    of them reaches its first search.
     """
     n = len(keys)
     w2 = keys & 1
@@ -589,10 +597,10 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     for step in itertools.count(1):
         np.take(pi, first, out=pi_first, mode="wrap")
         np.take(pi, last, out=pi_last, mode="wrap")
-        # Most potentials settle within a few passes, so raises are tracked
-        # only after the first `rounds`; the cycle argument holds for the
-        # raises of any run of consecutive passes.
-        tracking = step > rounds
+        # Raises are tracked only after the first 2*rounds passes; the
+        # cycle argument holds for the raises of any run of consecutive
+        # passes.
+        tracking = step > 2 * rounds
         if tracking:
             if pred is None:
                 pred = np.arange(n)  # a fixed point: not raised since tracking began
@@ -618,7 +626,7 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
                     for j, mean in zip(segment.tolist(), map(Fraction, total.tolist(), length.tolist())):
                         means[j] = mean if means[j] is None else max(means[j], mean)
                     return means
-                if pi.max() > (n + rounds) * den:
+                if pi.max() > (n + 2 * rounds) * den:
                     raise InternalError(
                         f"potential for {', '.join(map(str, values))} "
                         "passed its bound without a cycle"
@@ -646,8 +654,13 @@ def _tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
     state and the edge check runs on the whole union.
 
     Beside the graph and pi it holds one int64 array of the state count,
-    the slack of one edge kind at a time, and the two bool arrays of tight
-    edges.
+    the slack of one edge kind at a time, the two bool arrays of tight
+    edges, tight0 and tight1, with tight0 turned in place into the uint8
+    code = tight0 | tight1 << 1, and the search's bytearray of colours.
+    The search reads code, succ0 and keys through memoryviews, which index
+    to Python ints, and keeps an explicit stack of states, each with the
+    edges it has left to try: the 0-edge, whose successor comes first in
+    index order, before the 1-edge, and roots in index order.
     """
     segments = list(zip(offsets, offsets[1:], values))
     slack, tight = np.empty_like(pi), []
@@ -664,16 +677,14 @@ def _tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
             raise InternalError("potential violates an edge")
         tight.append(slack == 0)
     tight0, tight1 = tight
-    del slack
+    del slack, tight
+    # code = tight0 | tight1 << 1, written over tight0's bytes.
+    code = tight0.view(np.uint8)
+    code += tight1
+    code += tight1
+    del tight0, tight1
 
-    def tight_out(v: int) -> Iterator[int]:
-        # index order: the 0-edge leads to the state before the 1-edge's.
-        # `item` reads Python scalars without making numpy ones.
-        if tight0.item(v):
-            yield succ0.item(v)
-        if tight1.item(v):
-            yield succ0.item(v) + 1
-
+    code, succ, key = memoryview(code), memoryview(succ0), memoryview(keys)
     color = bytearray(len(keys))  # 0 new, 1 on the path, 2 done
 
     def first_cycle(roots: range) -> list[int] | None:
@@ -681,20 +692,34 @@ def _tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
             if color[root]:
                 continue
             color[root] = 1
-            path, todo = [root], [tight_out(root)]
-            while todo:
-                u = next(todo[-1], None)
-                if u is None:
-                    color[path.pop()] = 2
-                    todo.pop()
-                elif color[u] == 1:
-                    cycle = path[path.index(u) :]
-                    cycle = cycle[1:] + cycle[:1]
-                    return [keys.item(v) & 1 for v in cycle]
-                elif color[u] == 0:
-                    color[u] = 1
-                    path.append(u)
-                    todo.append(tight_out(u))
+            # v is the state on top of the path, edges the out-edges it has
+            # left to try (bit 0 the 0-edge, bit 1 the 1-edge); path and
+            # left hold the states below it, each with its edges left.
+            path, left = [], []
+            v, edges = root, code[root]
+            while True:
+                if edges:
+                    if edges & 1:
+                        rest, u = edges - 1, succ[v]
+                    else:
+                        rest, u = 0, succ[v] + 1
+                    if color[u] == 0:
+                        color[u] = 1
+                        path.append(v)
+                        left.append(rest)
+                        v, edges = u, code[u]
+                    elif color[u] == 1:
+                        path.append(v)
+                        cycle = path[path.index(u) :]
+                        cycle = cycle[1:] + cycle[:1]
+                        return [key[w] & 1 for w in cycle]
+                    else:
+                        edges = rest
+                else:
+                    color[v] = 2
+                    if not path:
+                        break
+                    v, edges = path.pop(), left.pop()
         return None
 
     return [first_cycle(range(start, stop)) for start, stop, _ in segments]

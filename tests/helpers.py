@@ -4,8 +4,8 @@ The brute-force routines here deliberately use a different algorithm from
 the package (itertools subset filtering instead of recursive pruning) so
 that agreement between the two is meaningful.  The `reference_` routines
 are the oracle's earlier stages (searched edges, allocate-per-pass
-solvers, fixed-round pointer doubling), which the current stages must
-match exactly.
+solvers, fixed-round pointer doubling, a generator-driven tight-cycle
+search), which the current stages must match exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -148,8 +149,9 @@ def reference_potential(keys, first, last, value: Fraction):
     """`oracle._potential` as it was before its buffers were reused: every
     pass allocates pi[first], pi[last], their maximum, the weighted maximum
     and the raised mask, and `pred` and the newest bits are allocated up
-    front.  A diverging potential returns the best mean among the cycles of
-    `pred` that are not fixed points, by `reference_cycle_mean`."""
+    front.  Raises are tracked from the same pass, after the first
+    2*log2 n, and a diverging potential returns the best mean among the
+    cycles of `pred` that are not fixed points, by `reference_cycle_mean`."""
     n = len(keys)
     num, den = value.numerator, value.denominator
     newest = keys & 1
@@ -165,13 +167,70 @@ def reference_potential(keys, first, last, value: Fraction):
         if not raised.any():
             return pi
         np.copyto(pi, best, where=raised)
-        if step > rounds:
+        if step > 2 * rounds:
             np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
             if step % rounds == 0:
                 if (mean := reference_cycle_mean(pred, newest == 1)) is not None:
                     return mean
-                if pi.max() > (n + rounds) * den:
+                if pi.max() > (n + 2 * rounds) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
+
+
+def reference_tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:
+    """`oracle._tight_cycle` as it was before its search ran over flat
+    arrays: the same edge check, then a depth-first search that makes one
+    generator of tight out-edges per state it visits and reads each bit by
+    numpy's `item`.  Each segment's first cycle of tight edges as appended
+    bits, or None; `_tight_cycle` must return the same list."""
+    segments = list(zip(offsets, offsets[1:], values))
+    slack, tight = np.empty_like(pi), []
+    for bit, exists in ((0, True), (1, can1)):
+        # pi[1:] gathered at succ0 is pi at succ0 + 1.  Where no 1-edge is
+        # allowed, that is another state's, or wraps; its slack is set to
+        # 1, which is neither violated nor tight.
+        np.take(pi[bit:], succ0, out=slack, mode="wrap")
+        slack -= pi
+        for start, stop, value in segments:
+            slack[start:stop] += value.numerator - bit * value.denominator
+        np.copyto(slack, 1, where=np.logical_not(exists))
+        if slack.min() < 0:
+            raise InternalError("potential violates an edge")
+        tight.append(slack == 0)
+    tight0, tight1 = tight
+    del slack
+
+    def tight_out(v: int) -> Iterator[int]:
+        # index order: the 0-edge leads to the state before the 1-edge's.
+        # `item` reads Python scalars without making numpy ones.
+        if tight0.item(v):
+            yield succ0.item(v)
+        if tight1.item(v):
+            yield succ0.item(v) + 1
+
+    color = bytearray(len(keys))  # 0 new, 1 on the path, 2 done
+
+    def first_cycle(roots: range) -> list[int] | None:
+        for root in roots:
+            if color[root]:
+                continue
+            color[root] = 1
+            path, todo = [root], [tight_out(root)]
+            while todo:
+                u = next(todo[-1], None)
+                if u is None:
+                    color[path.pop()] = 2
+                    todo.pop()
+                elif color[u] == 1:
+                    cycle = path[path.index(u) :]
+                    cycle = cycle[1:] + cycle[:1]
+                    return [keys.item(v) & 1 for v in cycle]
+                elif color[u] == 0:
+                    color[u] = 1
+                    path.append(u)
+                    todo.append(tight_out(u))
+        return None
+
+    return [first_cycle(range(start, stop)) for start, stop, _ in segments]
 
 
 def reference_walk_stop(alpha: int, p: CanonicalParams, route: str, translates) -> int | None:

@@ -48,6 +48,7 @@ from helpers import (
     reference_kappa,
     reference_potential,
     reference_state_graph,
+    reference_tight_cycle,
 )
 
 GOLDEN_MU = [
@@ -620,20 +621,21 @@ class TestCandidate:
     @pytest.mark.parametrize(
         "M, low, improved",
         [
-            ((2,), Fraction(1, 4), [Fraction(1, 3), Fraction(1, 2)]),
-            ((1, 4), Fraction(1, 6), [Fraction(1, 3), Fraction(2, 5)]),
+            ((2,), Fraction(1, 4), [(Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), "pi")]),
+            ((1, 4), Fraction(1, 6), [(Fraction(1, 6), Fraction(2, 5)), (Fraction(2, 5), "pi")]),
         ],
     )
     def test_cycle_of_raises_closes_after_n_plus_one_passes(self, monkeypatch, M, low, improved):
-        # Raises are tracked only after the first log2 n passes, so on these
-        # small graphs a cycle of raises can close only after pass n + 1,
-        # where an n + 1 pass bound would stop without it: {2} (4 states)
-        # at 1/4 closes at pass 6, {1, 4} (8 states) at 1/3 at pass 12.
+        # Raises are tracked only after the first 2*log2 n passes and their
+        # cycles read every log2 n passes, so on these small graphs a cycle
+        # of raises can close only after pass n + 1, where an n + 1 pass
+        # bound would stop without it: {2} (4 states) at 1/4 closes at pass
+        # 9, {1, 4} (8 states) at 1/6 at pass 12, each at mu.
         expected = mu_exact(M)
         runs = record_potentials(monkeypatch)
         assert mu_exact(M, candidate=low) == expected
-        assert runs == [(low, improved[0]), (improved[0], improved[1]), (improved[1], "pi")]
-        assert improved[-1] == expected.value
+        assert runs == improved
+        assert improved[-1] == (expected.value, "pi")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -738,7 +740,7 @@ def test_kappa_is_delta_on_every_family_up_to_n2_30():
 def test_reused_buffers_match_the_reference():
     # The potential reuses its arrays; the results must be those of the
     # allocate-per-pass reference, on values above mu (pi converges), at mu,
-    # and below it, where raises are tracked after the first log2 n passes
+    # and below it, where raises are tracked after the first 2*log2 n passes
     # and the best mean of their cycles is returned.
     cycle_searches = []
     cycle_mean = oracle._cycle_mean
@@ -801,6 +803,42 @@ def test_cycle_mean_matches_the_fixed_round_reference(draws):
 
     expected = sorted({c for c in map(cycle_of, range(n)) if c[2] > 1})
     assert list(zip(least.tolist(), total.tolist(), length.tolist())) == expected
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(1, 14), min_size=1, max_size=5),
+            st.sampled_from(["mu", "near", "above"]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([({1}, "mu"), ({1}, "near"), ({1}, "above")])  # two states
+@example([({13}, "mu"), ({13}, "near"), ({13}, "above")])
+@example([({1, 3, 4, 5}, "mu"), ({1, 3, 4, 5}, "near"), ({1, 3, 4, 5}, "above")])
+def test_tight_cycle_matches_the_generator_reference(members):
+    # Each segment at its mu has a tight cycle, which both searches must
+    # meet first; at mu + 1/997, or at mu's numerator plus one over its
+    # denominator, it has none, and both searches visit every state its
+    # tight edges reach.
+    Ms = [as_difference_set(M) for M, _ in members]
+    values = []
+    for M, kind in members:
+        mu = mu_exact(M).value
+        values.append(
+            {"mu": mu, "near": mu + Fraction(1, 997), "above": Fraction(mu.numerator + 1, mu.denominator)}[kind]
+        )
+    (keys, succ0, can1, first, last), offsets = oracle._lay_out(
+        Ms, [oracle._last_level(M, 1 << 22) for M in Ms]
+    )
+    pi = oracle._potential(keys, first, last, values, offsets)
+    assert isinstance(pi, np.ndarray)
+    cycles = oracle._tight_cycle(keys, succ0, can1, pi, values, offsets)
+    assert cycles == reference_tight_cycle(keys, succ0, can1, pi, values, offsets)
+    assert [bits is not None for bits in cycles] == [kind == "mu" for _, kind in members]
 
 
 def test_peak_memory_per_state_of_a_diverging_potential():
@@ -902,19 +940,37 @@ class TestBatch:
         # tight cycle.  While the union diverges, the diverging segment
         # takes its cycle's mean and the others run again; then the third
         # falls back to its kappa, and the whole union runs again,
-        # proving the first two again at the same values.
+        # proving the first two again at the same values.  The union has
+        # 59 states, so its cycles of raises are read from pass 18 on,
+        # every 6 passes: they close at passes 24 and 30.
         pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 4, 5, 7, 8, 9), Fraction(1, 11)), ((1, 4, 5), Fraction(1, 2))]
         expected = [mu_exact(M, candidate=candidate) for M, candidate in pairs]
         runs = record_potentials(monkeypatch)
         unions = self.count_unions(monkeypatch)
         assert list(oracle.mu_exact_many(pairs)) == expected
         assert runs == [
-            (Fraction(2, 7), None), (Fraction(1, 11), Fraction(1, 6)), (Fraction(1, 2), None),
-            (Fraction(2, 7), None), (Fraction(1, 6), Fraction(3, 16)), (Fraction(1, 2), None),
+            (Fraction(2, 7), None), (Fraction(1, 11), Fraction(2, 11)), (Fraction(1, 2), None),
+            (Fraction(2, 7), None), (Fraction(2, 11), Fraction(3, 16)), (Fraction(1, 2), None),
             (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 2), "pi"),
             (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 3), "pi"),
         ]
         assert unions == [18 + 30 + 11]
+
+    def test_the_workload_box_searches_no_cycle_of_raises(self, monkeypatch):
+        # Every union of the box converges before pass 3*log2 n, its first
+        # search for a cycle of raises, so a converging run pays for none.
+        calls = []
+        cycle_mean = oracle._cycle_mean
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return cycle_mean(*args)
+
+        monkeypatch.setattr(oracle, "_cycle_mean", counted)
+        pairs = self.box_pairs()
+        assert len(pairs) == 95
+        assert [res.value for res in oracle.mu_exact_many(pairs.items())] == list(pairs.values())
+        assert calls == []
 
     def test_each_batch_of_the_workload_box_is_laid_out_once(self, monkeypatch):
         # No union of the box diverges or falls back, so its 14 batches
