@@ -111,11 +111,13 @@ DEFAULT_WINDOW_CAP = 22
 DEFAULT_ENUM_CAP = 49
 DEFAULT_STATE_CAP = 1 << 22
 STATE_CAP_ENV = "DENSITYPACK_MAX_STATES"
-# For a union of N states a potential stays below (N + 3*log2 N)*den, with
-# den at most the largest segment's state count (a caller's candidate or a
-# cycle's mean) or at most 2*max(M) <= 126 (kappa), so under 2**61 while N
-# is at most this limit: the solver's int64 arithmetic cannot overflow.  A
-# union is one graph within it, or a batch within _BATCH_STATES.
+# For a union of N states a potential stays below (N + 3*log2 N + 128)*den
+# (`_potential`: 128 bounds the 2**r its jump may add, as max(M) <= 63),
+# with den at most the largest segment's state count (a caller's candidate
+# or a cycle's mean) or at most 2*max(M) <= 126 (kappa), so under 2**61
+# while N is at most this limit: the solver's int64 arithmetic cannot
+# overflow.  A union is one graph within it, or a batch within
+# _BATCH_STATES.
 _INT64_STATE_LIMIT = 1 << 30
 # A batch of `mu_exact_many` closes before its union would pass this many
 # states; a graph this large is a batch of its own.
@@ -241,6 +243,18 @@ def check_enum_length(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     _check_mask_bits(n)
 
 
+def _conflict_masks(M: DifferenceSet, n: int) -> list[int]:
+    """For each position t < n, the mask c_t of the earlier positions
+    t - d, d in M, that forbid setting t: c_t = c_{t-1} << 1 | (t in M)
+    from c_{-1} = 0, as a position at distance d from t - 1 is at distance
+    d + 1 from t."""
+    members, masks, c = set(M), [], 0
+    for t in range(n):
+        c = c << 1 | (t in members)
+        masks.append(c)
+    return masks
+
+
 def _extend(states: np.ndarray, t: int, with_t: np.ndarray) -> np.ndarray:
     """One level of the window enumeration: each prefix is followed by
     itself with position t set where `with_t` allows it (excluding a
@@ -277,8 +291,7 @@ def avoiding_mask_chunks(
     """
     M = as_difference_set(distances)
     check_enum_length(n, cap)
-    # conflicts[t]: the earlier positions t - d that forbid setting position t.
-    conflicts = [sum(1 << (t - d) for d in M if d <= t) for t in range(n)]
+    conflicts = _conflict_masks(M, n)
     start = int(as_bool(require_zero, "require_zero"))
     todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
     while todo:
@@ -360,9 +373,10 @@ def _last_level(M: DifferenceSet, cap: int):
     t0 = min(M.elements[0], L - 1)
     _check_state_count(1 << t0, cap)
     P = np.arange(1 << t0, dtype=np.int64)
+    conflicts = _conflict_masks(M, L - 1)
     for t in range(t0, L - 1):
         # Bit t, the new oldest position, lies at distance d from bit t - d.
-        ok = (P & sum(1 << (t - d) for d in M if d <= t)) == 0
+        ok = (P & conflicts[t]) == 0
         _check_state_count(len(P) + int(np.count_nonzero(ok)), cap)
         top = P[ok]
         top |= 1 << t
@@ -525,6 +539,15 @@ def _cycle_mean(step, bits, land, buf, on_cycle):
     return np.flatnonzero(on_cycle)[least], total[least], length[least]
 
 
+def _weigh(keys, values, offsets, out) -> None:
+    """Write w' = den*w - num, w the newest bit keys & 1, into `out`, each
+    segment j (states offsets[j] to offsets[j + 1]) at values[j] = num/den."""
+    np.bitwise_and(keys, 1, out=out)
+    for start, stop, value in zip(offsets, offsets[1:], values):
+        out[start:stop] *= value.denominator
+        out[start:stop] -= value.numerator
+
+
 def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     """The longest-walk potential of a union of graphs, segment j (states
     offsets[j] to offsets[j + 1]) for w' = den*w - num with values[j] =
@@ -537,11 +560,28 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     against the result, so the certificate stays sound whatever is relaxed
     here.
 
+    The pass count follows the length of the longest walk, so after pass
+    2, if it raised anything, one jump carries pi along the chains of
+    `last` in-edges by pointer doubling: with anc = last and S = w2, the
+    weights w', each of r rounds sets pi <- max(pi, S + pi[anc]), then
+    S <- S + S[anc] and anc <- anc[anc], so round j reads the walk of 2**j
+    `last` edges into each state and, through the rounds before it, every
+    shorter one.  r is the least with 2**r > 2*m, m the bit length of the
+    union's largest key: r <= 7, as m <= 63.  Every value written is pi at
+    a real state plus the weight of a real walk from it, so where the
+    fixpoint pi* exists pi stays at most pi* (pi*[u] + w' <= pi*[v] on
+    every edge); the iteration is monotone and inflationary, so from any
+    start between 0 and pi* it reaches pi* itself, and the result is the
+    same fixpoint, bytewise, that the passes alone reach.  A potential
+    that settles in two passes never jumps.
+
     Beside the graph it holds four int64 arrays of the state count, pi, the
     weights w2 and the two gathers pi[first] and pi[last], and one bool
-    array of raises; every pass reuses them.  The gathers use mode="wrap",
-    as the default mode="raise" buffers its output; first and last are in
-    range.
+    array of raises; every pass reuses them, and the jump borrows them: the
+    gather of pi[last] holds anc, that of pi[first] is its scratch, and w2
+    holds S and is written again afterwards.  The gathers use mode="wrap",
+    as the default mode="raise" buffers its output; first, last and anc
+    are in range.
 
     A value below mu makes pi diverge.  After the first 2*log2 n passes,
     each raised state remembers the in-edge of its last strict raise, in
@@ -570,25 +610,27 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     have not been raised since tracking began.  A pass raises the largest
     potential by at most den, den the largest of the values' denominators
     (each a caller's candidate, kappa(M) or a cycle's mean;
-    _INT64_STATE_LIMIT bounds it), as no weight w' exceeds it; so a root is
-    at most 2*log2 n*den, and each of the fewer than n edges on the way
+    _INT64_STATE_LIMIT bounds it), as no weight w' exceeds it, and round j
+    of the jump by at most 2**j*den, a walk of 2**j edges: pi is at most
+    2*den after pass 2 and (2**r + 1)*den after the jump, which comes
+    before tracking starts (2 < 2*log2 n + 1).  So a root is at most
+    (2*log2 n + 2**r)*den, and each of the fewer than n edges on the way
     from a root to a state adds at most den: every potential is at most
-    (n + 2*log2 n)*den after a check, and grows by at most den per pass
-    until the next one.  A potential that diverges must close a cycle, and
-    one past that bound without a cycle is InternalError.
+    (n + 2*log2 n + 2**r)*den after a check, and grows by at most den per
+    pass until the next one.  A potential that diverges must close a cycle,
+    and one past that bound without a cycle is InternalError.
 
     Tracking starts late because most potentials converge early, and a
-    converging run pays for every tracked pass and search: the unions of
-    `sweep` settle in 22 to 29 passes, with log2 n from 10 to 13, so none
-    of them reaches its first search.
+    converging run pays for every tracked pass and search.  The unions of
+    `sweep` settled in 22 to 29 passes without the jump and settle in 3
+    with it, so none of them reaches its first search.
     """
     n = len(keys)
-    w2 = keys & 1
-    for start, stop, value in zip(offsets, offsets[1:], values):
-        w2[start:stop] *= value.denominator
-        w2[start:stop] -= value.numerator
+    w2 = np.empty(n, dtype=np.int64)
+    _weigh(keys, values, offsets, w2)
     den = max(value.denominator for value in values)
     rounds = n.bit_length()
+    doublings = (2 * int(keys.max()).bit_length()).bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
     pi_first, pi_last = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -612,6 +654,20 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
         if not raised.any():
             return pi
         np.maximum(pi, best, out=pi)
+        if step == 2:
+            # The jump: in round j, anc is 2**j `last` edges back and S the
+            # walk's weight.
+            anc, spare = pi_last, pi_first
+            np.copyto(anc, last)
+            for _ in range(doublings):
+                np.take(pi, anc, out=spare, mode="wrap")
+                spare += w2
+                np.maximum(pi, spare, out=pi)
+                np.take(w2, anc, out=spare, mode="wrap")
+                w2 += spare
+                np.take(anc, anc, out=spare, mode="wrap")
+                anc, spare = spare, anc
+            _weigh(keys, values, offsets, w2)
         if tracking:
             # pi_last is free again: it holds each state's better in-edge.
             np.copyto(pi_last, last)
@@ -626,7 +682,7 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
                     for j, mean in zip(segment.tolist(), map(Fraction, total.tolist(), length.tolist())):
                         means[j] = mean if means[j] is None else max(means[j], mean)
                     return means
-                if pi.max() > (n + 2 * rounds) * den:
+                if pi.max() > (n + 2 * rounds + (1 << doublings)) * den:
                     raise InternalError(
                         f"potential for {', '.join(map(str, values))} "
                         "passed its bound without a cycle"

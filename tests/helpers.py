@@ -5,7 +5,8 @@ the package (itertools subset filtering instead of recursive pruning) so
 that agreement between the two is meaningful.  The `reference_` routines
 are the oracle's earlier stages (searched edges, allocate-per-pass
 solvers, fixed-round pointer doubling, a generator-driven tight-cycle
-search), which the current stages must match exactly.
+search), which the current stages must match exactly; `jacobi_potential`
+is the potential with nothing but its relaxation passes.
 """
 
 from __future__ import annotations
@@ -149,7 +150,11 @@ def reference_potential(keys, first, last, value: Fraction):
     """`oracle._potential` as it was before its buffers were reused: every
     pass allocates pi[first], pi[last], their maximum, the weighted maximum
     and the raised mask, and `pred` and the newest bits are allocated up
-    front.  Raises are tracked from the same pass, after the first
+    front.  After pass 2, if it raised anything, pi jumps along the chains
+    of `last` in-edges: r rounds of pi <- max(pi, S + pi[anc]), S <- S +
+    S[anc], anc <- anc[anc] from anc = last and S = w', r the least with
+    2**r > 2*m, m the bit length of the largest key, each round allocating
+    its arrays.  Raises are tracked from the same pass, after the first
     2*log2 n, and a diverging potential returns the best mean among the
     cycles of `pred` that are not fixed points, by `reference_cycle_mean`."""
     n = len(keys)
@@ -157,6 +162,7 @@ def reference_potential(keys, first, last, value: Fraction):
     newest = keys & 1
     w2 = newest * den - num
     rounds = n.bit_length()
+    doublings = (2 * int(keys.max()).bit_length()).bit_length()
 
     pi = np.zeros(n, dtype=np.int64)
     pred = np.arange(n)
@@ -167,13 +173,40 @@ def reference_potential(keys, first, last, value: Fraction):
         if not raised.any():
             return pi
         np.copyto(pi, best, where=raised)
+        if step == 2:
+            anc, S = last, w2
+            for _ in range(doublings):
+                pi = np.maximum(pi, S + pi[anc])
+                S, anc = S + S[anc], anc[anc]
         if step > 2 * rounds:
             np.copyto(pred, np.where(pi_first >= pi_last, first, last), where=raised)
             if step % rounds == 0:
                 if (mean := reference_cycle_mean(pred, newest == 1)) is not None:
                     return mean
-                if pi.max() > (n + 2 * rounds) * den:
+                if pi.max() > (n + 2 * rounds + 2**doublings) * den:
                     raise InternalError(f"potential for {value} passed its bound without a cycle")
+
+
+def jacobi_potential(keys, first, last, values, offsets):
+    """The longest-walk potential of a union of graphs (`oracle._potential`)
+    by plain Jacobi passes from 0 and nothing else: pi <- max(pi,
+    max(pi[first], pi[last]) + w'), each segment j weighted at values[j],
+    until a pass changes nothing.  The least fixpoint, where it exists, is
+    reached within n passes, n the state count, as no longest walk repeats
+    a state; None when it is not."""
+    w2 = np.concatenate(
+        [
+            (keys[start:stop] & 1) * value.denominator - value.numerator
+            for start, stop, value in zip(offsets, offsets[1:], values)
+        ]
+    )
+    pi = np.zeros(len(keys), dtype=np.int64)
+    for _ in range(len(keys) + 1):
+        relaxed = np.maximum(pi, np.maximum(pi[first], pi[last]) + w2)
+        if np.array_equal(relaxed, pi):
+            return pi
+        pi = relaxed
+    return None
 
 
 def reference_tight_cycle(keys, succ0, can1, pi, values, offsets) -> list:

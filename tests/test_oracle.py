@@ -42,6 +42,7 @@ from helpers import (
     brute_best_periodic,
     canonical_instances,
     iter_avoiding_masks,
+    jacobi_potential,
     karp_max_mean,
     record_potentials,
     reference_cycle_mean,
@@ -268,6 +269,16 @@ class TestEnumeration:
                 next(oracle.avoiding_mask_chunks([1, 5, 6], value))
             with pytest.raises(InvalidInput, match="enumeration cap must be an integer"):
                 oracle.check_enum_length(3, value)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(st.sets(st.integers(1, 63), min_size=1, max_size=8), st.integers(1, 63))
+    @example({63}, 63)
+    @example(set(range(1, 64)), 63)
+    def test_conflict_masks_match_their_sums(self, distances, n):
+        # c_t = c_{t-1} << 1 | (t in M) is the sum of 2**(t - d) over d <= t.
+        M = as_difference_set(distances)
+        sums = [sum(1 << (t - d) for d in M if d <= t) for t in range(n)]
+        assert oracle._conflict_masks(M, n) == sums
 
     def test_chunks_are_bounded_and_contiguous(self, monkeypatch):
         # Both enumeration routes (with and without position 0 forced in),
@@ -738,10 +749,11 @@ def test_kappa_is_delta_on_every_family_up_to_n2_30():
 
 
 def test_reused_buffers_match_the_reference():
-    # The potential reuses its arrays; the results must be those of the
-    # allocate-per-pass reference, on values above mu (pi converges), at mu,
-    # and below it, where raises are tracked after the first 2*log2 n passes
-    # and the best mean of their cycles is returned.
+    # The potential reuses its arrays, in its passes and in its jump after
+    # pass 2; the results must be those of the allocate-per-pass reference,
+    # on values above mu (pi converges), at mu, and below it, where raises
+    # are tracked after the first 2*log2 n passes and the best mean of their
+    # cycles is returned.
     cycle_searches = []
     cycle_mean = oracle._cycle_mean
 
@@ -839,6 +851,75 @@ def test_tight_cycle_matches_the_generator_reference(members):
     cycles = oracle._tight_cycle(keys, succ0, can1, pi, values, offsets)
     assert cycles == reference_tight_cycle(keys, succ0, can1, pi, values, offsets)
     assert [bits is not None for bits in cycles] == [kind == "mu" for _, kind in members]
+
+
+class _PassStarts:
+    """numpy as `oracle` sees it, except that `greater`, which the potential
+    calls once per pass to find its raises, first keeps a copy of pi, its
+    second argument: the pi each pass starts from.  `takes` counts the
+    gathers."""
+
+    def __init__(self):
+        self.starts, self.takes = [], 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def greater(self, best, pi, *args, **kwargs):
+        self.starts.append(pi.copy())
+        return np.greater(best, pi, *args, **kwargs)
+
+    def take(self, *args, **kwargs):
+        self.takes += 1
+        return np.take(*args, **kwargs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(1, 14), min_size=1, max_size=8),
+            st.sampled_from(["mu", "near", "above"]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([({1}, "mu")])  # two states: settles in two passes, no jump
+@example([({13}, "mu"), ({2, 4, 5, 7, 8, 9}, "near"), ({1, 3, 4, 5}, "above")])
+def test_potential_is_the_jacobi_fixpoint(members):
+    # At mu, at mu + 1/997 and at mu's numerator plus one over its
+    # denominator every segment's potential converges; at kappa it converges
+    # only where kappa is mu.  The jump after pass 2 must leave pi at most
+    # the fixpoint at every state, so every pass starts at or below it, and
+    # the result must be the fixpoint of plain Jacobi passes, bytewise.
+    Ms = [as_difference_set(M) for M, _ in members]
+    values = []
+    for M, kind in members:
+        mu = mu_exact(M).value
+        values.append(
+            {"mu": mu, "near": mu + Fraction(1, 997), "above": Fraction(mu.numerator + 1, mu.denominator)}[kind]
+        )
+    (keys, _, _, first, last), offsets = oracle._lay_out(Ms, [oracle._last_level(M, 1 << 22) for M in Ms])
+    fixpoint = jacobi_potential(keys, first, last, values, offsets)
+    assert fixpoint is not None
+    passes = _PassStarts()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "np", passes)
+        pi = oracle._potential(keys, first, last, values, offsets)
+    assert pi.dtype == fixpoint.dtype and pi.tobytes() == fixpoint.tobytes()
+    assert all((start <= fixpoint).all() for start in passes.starts)
+
+
+def test_a_potential_that_settles_in_two_passes_makes_no_jump(monkeypatch):
+    # {1, 23} at mu = 1/2, the graph of the `mu-large` workload: pass 2
+    # raises nothing, so the potential ends with its two gathers per pass.
+    keys, _, _, first, last = oracle._build_state_graph(as_difference_set((1, 23)), 1 << 22)
+    passes = _PassStarts()
+    monkeypatch.setattr(oracle, "np", passes)
+    pi = oracle._potential(keys, first, last, [Fraction(1, 2)], [0, len(keys)])
+    assert isinstance(pi, np.ndarray)
+    assert len(passes.starts) == 2 and passes.takes == 4
 
 
 def test_peak_memory_per_state_of_a_diverging_potential():
@@ -942,15 +1023,15 @@ class TestBatch:
         # falls back to its kappa, and the whole union runs again,
         # proving the first two again at the same values.  The union has
         # 59 states, so its cycles of raises are read from pass 18 on,
-        # every 6 passes: they close at passes 24 and 30.
+        # every 6 passes: after the jump at pass 2 the first search, at pass
+        # 18, finds a cycle of mean mu.
         pairs = [((1, 5, 6), Fraction(2, 7)), ((2, 4, 5, 7, 8, 9), Fraction(1, 11)), ((1, 4, 5), Fraction(1, 2))]
         expected = [mu_exact(M, candidate=candidate) for M, candidate in pairs]
         runs = record_potentials(monkeypatch)
         unions = self.count_unions(monkeypatch)
         assert list(oracle.mu_exact_many(pairs)) == expected
         assert runs == [
-            (Fraction(2, 7), None), (Fraction(1, 11), Fraction(2, 11)), (Fraction(1, 2), None),
-            (Fraction(2, 7), None), (Fraction(2, 11), Fraction(3, 16)), (Fraction(1, 2), None),
+            (Fraction(2, 7), None), (Fraction(1, 11), Fraction(3, 16)), (Fraction(1, 2), None),
             (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 2), "pi"),
             (Fraction(2, 7), "pi"), (Fraction(3, 16), "pi"), (Fraction(1, 3), "pi"),
         ]
@@ -971,6 +1052,25 @@ class TestBatch:
         assert len(pairs) == 95
         assert [res.value for res in oracle.mu_exact_many(pairs.items())] == list(pairs.values())
         assert calls == []
+
+    def test_the_workload_box_settles_within_three_passes_of_its_jump(self, monkeypatch):
+        # Without the jump after pass 2 the box's potentials took 22 to 29
+        # passes, 358 in all; with it each takes 3, the last of which
+        # raises nothing.
+        passes, counts = _PassStarts(), []
+        potential = oracle._potential
+
+        def counted(*args):
+            before = len(passes.starts)
+            out = potential(*args)
+            counts.append(len(passes.starts) - before)
+            return out
+
+        monkeypatch.setattr(oracle, "np", passes)
+        monkeypatch.setattr(oracle, "_potential", counted)
+        pairs = self.box_pairs()
+        assert [res.value for res in oracle.mu_exact_many(pairs.items())] == list(pairs.values())
+        assert len(counts) == 14 and all(2 < count <= 2 + 3 for count in counts), counts
 
     def test_each_batch_of_the_workload_box_is_laid_out_once(self, monkeypatch):
         # No union of the box diverges or falls back, so its 14 batches
