@@ -69,6 +69,7 @@ ResourceLimit; a cap below 1 would refuse everything and is InvalidInput.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -479,28 +480,26 @@ def _build_state_graph(M: DifferenceSet, cap: int):
     return graph
 
 
-def _cycle_mean(step, bits, land, buf, on_cycle):
-    """The cycles of a functional graph that are not fixed points, as three
-    int64 arrays, one entry per cycle: its least state, its weight (the sum
-    of bits[v] & 1 over its states v) and its length; all empty when every
-    cycle is a fixed point.  step (int64) is the graph's step, which is
-    read and not written; land and buf (int64) and on_cycle (bool), of the
-    state count, are scratch.  Beside them it allocates only arrays of the
-    c states on cycles that are not fixed points.
+def _cycle_mean(step, bits, land, buf, on_cycle) -> list:
+    """The cycles of a functional graph that are not fixed points, as a
+    list of (least state, weight, length) in Python ints, one per cycle in
+    the order of their least states; the weight is the sum of bits[v] & 1
+    over its states v.  The list is empty when every cycle is a fixed
+    point.  step (int64) is the graph's step, which is read and not
+    written; land and buf (int64) and on_cycle (bool), of the state count,
+    are scratch.  Beside them it allocates only the indices of the c states
+    on cycles that are not fixed points, and the list.
 
-    Pointer doubling in two phases, each stopping once done.  First land,
-    the step, is squared, land = step^(2^r), alternating with buf, until
-    its image stops shrinking.  The images are nested, as step^(2^(r+1))
-    maps through step^(2^r).  Once one, S, is as large as the one before,
-    step^(2^r) maps S onto itself, so it permutes S and S holds only cycle
-    states; each cycle state is the image of the state 2^r steps behind
-    it, so S holds them all, and the stop is exact.  The fixed points are
-    unmarked, and the c states left are numbered by a `cumsum` rank.  On
-    them low[u], the least rank among u and its next 2^r - 1 successors, is
-    squared until it stops changing: then low[u] <= low[step^(2^r) u]
-    around every orbit, so low is constant on it; the orbit's runs of 2^r
-    steps cover u's cycle, so low[u] is the cycle's least rank.  Each
-    cycle's length and weight are tallied over those labels.
+    First land, the step, is squared, land = step^(2^r), alternating with
+    buf, until its image stops shrinking.  The images are nested, as
+    step^(2^(r+1)) maps through step^(2^r).  Once one, S, is as large as
+    the one before, step^(2^r) maps S onto itself, so it permutes S and S
+    holds only cycle states; each cycle state is the image of the state 2^r
+    steps behind it, so S holds them all, and the stop is exact.  The fixed
+    points are unmarked.  Then one walk, through memoryviews, visits the c
+    states left in index order: from each one still marked it follows the
+    step once around its cycle, clearing the marks and summing the newest
+    bits, so the state it starts from is the cycle's least.
     """
     np.copyto(land, step)
     hop, spare, count = land, buf, len(land)
@@ -512,31 +511,24 @@ def _cycle_mean(step, bits, land, buf, on_cycle):
             break
         np.take(hop, hop, out=spare, mode="wrap")
         hop, spare = spare, hop
-    # land takes the step again, and buf v - step[v], which is 0 at the
-    # fixed points, then the ranks (a cumsum of bools would allocate a
-    # cast copy).
-    np.copyto(land, step)
+    # buf takes v - step[v], which is 0 at the fixed points.
     buf.fill(1)
     np.cumsum(buf, out=buf)
     buf -= 1
-    buf -= land
+    buf -= step
     np.logical_and(on_cycle, buf, out=on_cycle)
-    np.copyto(buf, on_cycle)
-    np.cumsum(buf, out=buf)
-    buf -= 1
-    hop, ones = buf[land[on_cycle]], (bits[on_cycle] & 1) == 1
-    low, buf = np.arange(len(hop)), np.empty(len(hop), dtype=np.int64)
-    while True:
-        np.take(low, hop, out=buf, mode="wrap")
-        if not (buf < low).any():
-            break
-        np.minimum(low, buf, out=low)
-        np.take(hop, hop, out=buf, mode="wrap")
-        hop, buf = buf, hop
-    del hop, buf
-    length = np.bincount(low)
-    total, least = np.bincount(low[ones], minlength=len(length)), np.flatnonzero(length)
-    return np.flatnonzero(on_cycle)[least], total[least], length[least]
+    marked, succ, bit = memoryview(on_cycle), memoryview(step), memoryview(bits)
+    cycles = []
+    for least in np.flatnonzero(on_cycle).tolist():
+        v, total, length = least, 0, 0
+        while marked[v]:
+            marked[v] = False
+            total += bit[v] & 1
+            length += 1
+            v = succ[v]
+        if length:
+            cycles.append((least, total, length))
+    return cycles
 
 
 def _weigh(keys, values, offsets, out) -> None:
@@ -588,32 +580,33 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
     `pred`, allocated then with one more bool array; a state not raised
     since then is a fixed point of `pred`.  From pass 3*log2 n on, every
     log2 n passes, `_cycle_mean` reads the cycles of `pred`, its step, that
-    are not fixed points, weighing each state by its newest bit, in the two
-    gathers and the raises, which are free until the next pass, so nothing
-    of the state count is released or allocated for it.  A cycle of those
-    edges has positive w'-weight: each raise on it used a value of its
-    source no larger than the current one, and the raise that followed the
-    cycle's latest raise used a strictly smaller one.  So each is a real
-    cycle of its segment's graph with mean above that segment's value.
-    Once there is one, a list is returned in place of pi: the best such
-    mean of each segment, or None for a segment with no cycle.  No cycle of
-    raises is a fixed point, so none is missed: a strict raise of v uses
-    the in-edge from first[v] or from last[v], and neither is v.  first[v]
-    == v only for a segment's state 0, the all-zero key, whose edge to
-    itself has weight w' = -num < 0 and so never strictly raises it: when
-    pi[first] >= pi[last] state 0 is not raised at all, and otherwise its
-    raise uses last[0], the key with only its oldest bit set.  last[v] == v
-    never holds: last[v] differs from first[v] only where v's newest bit is
-    0, and there it is the top-half key (key >> 1) | top, which equals v's
-    key only when that is all ones, whose newest bit is 1.  While those
-    edges form no cycle they form a forest whose roots, the fixed points,
-    have not been raised since tracking began.  A pass raises the largest
-    potential by at most den, den the largest of the values' denominators
-    (each a caller's candidate, kappa(M) or a cycle's mean;
+    are not fixed points, by walking each once, weighing each state by its
+    newest bit; its scratch is the two gathers and the raises, which are
+    free until the next pass, so nothing of the state count is released or
+    allocated for it.  A cycle's least state, bisected into `offsets`, names
+    its segment.  A cycle of those edges has positive w'-weight: each raise
+    on it used a value of its source no larger than the current one, and the
+    raise that followed the cycle's latest raise used a strictly smaller
+    one.  So each is a real cycle of its segment's graph with mean above
+    that segment's value.  Once there is one, a list is returned in place of
+    pi: the best such mean of each segment, or None for a segment with no
+    cycle.  No cycle of raises is a fixed point, so none is missed: a strict
+    raise of v uses the in-edge from first[v] or from last[v], and neither
+    is v.  first[v] == v only for a segment's state 0, the all-zero key,
+    whose edge to itself has weight w' = -num < 0 and so never strictly
+    raises it: when pi[first] >= pi[last] state 0 is not raised at all, and
+    otherwise its raise uses last[0], the key with only its oldest bit set.
+    last[v] == v never holds: last[v] differs from first[v] only where v's
+    newest bit is 0, and there it is the top-half key (key >> 1) | top,
+    which equals v's key only when that is all ones, whose newest bit is 1.
+    While those edges form no cycle they form a forest whose roots, the
+    fixed points, have not been raised since tracking began.  A pass raises
+    the largest potential by at most den, den the largest of the values'
+    denominators (each a caller's candidate, kappa(M) or a cycle's mean;
     _INT64_STATE_LIMIT bounds it), as no weight w' exceeds it, and round j
     of the jump by at most 2**j*den, a walk of 2**j edges: pi is at most
-    2*den after pass 2 and (2**r + 1)*den after the jump, which comes
-    before tracking starts (2 < 2*log2 n + 1).  So a root is at most
+    2*den after pass 2 and (2**r + 1)*den after the jump, which comes before
+    tracking starts (2 < 2*log2 n + 1).  So a root is at most
     (2*log2 n + 2**r)*den, and each of the fewer than n edges on the way
     from a root to a state adds at most den: every potential is at most
     (n + 2*log2 n + 2**r)*den after a check, and grows by at most den per
@@ -675,11 +668,10 @@ def _potential(keys, first, last, values, offsets) -> np.ndarray | list:
             np.copyto(pred, pi_last, where=raised)
             if step % rounds == 0:
                 # The gathers and the raises are free until the next pass.
-                least, total, length = _cycle_mean(pred, keys, pi_first, pi_last, raised)
-                if len(least):
+                if cycles := _cycle_mean(pred, keys, pi_first, pi_last, raised):
                     means = [None] * len(values)
-                    segment = np.searchsorted(offsets, least, side="right") - 1
-                    for j, mean in zip(segment.tolist(), map(Fraction, total.tolist(), length.tolist())):
+                    for least, total, length in cycles:
+                        j, mean = bisect.bisect_right(offsets, least) - 1, Fraction(total, length)
                         means[j] = mean if means[j] is None else max(means[j], mean)
                     return means
                 if pi.max() > (n + 2 * rounds + (1 << doublings)) * den:

@@ -791,6 +791,11 @@ def test_reused_buffers_match_the_reference():
 @example([4, 0, 1, 2])  # every walk ends at a fixed point
 @example([1, 0])  # one 2-cycle
 @example([3, 2, 1, 4, 3])  # walk 0 reaches {3, 4}; {1, 2} is another cycle
+# A 128-cycle, 300 to 427, reached by a tail of 100 odd states among fixed points.
+@example(
+    [v if v % 2 == 0 else v + 2 for v in range(199)] + [300] + [500] * 100 + [*range(301, 428), 300] + [500] * 72
+)
+@example([3, 6, 5, 2, 1, 3, 4])  # the cycles 1 -> 6 -> 4 and 2 -> 5 -> 3 interleave
 def test_cycle_mean_matches_the_fixed_round_reference(draws):
     # A draw of n, or of the state itself, is a fixed point, which no cycle
     # of raises is and which is left out.  Each state weighs its own low
@@ -801,8 +806,9 @@ def test_cycle_mean_matches_the_fixed_round_reference(draws):
     step[step == n] = np.flatnonzero(step == n)
     bits = np.arange(n)
     scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
-    least, total, length = oracle._cycle_mean(step, bits, *scratch)
-    mean = max(map(Fraction, total.tolist(), length.tolist()), default=None)
+    cycles = oracle._cycle_mean(step, bits, *scratch)
+    assert all(type(x) is int for cycle in cycles for x in cycle)
+    mean = max((Fraction(total, length) for _, total, length in cycles), default=None)
     assert mean == reference_cycle_mean(step, (bits & 1) == 1)
 
     def cycle_of(u):  # the cycle that u's walk reaches: least state, weight, length
@@ -813,8 +819,28 @@ def test_cycle_mean_matches_the_fixed_round_reference(draws):
             cycle.append(v)
         return min(cycle), sum(v & 1 for v in cycle), len(cycle)
 
-    expected = sorted({c for c in map(cycle_of, range(n)) if c[2] > 1})
-    assert list(zip(least.tolist(), total.tolist(), length.tolist())) == expected
+    assert cycles == sorted({c for c in map(cycle_of, range(n)) if c[2] > 1})
+
+
+def test_cycle_mean_allocates_nothing_of_the_state_count():
+    # Beside its scratch, a read holds the indices of the states on cycles
+    # that are not fixed points and its list of cycles: near 10 kB here, where
+    # one int64 array of the state count is 1.6 MB.
+    n = 200_000
+    step = np.arange(n, dtype=np.int64) - 1
+    step[0] = 127  # states 0 to 127 form one cycle
+    step[128::3] = np.arange(128, n, 3)  # a third of the rest are fixed points
+    bits = np.arange(n)
+    scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cycles = oracle._cycle_mean(step, bits, *scratch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cycles == [(0, 64, 128)]
+    assert peak < 64 * 1024, peak
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=50)
@@ -1178,8 +1204,7 @@ class TestCertificate:
     def test_non_improving_cycle_is_rejected(self, monkeypatch, capsys):
         # Mean 0 is that of state 0, the all-zero window, looping to itself.
         propose(monkeypatch, Fraction(1, 4))
-        one_cycle = np.array([0]), np.array([0]), np.array([1])
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: one_cycle)
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: [(0, 0, 1)])
         with pytest.raises(InternalError, match="not above 1/4"):
             mu_exact([1, 5, 6])
         assert cli.main(["mu", "--distances", "1,5,6"]) == 4
@@ -1189,8 +1214,7 @@ class TestCertificate:
         # With the cycle search blinded, a diverging potential must still
         # end, through the magnitude check rather than a pass count.
         propose(monkeypatch, Fraction(1, 4))
-        no_cycle = (np.empty(0, dtype=np.int64),) * 3
-        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: no_cycle)
+        monkeypatch.setattr(oracle, "_cycle_mean", lambda step, bits, *scratch: [])
         with pytest.raises(InternalError, match="passed its bound without a cycle"):
             mu_exact([1, 5, 6])
 
