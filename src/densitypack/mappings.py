@@ -63,9 +63,10 @@ offset in I) and which membership facts hold.  These window-free parts
 are written once (`_m1_walk`, `_k1_steps`, `_k1_blocks` and `_k1_union`),
 and the reference and the harnesses' plans read the same steps as built.
 The plans evaluate the walks as array filters over a whole batch of
-window masks: I-membership rows, each step's witness mask ANDed with the
-masks, running ORs of the images for disjointness, and pairwise tests for
-the m = 1 chain edges.  A filter flags a superset of the
+window masks: each step's offset read from the batch's I masks and its
+witness mask ANDed with the masks, running ORs of the images for
+disjointness, and pairwise tests for the m = 1 chain edges.  A filter
+flags a superset of the
 windows on which the reference raises, and every flagged window is
 re-checked by the reference, in order; only a reference failure counts.
 The first counterexample, its index and its violation text are therefore
@@ -556,14 +557,15 @@ class _Walk:
 
 def _walk_rows(batch: WindowBatch, walk: _Walk):
     """(has, stops, ended, bad) for the rows of a batch: has holds alpha,
-    stops[n] first meets I at step n, ended reaches the end without
-    meeting I, and bad misses a translate witness on the way."""
+    stops[n] first meets I at step n (the step's offset is a bit of the
+    row's I mask), ended reaches the end without meeting I, and bad misses
+    a translate witness on the way."""
     has = (batch.masks & (1 << walk.alpha)) != 0
     walking = has.copy()
     bad = np.zeros_like(has)
     stops = []
     for _, off, witness in walk.steps:
-        stop = walking & batch.in_i[off]
+        stop = walking & ((batch.i_mask & (1 << off)) != 0)
         walking &= ~stop
         bad |= walking & ((batch.masks & witness) == 0)
         stops.append(stop)

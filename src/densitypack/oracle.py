@@ -24,12 +24,13 @@ all-zero window reaches and is reached by every state), every state has an
 out-edge (appending 0) and an in-edge, and the optimum is a fraction with
 denominator at most the state count.
 
-One solver path computes it, in int64 numpy arrays throughout: the windows
-are built level by level in key order, up to the last level before the full
-windows; the graph, keys and edges, is laid out once from that level, each
-edge read off it by position; a value p/q is proposed, and a longest-walk
-potential for the reweighted graph w' = q*w - p certifies it.  The
-potential converging, and satisfying every edge, proves mu <= p/q; a cycle
+One solver path computes it, in int64 numpy arrays throughout but for the
+first levels of fewer than _SMALL_LEVEL keys, which are Python ints: the
+windows are built level by level in key order, up to the last level before
+the full windows; the graph, keys and edges, is laid out once from that
+level, each edge read off it by position; a value p/q is proposed, and a
+longest-walk potential for the reweighted graph w' = q*w - p certifies it.
+The potential converging, and satisfying every edge, proves mu <= p/q; a cycle
 of its tight edges proves mu >= p/q and is the periodic witness.  A caller
 that already holds a likely value (the closed form delta) passes it as the
 candidate, which is certified first.  Without one, the first proposal is
@@ -55,8 +56,10 @@ of bounded period -- lives in `best_periodic_density` and exists to
 cross-examine the mean-cycle answer in tests.
 
 Window enumeration (`avoiding_mask_chunks`) extends prefixes one position
-per level (`_extend`) and yields int64 masks in bounded chunks, in
-lexicographic order; `enumerate_avoiding_windows` wraps it as Windows.
+per level, the levels of fewer than _SMALL_LEVEL prefixes in Python ints and
+the rest in int64 arrays (`_extend`), and yields int64 masks in bounded
+chunks, in lexicographic order; `enumerate_avoiding_windows` wraps it as
+Windows.
 
 Resource guards: max(M) must stay within a window cap (default 22), the
 admissible-state count within a state cap (default 2**22, set only by the
@@ -128,6 +131,9 @@ _MASK_BITS = 63
 # Largest mask array `avoiding_mask_chunks` yields.  Each chunk is also one
 # `profile.WindowBatch`, so this is the one bound on a window scan's memory.
 _CHUNK_WINDOWS = 1 << 16
+# A level of fewer prefixes than this is extended in Python ints: its few
+# entries cost less than the numpy calls of a level.
+_SMALL_LEVEL = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,16 +291,27 @@ def avoiding_mask_chunks(
     Concatenated, the arrays hold each mask once, in lexicographic order of
     the bit string b_0 b_1 ... b_{n-1} (excluding a position sorts first),
     so the first failing row of a check is its lexicographically-first
-    counterexample.  Prefixes are extended one position per level; a run
-    longer than the chunk is split in two and the halves are finished one
-    after the other, so memory stays within about n chunks whatever the
-    total count.  `require_zero` is read by `as_bool`.
+    counterexample.  Prefixes are extended one position per level, as
+    Python ints while the run holds fewer than _SMALL_LEVEL of them (a
+    family's first levels, where a numpy call costs more than the level's
+    work), then as one int64 array by `_extend`.  A run longer than the
+    chunk is split in two and the halves are finished one after the other,
+    so memory stays within about n chunks whatever the total count.
+    `require_zero` is read by `as_bool`.
     """
     M = as_difference_set(distances)
     check_enum_length(n, cap)
     conflicts = _conflict_masks(M, n)
-    start = int(as_bool(require_zero, "require_zero"))
-    todo = [(start, np.array([start], dtype=np.int64))]  # (next position, prefixes)
+    t = start = int(as_bool(require_zero, "require_zero"))
+    run = [start]
+    while t < n and len(run) < _SMALL_LEVEL:
+        c, bit, level = conflicts[t], 1 << t, []
+        for x in run:
+            level.append(x)
+            if not x & c:
+                level.append(x | bit)
+        run, t = level, t + 1
+    todo = [(t, np.array(run, dtype=np.int64))]  # (next position, prefixes)
     while todo:
         t, states = todo.pop()
         if len(states) > _CHUNK_WINDOWS:
@@ -363,19 +380,31 @@ def _last_level(M: DifferenceSet, cap: int):
 
     The levels grow by the oldest bit: the keys of length t + 1 are those of
     length t, whose bit t is clear, followed by each key whose bit t may be
-    set with bit t set, so every level is sorted.  Each level's size, and
-    then n, is checked against the cap before it is allocated, so a refused
-    graph never holds more windows than the cap.
+    set with bit t set, so every level is sorted.  Levels of fewer than
+    _SMALL_LEVEL keys are built in Python ints, as in `avoiding_mask_chunks`,
+    and the rest in int64 arrays.  Each level's size, and then n, is checked
+    against the cap before the level is built, so a refused graph never
+    holds more windows than the cap.
     """
     L = M.max_element
     _check_mask_bits(L)
     # No window of at most min(M) positions holds a difference in M, so the
-    # first level, of length t0, holds every key.
-    t0 = min(M.elements[0], L - 1)
-    _check_state_count(1 << t0, cap)
-    P = np.arange(1 << t0, dtype=np.int64)
+    # first level, of length t, holds every key.
+    t = min(M.elements[0], L - 1)
+    _check_state_count(1 << t, cap)
     conflicts = _conflict_masks(M, L - 1)
-    for t in range(t0, L - 1):
+    if 1 << t >= _SMALL_LEVEL:
+        P = np.arange(1 << t, dtype=np.int64)
+    else:
+        P = list(range(1 << t))
+        while t < L - 1 and len(P) < _SMALL_LEVEL:
+            c, bit = conflicts[t], 1 << t
+            top = [x | bit for x in P if not x & c]
+            _check_state_count(len(P) + len(top), cap)
+            P += top
+            t += 1
+        P = np.array(P, dtype=np.int64)
+    for t in range(t, L - 1):
         # Bit t, the new oldest position, lies at distance d from bit t - d.
         ok = (P & conflicts[t]) == 0
         _check_state_count(len(P) + int(np.count_nonzero(ok)), cap)

@@ -43,10 +43,12 @@ family's avoiding windows once, in lexicographic order: each chunk that
 to every requested check, so the chunk bound is the scan's one bound.
 A batch holds int64 masks and arrays derived from them, never Window
 objects; a Window is built only for a reported counterexample (and by the
-`mappings` harnesses for the rows they re-check one by one).  The counting
-checks here are array predicates over the batch's |I|, |T|, |U| and
-prefix counts; the m = 1 / k = 1 harnesses in `mappings` plug into the
-same scan as array filters backed by per-window reference code.  Each
+`mappings` harnesses for the rows they re-check one by one).  I is one
+int64 bit mask per window, built from the masks by a shift per element of
+S.  The counting checks here are array predicates over the batch's |I|,
+|T|, |U| and prefix counts; the m = 1 / k = 1 harnesses in `mappings` plug
+into the same scan as array filters backed by per-window reference code,
+which read their trajectories' offsets from the I masks.  Each
 check reports its first failing window, which is its
 lexicographically-first counterexample.
 """
@@ -195,29 +197,33 @@ def check_counting_identities(window: Window, p: CanonicalParams) -> bool:
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).astype(np.int64)
+    return np.bitwise_count(masks, out=np.empty(len(masks), dtype=np.int64))
 
 
 class WindowBatch:
     """One chunk of a family's avoiding windows of [0, n2) containing 0, as
     `avoiding_mask_chunks` yields it (a lexicographically contiguous run of
-    at most `oracle._CHUNK_WINDOWS` int64 masks), with arrays derived from
-    them: per window |I|, |T|, |U| and the prefix counts
-    |A intersect [0, n1)|, |A intersect [0, n2)| (int64, one entry per
-    window), and `in_i[x]`, the bool row of windows for which offset x is an
-    empty translate (`in_i[0]` is all False: 0 is never in I).  `window`
-    builds the Window of one row on demand."""
+    at most `oracle._CHUNK_WINDOWS` int64 masks), with int64 arrays derived
+    from them, one entry per window: `i_mask`, I as a bit mask (bit x set
+    iff offset x is an empty translate), |I|, |T|, |U| and the prefix counts
+    |A intersect [0, n1)|, |A intersect [0, n2)|.  `window` builds the
+    Window of one row on demand."""
 
-    __slots__ = ("length", "masks", "in_i", "n_i", "n_t", "n_u", "below_n1", "below_n2")
+    __slots__ = ("length", "masks", "i_mask", "n_i", "n_t", "n_u", "below_n1", "below_n2")
 
     def __init__(self, p: CanonicalParams, masks: np.ndarray):
-        s_mask, bands, top = _profile_masks(p)
+        _, bands, top = _profile_masks(p)
         self.length = p.n2
         self.masks = masks
-        self.in_i = np.zeros((p.b, len(masks)), dtype=bool)
-        for alpha in range(1, p.b):
-            self.in_i[alpha] = (masks & (s_mask << alpha)) == 0
-        self.n_i = self.in_i.sum(axis=0, dtype=np.int64)
+        # x + S misses A iff bit x of A >> s is clear for every s in S, and
+        # 0 is in S: I is the complement of their union, within [1, b).
+        hit = masks.copy()
+        for s in two_gap_set(p)[1:]:
+            hit |= masks >> s
+        np.invert(hit, out=hit)
+        hit &= _span(1, p.b)
+        self.i_mask = hit
+        self.n_i = _popcount(hit)
         self.n_t = _popcount(masks & sum(bands))
         self.n_u = _popcount(~masks & top)
         self.below_n1 = _popcount(masks & _span(0, p.n1))

@@ -3,10 +3,11 @@
 The brute-force routines here deliberately use a different algorithm from
 the package (itertools subset filtering instead of recursive pruning) so
 that agreement between the two is meaningful.  The `reference_` routines
-are the oracle's earlier stages (searched edges, allocate-per-pass
-solvers, fixed-round pointer doubling, a generator-driven tight-cycle
-search), which the current stages must match exactly; `jacobi_potential`
-is the potential with nothing but its relaxation passes.
+are the oracle's earlier stages (searched edges, a numpy-only level loop,
+allocate-per-pass solvers, fixed-round pointer doubling, a
+generator-driven tight-cycle search), which the current stages must match
+exactly; `jacobi_potential` is the potential with nothing but its
+relaxation passes.
 """
 
 from __future__ import annotations
@@ -113,6 +114,28 @@ def reference_state_graph(M):
     has_last = (keys.take(last, mode="clip") == older | top) & ((keys & 1) == 0)
     last = np.where(has_last, last, first)
     return keys, succ0, succ1, first, last
+
+
+def reference_last_level(M, cap: int):
+    """`oracle._last_level` as it was before its small levels were built in
+    Python ints: every level an int64 array, from `np.arange` of the first,
+    each level's size checked against the cap before it is concatenated."""
+    L = M.max_element
+    oracle._check_mask_bits(L)
+    t0 = min(M.elements[0], L - 1)
+    oracle._check_state_count(1 << t0, cap)
+    P = np.arange(1 << t0, dtype=np.int64)
+    conflicts = oracle._conflict_masks(M, L - 1)
+    for t in range(t0, L - 1):
+        ok = (P & conflicts[t]) == 0
+        oracle._check_state_count(len(P) + int(np.count_nonzero(ok)), cap)
+        top = P[ok]
+        top |= 1 << t
+        P = np.concatenate([P, top])
+    with_t = (P & sum(1 << (d - 1) for d in M if d < L)) == 0
+    n = len(P) + int(np.count_nonzero(with_t))
+    oracle._check_state_count(n, cap)
+    return P, with_t, n
 
 
 def reference_cycle_mean(step, ones) -> Fraction | None:

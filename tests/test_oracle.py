@@ -47,6 +47,7 @@ from helpers import (
     record_potentials,
     reference_cycle_mean,
     reference_kappa,
+    reference_last_level,
     reference_potential,
     reference_state_graph,
     reference_tight_cycle,
@@ -293,6 +294,59 @@ class TestEnumeration:
                 chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, n, require_zero)]
                 assert max(map(len, chunks)) <= 3 and len(chunks) > 1
                 assert [mask for c in chunks for mask in c] == whole
+
+    @pytest.mark.parametrize("chunk", [3, 64])
+    @pytest.mark.parametrize("require_zero", [True, False])
+    def test_chunks_across_the_switch_to_arrays(self, monkeypatch, chunk, require_zero):
+        # Prefixes are Python ints until a level holds 64 of them.  These
+        # M and n reach that level at different positions, at n itself, or
+        # not at all, and every route gives the reference order.
+        monkeypatch.setattr(oracle, "_CHUNK_WINDOWS", chunk)
+        cases = [((1,), 8), ((1,), 9), ((1,), 11), ((1,), 14), ((20,), 6), ((20,), 12)]
+        cases += [((2, 3), 16), ((1, 5, 6), 16), ((4, 9), 20), ((3, 5, 11), 13), ((6, 13), 18)]
+        switches = set()
+        for M, n in cases:
+            whole = list(iter_avoiding_masks(M, n, require_zero))
+            chunks = [c.tolist() for c in oracle.avoiding_mask_chunks(M, n, require_zero)]
+            assert max(map(len, chunks)) <= chunk
+            assert [mask for c in chunks for mask in c] == whole
+            sizes = [len(list(iter_avoiding_masks(M, t, require_zero))) for t in range(1, n + 1)]
+            switches.add(next((t for t, size in enumerate(sizes, 1) if size >= 64), None))
+        assert None in switches and len(switches) >= 5, switches
+
+
+class TestLastLevel:
+    @staticmethod
+    def assert_same_level(M, cap=1 << 22):
+        P, with_t, n = oracle._last_level(M, cap)
+        ref_P, ref_with_t, ref_n = reference_last_level(M, cap)
+        assert P.dtype == np.int64 and with_t.dtype == bool and type(n) is int
+        assert P.tolist() == ref_P.tolist() and with_t.tolist() == ref_with_t.tolist()
+        assert n == ref_n
+
+    def test_matches_the_numpy_only_loop(self):
+        # Random M of [1, 18], whose first levels hold 1 to 2**17 keys, and
+        # the sweep box's 95 M.
+        rng = random.Random(3535)
+        for _ in range(300):
+            M = as_difference_set(rng.sample(range(1, 19), rng.randint(1, 6)))
+            self.assert_same_level(M)
+        for M in TestBatch.box_pairs():
+            self.assert_same_level(M)
+
+    @pytest.mark.parametrize("M", [(5,), (4, 9), (3, 5, 11), (6, 13)])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 7, 8, 30, 100])
+    def test_refuses_where_the_numpy_only_loop_refuses(self, M, cap):
+        # {6, 13} starts from np.arange of 64 keys, the others in Python ints.
+        M = as_difference_set(M)
+        try:
+            reference_last_level(M, cap)
+        except ResourceLimit as exc:
+            with pytest.raises(ResourceLimit) as got:
+                oracle._last_level(M, cap)
+            assert str(got.value) == str(exc)
+        else:
+            self.assert_same_level(M, cap)
 
 
 class TestMuExact:

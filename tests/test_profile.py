@@ -409,6 +409,20 @@ class TestWindowScan:
 FAMILIES_UP_TO_20 = list(canonical_instances(max_n2=20, include_equal=True))
 
 
+def assert_rows_match_profile(batch, p):
+    """Each row's I (the bits of its I mask), sizes and prefix counts are
+    those of `profile` and `Window` on the row's window."""
+    for row in range(len(batch)):
+        w = batch.window(row)
+        assert w == Window(p.n2, int(batch.masks[row]))
+        assert batch.sizes(row) == profile(w, p).sizes
+        i_mask = int(batch.i_mask[row])
+        assert i_mask >> p.b == 0
+        assert {x for x in range(p.b) if i_mask >> x & 1} == profile(w, p).empty_translates
+        assert int(batch.below_n1[row]) == w.count_below(p.n1)
+        assert int(batch.below_n2[row]) == w.count_below(p.n2)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.sampled_from(FAMILIES_UP_TO_20), st.sampled_from([1, 5, 7, 1 << 12, 1 << 16]))
 def test_window_table_matches_per_window_code(p, chunk):
@@ -419,10 +433,13 @@ def test_window_table_matches_per_window_code(p, chunk):
     assert masks == list(iter_avoiding_masks(M, p.n2, True))
     for batch in batches:
         assert len(batch) <= chunk
-        for row in range(len(batch)):
-            w = batch.window(row)
-            assert w == Window(p.n2, int(batch.masks[row]))
-            assert batch.sizes(row) == profile(w, p).sizes
-            assert set(np.flatnonzero(batch.in_i[:, row])) == profile(w, p).empty_translates
-            assert int(batch.below_n1[row]) == w.count_below(p.n1)
-            assert int(batch.below_n2[row]) == w.count_below(p.n2)
+        assert_rows_match_profile(batch, p)
+
+
+@pytest.mark.parametrize("p", [CanonicalParams(15, 14, 1, 1), CanonicalParams(13, 12, 1, 1)])
+def test_window_table_matches_per_window_code_on_random_masks(p):
+    # b >= 12, so I reads offsets up to b - 1 from each window's I mask; the
+    # masks need not avoid M, as `profile` reads any window with 0.
+    rng = random.Random(p.b)
+    masks = [rng.getrandbits(p.n2) | 1 for _ in range(2000)]
+    assert_rows_match_profile(WindowBatch(p, np.array(masks, dtype=np.int64)), p)
