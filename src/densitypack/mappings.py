@@ -62,18 +62,31 @@ each stop step; a window decides only where the walk stops (its first
 offset in I) and which membership facts hold.  These window-free parts
 are written once (`_m1_walk`, `_k1_steps`, `_k1_blocks` and `_k1_union`),
 and the reference and the harnesses' plans read the same steps as built.
-The plans evaluate the walks as array filters over a whole batch of
-window masks: each step's offset read from the batch's I masks and its
-witness mask ANDed with the masks, running ORs of the images for
-disjointness, and pairwise tests for the m = 1 chain edges.  A filter
-flags a superset of the
-windows on which the reference raises, and every flagged window is
-re-checked by the reference, in order; only a reference failure counts.
-The first counterexample, its index and its violation text are therefore
-exactly those of running the reference on every window.  The
-filter-versus-reference tests check the flag logic; the pinned walks and
-images, an independent walk in the tests, and the tests that the maps
-hold on every window of small families guard the shared definitions.
+
+The plans evaluate the maps as array filters over a whole batch of window
+masks.  A filter flags a row when it holds a term: a conjunction of two
+facts, each either "A holds position x" or "the walk of alpha reaches
+step n" (meets I there, or passes every step).  Which terms exist is a
+fact of the family, so each plan lists them once: v or w in A, a hole
+image meeting A, and two images that coincide where the map forbids it
+(for m = 1 any coincidence but an edge down the bands, for k = 1 a
+shared translate target or hole).  A band position that takes no step
+(quotient >= 2 for m = 1, j0 > m for k = 1) ends at images fixed by
+alpha, so each of its terms joins two positions x and x + delta; all such
+terms at one distance delta are tested by one shifted AND,
+A & lo & (A >> delta), as in shift-and string matching (Baeza-Yates and
+Gonnet, CACM 35(10), 1992).  Walks with steps keep one bool row per step,
+read from the batch's I masks and their witness masks.
+
+A filter flags a superset of the windows on which the reference raises,
+and every flagged window is re-checked by the reference, in order; only a
+reference failure counts.  The first counterexample, its index and its
+violation text are therefore exactly those of running the reference on
+every window.  The filter-versus-reference tests check the flag logic,
+and the filters flag exactly the rows that the earlier walk-by-walk
+filters kept in the tests flag; the pinned walks and images, an
+independent walk in the tests, and the tests that the maps hold on every
+window of small families guard the shared definitions.
 
 Every reader of a route first refuses a family outside its regime (m = 1
 for the chain route, k = 1 for the block route) with UnsupportedRegime.
@@ -81,13 +94,13 @@ for the chain route, k = 1 for the block route) with UnsupportedRegime.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import LemmaViolation, NotInBand, UnsupportedRegime
+from .errors import InternalError, LemmaViolation, NotInBand, UnsupportedRegime
 from .family import CanonicalParams, as_int, require_type
 from .oracle import DEFAULT_ENUM_CAP, Window
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
@@ -158,10 +171,10 @@ def gap_decompose(alpha: int, p: CanonicalParams) -> GapDecomposition:
     alpha - i*a >= b + 1."""
     require_type(p, CanonicalParams, "params")
     alpha = as_int(alpha, "alpha")
-    for i in range(p.k):
-        if i * p.a + p.b + 1 <= alpha <= (i + 1) * p.a - 1:
-            q, off = divmod(alpha - i * p.a, p.b)
-            return GapDecomposition(alpha=alpha, band=i, quotient=q, offset=off)
+    i, r = divmod(alpha, p.a)
+    if 0 <= i < p.k and r > p.b:
+        q, off = divmod(r, p.b)
+        return GapDecomposition(alpha, i, q, off)
     raise NotInBand(f"{alpha} lies in no band (i*a + b, (i+1)*a) of {p}")
 
 
@@ -541,139 +554,241 @@ def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class _Walk:
-    """The fixed trajectory of one band position alpha.
-
-    steps are the (quotient, offset, witness mask) triples of `_m1_walk` or
-    `_k1_steps`, as the reference reads them.  end is what a row that
-    passes every step without meeting I maps to (w for m = 1, the
-    hole-image mask for k = 1), or None when the reference raises for every
-    such row.
-    """
+    """The trajectory of one band position alpha that takes a step: the
+    (quotient, offset, witness mask) triples of `_m1_walk` or `_k1_steps`,
+    as the reference reads them."""
 
     alpha: int
     steps: tuple[tuple[int | None, int, int], ...]
-    end: int | None
 
 
-def _walk_rows(batch: WindowBatch, walk: _Walk):
-    """(has, stops, ended, bad) for the rows of a batch: has holds alpha,
-    stops[n] first meets I at step n (the step's offset is a bit of the
-    row's I mask), ended reaches the end without meeting I, and bad misses
-    a translate witness on the way."""
-    has = (batch.masks & (1 << walk.alpha)) != 0
-    walking = has.copy()
-    bad = np.zeros_like(has)
-    stops = []
+# An atom is a fact that a row of a batch has or lacks: a position x, held
+# when A holds x, or (walk, n), held when the row reaches n on that walk of
+# the plan: it first meets I at step n or, for n = len(steps), passes every
+# step without meeting I.  A term is a conjunction of two atoms, the same
+# atom twice for one fact alone; a filter flags every row that holds a term.
+_Atom = int | tuple[int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """The terms of an array filter, grouped by how a batch tests them.
+
+    groups holds (delta, lo) per distance delta between the two positions
+    of a term, lo the mask of the lower ones: a row holds one of them when
+    A & lo & (A >> delta) != 0.  walks are the walks with steps, each of
+    which also flags the rows that miss a translate witness on the way.
+    meets holds (atom, bits) per walk atom paired with positions: a row
+    that reaches the atom and whose A meets bits.  pairs are the terms of
+    two walk atoms.
+    """
+
+    groups: tuple[tuple[int, int], ...]
+    walks: tuple[_Walk, ...]
+    meets: tuple[tuple[tuple[int, int], int], ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+
+def _plan(walks: list[_Walk], terms: Iterable[tuple[_Atom, _Atom]]) -> _Plan:
+    """Group a filter's terms for `_plan_flags`."""
+    groups: dict[int, int] = {}
+    meets: dict[tuple[int, int], int] = {}
+    pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    for s, t in terms:
+        if type(s) is int:
+            s, t = t, s
+        if type(s) is int:  # both positions
+            lo, hi = (s, t) if s < t else (t, s)
+            groups[hi - lo] = groups.get(hi - lo, 0) | 1 << lo
+        elif type(t) is int:
+            meets[s] = meets.get(s, 0) | 1 << t
+        else:
+            pairs.add((s, t) if s < t else (t, s))
+    return _Plan(
+        tuple(sorted(groups.items())), tuple(walks), tuple(sorted(meets.items())), tuple(sorted(pairs))
+    )
+
+
+def _walk_rows(batch: WindowBatch, walk: _Walk, flags: np.ndarray) -> list[np.ndarray]:
+    """The rows of a batch that hold alpha, by where they leave the walk:
+    reached[n] first meet I at step n (the step's offset is a bit of the
+    row's I mask), reached[-1] pass every step without meeting I.  The rows
+    that miss a translate witness on the way are ORed into flags."""
+    walking = (batch.masks & (1 << walk.alpha)) != 0
+    reached = []
     for _, off, witness in walk.steps:
-        stop = walking & ((batch.i_mask & (1 << off)) != 0)
-        walking &= ~stop
-        bad |= walking & ((batch.masks & witness) == 0)
-        stops.append(stop)
-    return has, stops, walking, bad
+        reached.append(walking & ((batch.i_mask & (1 << off)) != 0))
+        walking ^= reached[-1]  # the rows that stop there leave the walk
+        flags |= walking & ((batch.masks & witness) == 0)
+    reached.append(walking)
+    return reached
 
 
-def _m1_plan(p: CanonicalParams) -> list[tuple[_Walk, int, int]]:
-    """(walk, band, v) per band position of an m = 1 family, in increasing
-    alpha: the steps of `_m1_walk`, and its w as the end."""
-    walks = []
-    for i in range(p.k):
-        for alpha in range(i * p.a + p.b + 1, (i + 1) * p.a):
-            steps, v, w = _m1_walk(gap_decompose(alpha, p), p)
-            walks.append((_Walk(alpha, steps, w), i, v))
-    return walks
+def _plan_flags(batch: WindowBatch, plan: _Plan, flags: np.ndarray) -> np.ndarray:
+    """flags, ORed with every row of the batch that holds a term of the
+    plan.  Each distance costs one shift, one AND and one OR, whatever the
+    number of its terms; the masks are ANDed in once for all of them."""
+    masks = batch.masks
+    if plan.groups:
+        upper, shifted = np.zeros_like(masks), np.empty_like(masks)
+        for delta, lo in plan.groups:
+            np.right_shift(masks, delta, out=shifted)
+            shifted &= lo
+            upper |= shifted
+        upper &= masks
+        flags |= upper != 0
+    reached = [_walk_rows(batch, walk, flags) for walk in plan.walks]
+    for (walk, step), bits in plan.meets:
+        flags |= reached[walk][step] & ((masks & bits) != 0)
+    for (walk, step), (other, other_step) in plan.pairs:
+        flags |= reached[walk][step] & reached[other][other_step]
+    return flags
 
 
-def _m1_flags(batch: WindowBatch, p: CanonicalParams, walks) -> np.ndarray:
-    """Rows on which `verify_m1_inequality` could raise.
+def _m1_images(p: CanonicalParams):
+    """(alpha, band, steps, v, w) per band position of an m = 1 family, in
+    increasing alpha, as `_m1_walk` gives them; a position of quotient
+    >= 2 takes no step.
 
     Every v = alpha + (k - i)*a + b lies in (n1, n2).  Every walk ends, as
     it climbs by a - b >= 1 from an offset below b until it reaches
     2*b - a (a = b = 1 has no band positions), and its end w lies in
     [n1, n2).  So v and w are top positions, a hole exactly when A misses
     them.  v >= n1 > b exceeds every offset, and v equals its own walk's w
-    only for (a, b) = (2, 1), which has no band positions either: no row's
-    w is its own v.  `test_m1_plans_end_in_the_top_interval` checks this
-    on every m = 1 family whose windows fit an int64 mask.
+    only for (a, b) = (2, 1), which has no band positions either.  The
+    filter reads all of this off the images; InternalError is raised where
+    any of it fails.
     """
+    n1, n2 = p.n1, p.n2
+    for band in range(p.k):
+        for alpha in range(band * p.a + p.b + 1, (band + 1) * p.a):
+            steps, v, w = _m1_walk(gap_decompose(alpha, p), p)
+            if not (
+                n1 < v < n2
+                and w is not None
+                and n1 <= w < n2
+                and v != w
+                and all(off != v for _, off, _ in steps)
+            ):
+                raise InternalError(f"m = 1 images v = {v}, w = {w} of alpha = {alpha} in {p}")
+            yield alpha, band, steps, v, w
+
+
+def _m1_plan(p: CanonicalParams) -> _Plan:
+    """The terms on which `verify_m1_inequality` could raise, from
+    `_m1_images`: v in A, w in A (the end lies above b, so it is never in
+    I: w must be a hole), and the pairwise terms.
+
+    Image pairs of alpha > beta may meet only as v(alpha) = w(beta), an
+    edge, and edges must descend bands.  Two edges out of one alpha would
+    meet as w = w, and two into one beta as v = v, so the degree bounds
+    hold; chains, their images and their sizes then need no check.  Which
+    rows' images can coincide is a fact of the family, found here once.
+    """
+    walks, terms = [], []
+    v_at: dict[int, list[tuple[int, int]]] = {}  # x -> (alpha, band) whose v is x
+    w_at: dict[int, list[tuple[int, int, _Atom]]] = {}  # x -> (alpha, band, atom) whose w is x
+    for alpha, band, steps, v, w in _m1_images(p):
+        end: _Atom = alpha
+        if steps:
+            end = (len(walks), len(steps))
+            for n, (_, off, _) in enumerate(steps):
+                w_at.setdefault(off, []).append((alpha, band, (len(walks), n)))
+            walks.append(_Walk(alpha, steps))
+        terms += [(alpha, v), (end, w)]
+        v_at.setdefault(v, []).append((alpha, band))
+        w_at.setdefault(w, []).append((alpha, band, end))
+    for x, owners in v_at.items():
+        terms += [(s, t) for (s, _), (t, _) in combinations(owners, 2)]
+        for alpha, band, atom in w_at.get(x, ()):
+            terms += [(atom, beta) for beta, band_b in owners if beta < alpha or band_b <= band]
+    for owners in w_at.values():
+        terms += [(s, t) for (a, _, s), (b, _, t) in combinations(owners, 2) if a != b]
+    return _plan(walks, terms)
+
+
+def _m1_flags(batch: WindowBatch, p: CanonicalParams, plan: _Plan) -> np.ndarray:
+    """Rows on which `verify_m1_inequality` could raise: the count bound,
+    then the terms of `_m1_plan`.  The positions paired with a band
+    position that takes no step are fixed, so their terms are grouped by
+    distance; `test_m1_plans_end_in_the_top_interval` checks the facts
+    the plan reads off `_m1_images` on every m = 1 family whose windows
+    fit an int64 mask."""
     k = p.k
     # The count bound; (k+1)|T| <= k(|I|+|U|) implies the main inequality.
-    flags = (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u)
-    has, w_rows = [], []
-    for walk, _, v in walks:
-        rows, stops, ended, bad = _walk_rows(batch, walk)
-        flags |= bad | (rows & ((batch.masks & (1 << v)) != 0))
-        w_of: dict[int, np.ndarray] = {}  # x -> the rows whose w is x
-        for (_, off, _), stop in zip(walk.steps, stops):
-            w_of[off] = w_of.get(off, False) | stop
-        # The end lies above b, so it is never in I: w must be a hole.
-        w_of[walk.end] = w_of.get(walk.end, False) | ended
-        flags |= ended & ((batch.masks & (1 << walk.end)) != 0)
-        has.append(rows)
-        w_rows.append(w_of)
-    # Image pairs of alpha > beta may meet only as v(alpha) = w(beta), an
-    # edge, and edges must descend bands.  Two edges out of one alpha would
-    # meet as w = w, and two into one beta as v = v, so the degree bounds
-    # hold; chains, their images and their sizes then need no check.
-    for hi, (_, band_a, v_a) in enumerate(walks):
-        for lo, (_, band_b, v_b) in enumerate(walks[:hi]):
-            w_a, w_b = w_rows[hi], w_rows[lo]
-            if v_a == v_b:
-                flags |= has[hi] & has[lo]
-            if v_b in w_a:
-                flags |= w_a[v_b] & has[lo]
-            for x in w_a.keys() & w_b.keys():
-                flags |= w_a[x] & w_b[x]
-            if v_a in w_b and band_a <= band_b:
-                flags |= w_b[v_a] & has[hi]
-    return flags
+    return _plan_flags(batch, plan, (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u))
 
 
-def _k1_plan(p: CanonicalParams) -> list[_Walk]:
-    """One walk per band position of a k = 1 family, in increasing alpha.
-
-    A quotient j0 > m has no steps; otherwise the steps are `_k1_steps`.
-    The end is the mask of the union of `_k1_blocks`, or None when the
-    blocks overlap or do not hold m + 1 positions.
+def _k1_images(p: CanonicalParams):
+    """(alpha, steps, union) per band position of a k = 1 family, in
+    increasing alpha: the steps of `_k1_steps` for a quotient j0 <= m (a
+    quotient j0 > m takes no step), and the union of `_k1_blocks` by
+    `_k1_union`, or None when that refuses it.
 
     No walk reaches the cap, as it climbs by a - b >= 1 from alpha > b
-    until its quotient reaches m + 1, within m*b steps.  A valid union
-    lies in [n1, n2): the primary block as b < alpha < a and t > m - j0,
-    and a step block as off_n < b and, by the recurrence for eta_{n+1},
-    its least position is at least a + (m+1)*b + off_{n+1}.
-    `test_k1_plans_end_in_the_top_interval` checks both facts on every
-    k = 1 family whose windows fit an int64 mask.
+    until its quotient reaches m + 1, within m*b steps.  A union lies in
+    [n1, n2): the primary block as b < alpha < a and t > m - j0, and a step
+    block as off_n < b and, by the recurrence for eta_{n+1}, its least
+    position is at least a + (m+1)*b + off_{n+1}.  InternalError is raised
+    where either fails.
     """
-    walks = []
+    n1, n2 = p.n1, p.n2
     for alpha in range(p.b + 1, p.a):
         j0 = gap_decompose(alpha, p).quotient
-        steps = _k1_steps(alpha, p)[0] if j0 <= p.m else ()
-        end = None
-        with suppress(LemmaViolation):
-            end = _mask(_k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p))
-        walks.append(_Walk(alpha, steps, end))
-    return walks
+        steps = ()
+        if j0 <= p.m:
+            steps, nxt = _k1_steps(alpha, p)
+            if nxt is None:
+                raise InternalError(f"k = 1 walk of alpha = {alpha} in {p} ran past its cap")
+        try:
+            union = _k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p)
+        except LemmaViolation:
+            union = None
+        if union is not None and not n1 <= min(union) <= max(union) < n2:
+            raise InternalError(f"k = 1 image {sorted(union)} of alpha = {alpha} in {p}")
+        yield alpha, steps, union
 
 
-def _k1_flags(batch: WindowBatch, p: CanonicalParams, walks: list[_Walk]) -> np.ndarray:
-    """Rows on which `verify_k1_mapping` could raise."""
+def _k1_plan(p: CanonicalParams) -> _Plan:
+    """The terms on which `verify_k1_mapping` could raise, from
+    `_k1_images`: a walk that ends where the union is refused, a hole image
+    that meets A, two walks that stop at one translate target, and two
+    hole images that share a position.  Distinct targets in I and disjoint
+    (m+1)-sets of U cannot outnumber them, so the image counts need no
+    term of their own."""
+    walks, terms = [], []
+    targets: dict[int, list[tuple[int, int]]] = {}  # offset -> atoms that stop there
+    holes: dict[int, list[_Atom]] = {}  # position -> atoms whose hole image holds it
+    for alpha, steps, union in _k1_images(p):
+        end: _Atom = alpha
+        if steps:
+            end = (len(walks), len(steps))
+            for n, (_, off, _) in enumerate(steps):
+                targets.setdefault(off, []).append((len(walks), n))
+            walks.append(_Walk(alpha, steps))
+        if union is None:
+            terms.append((end, end))
+            continue
+        for u in union:
+            terms.append((end, u))
+            holes.setdefault(u, []).append(end)
+    for owners in targets.values():
+        terms += [(s, t) for s, t in combinations(owners, 2) if s[0] != t[0]]
+    for owners in holes.values():
+        terms += combinations(owners, 2)
+    return _plan(walks, terms)
+
+
+def _k1_flags(batch: WindowBatch, p: CanonicalParams, plan: _Plan) -> np.ndarray:
+    """Rows on which `verify_k1_mapping` could raise: the count bound, then
+    the terms of `_k1_plan`.  The hole block of a band position that takes
+    no step is fixed, so its terms are grouped by distance, among them the
+    overlaps of two such blocks at distances j*b;
+    `test_k1_plans_end_in_the_top_interval` checks the facts the plan reads
+    off `_k1_images` on every k = 1 family whose windows fit an int64
+    mask."""
     m = p.m
-    flags = (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u
-    taken: dict[int, np.ndarray] = {}  # translate target -> rows already mapped to it
-    holes = np.zeros(len(batch), dtype=np.int64)  # union of the hole images so far
-    for walk in walks:
-        _, stops, ended, bad = _walk_rows(batch, walk)
-        flags |= bad
-        for (_, off, _), stop in zip(walk.steps, stops):
-            flags |= stop & taken.get(off, False)
-            taken[off] = taken.get(off, False) | stop
-        if walk.end is None:
-            flags |= ended
-        else:
-            flags |= ended & (((batch.masks | holes) & walk.end) != 0)
-            holes |= ended * walk.end
-    # Distinct targets in I and disjoint (m+1)-sets of U cannot outnumber
-    # them, so the image counts need no check of their own.
-    return flags
+    return _plan_flags(batch, plan, (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u)
 
 
 def _machinery_check(
@@ -706,15 +821,15 @@ def _machinery_check(
 def m1_check(p: CanonicalParams) -> WindowCheck:
     """The m = 1 harness of `check_m1_machinery`, as a window check."""
     _require_route(p, "m")
-    walks = _m1_plan(p)
-    return _machinery_check(p, lambda batch: _m1_flags(batch, p, walks), verify_m1_inequality)
+    plan = _m1_plan(p)
+    return _machinery_check(p, lambda batch: _m1_flags(batch, p, plan), verify_m1_inequality)
 
 
 def k1_check(p: CanonicalParams) -> WindowCheck:
     """The k = 1 harness of `check_k1_machinery`, as a window check."""
     _require_route(p, "k")
-    walks = _k1_plan(p)
-    return _machinery_check(p, lambda batch: _k1_flags(batch, p, walks), verify_k1_mapping)
+    plan = _k1_plan(p)
+    return _machinery_check(p, lambda batch: _k1_flags(batch, p, plan), verify_k1_mapping)
 
 
 def check_m1_machinery(

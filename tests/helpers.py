@@ -5,22 +5,26 @@ the package (itertools subset filtering instead of recursive pruning) so
 that agreement between the two is meaningful.  The `reference_` routines
 are the oracle's earlier stages (searched edges, a numpy-only level loop,
 allocate-per-pass solvers, fixed-round pointer doubling, a
-generator-driven tight-cycle search), which the current stages must match
-exactly; `jacobi_potential` is the potential with nothing but its
-relaxation passes.
+generator-driven tight-cycle search) and the mapping harnesses' earlier
+array filters (one set of bool rows per walk, pairs compared per chunk),
+which the current stages must match exactly; `jacobi_potential` is the
+potential with nothing but its relaxation passes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from densitypack import CanonicalParams, InternalError, oracle
+from densitypack import CanonicalParams, InternalError, LemmaViolation, oracle
+from densitypack.mappings import _k1_blocks, _k1_steps, _k1_union, _m1_walk, _mask, gap_decompose
 
 
 # One integer-like value of each kind an integer argument may receive: only
@@ -321,6 +325,117 @@ def reference_walk_stop(alpha: int, p: CanonicalParams, route: str, translates) 
         x += a - b
         if x // b >= p.m + 1:
             return None
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceWalk:
+    """The fixed trajectory of one band position alpha, as the earlier
+    filters held it: the (quotient, offset, witness mask) steps of
+    `_m1_walk` or `_k1_steps`, and the end, what a row that passes every
+    step without meeting I maps to (w for m = 1, the hole-image mask for
+    k = 1), or None when the reference raises for every such row."""
+
+    alpha: int
+    steps: tuple[tuple[int | None, int, int], ...]
+    end: int | None
+
+
+def reference_walk_rows(batch, walk: ReferenceWalk):
+    """(has, stops, ended, bad) for the rows of a batch: has holds alpha,
+    stops[n] first meets I at step n, ended reaches the end without
+    meeting I, and bad misses a translate witness on the way."""
+    has = (batch.masks & (1 << walk.alpha)) != 0
+    walking = has.copy()
+    bad = np.zeros_like(has)
+    stops = []
+    for _, off, witness in walk.steps:
+        stop = walking & ((batch.i_mask & (1 << off)) != 0)
+        walking &= ~stop
+        bad |= walking & ((batch.masks & witness) == 0)
+        stops.append(stop)
+    return has, stops, walking, bad
+
+
+def reference_m1_plan(p: CanonicalParams) -> list[tuple[ReferenceWalk, int, int]]:
+    """(walk, band, v) per band position of an m = 1 family, in increasing
+    alpha: the steps of `_m1_walk`, and its w as the end; every walk gets
+    one, with or without steps."""
+    walks = []
+    for i in range(p.k):
+        for alpha in range(i * p.a + p.b + 1, (i + 1) * p.a):
+            steps, v, w = _m1_walk(gap_decompose(alpha, p), p)
+            walks.append((ReferenceWalk(alpha, steps, w), i, v))
+    return walks
+
+
+def reference_m1_flags(batch, p: CanonicalParams, walks) -> np.ndarray:
+    """The rows `mappings._m1_flags` must flag, walk by walk: the count
+    bound, each walk's own terms (a missed witness, v or w in A), and the
+    pairwise terms of every two walks, found per chunk by intersecting
+    their dicts of w rows keyed by position."""
+    k = p.k
+    flags = (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u)
+    has, w_rows = [], []
+    for walk, _, v in walks:
+        rows, stops, ended, bad = reference_walk_rows(batch, walk)
+        flags |= bad | (rows & ((batch.masks & (1 << v)) != 0))
+        w_of: dict[int, np.ndarray] = {}  # x -> the rows whose w is x
+        for (_, off, _), stop in zip(walk.steps, stops):
+            w_of[off] = w_of.get(off, False) | stop
+        w_of[walk.end] = w_of.get(walk.end, False) | ended
+        flags |= ended & ((batch.masks & (1 << walk.end)) != 0)
+        has.append(rows)
+        w_rows.append(w_of)
+    for hi, (_, band_a, v_a) in enumerate(walks):
+        for lo, (_, band_b, v_b) in enumerate(walks[:hi]):
+            w_a, w_b = w_rows[hi], w_rows[lo]
+            if v_a == v_b:
+                flags |= has[hi] & has[lo]
+            if v_b in w_a:
+                flags |= w_a[v_b] & has[lo]
+            for x in w_a.keys() & w_b.keys():
+                flags |= w_a[x] & w_b[x]
+            if v_a in w_b and band_a <= band_b:
+                flags |= w_b[v_a] & has[hi]
+    return flags
+
+
+def reference_k1_plan(p: CanonicalParams) -> list[ReferenceWalk]:
+    """One walk per band position of a k = 1 family, in increasing alpha:
+    no steps for a quotient j0 > m, else those of `_k1_steps`; the end is
+    the mask of the union of `_k1_blocks`, or None when `_k1_union`
+    refuses it."""
+    walks = []
+    for alpha in range(p.b + 1, p.a):
+        j0 = gap_decompose(alpha, p).quotient
+        steps = _k1_steps(alpha, p)[0] if j0 <= p.m else ()
+        end = None
+        with suppress(LemmaViolation):
+            end = _mask(_k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p))
+        walks.append(ReferenceWalk(alpha, steps, end))
+    return walks
+
+
+def reference_k1_flags(batch, p: CanonicalParams, walks: list[ReferenceWalk]) -> np.ndarray:
+    """The rows `mappings._k1_flags` must flag, walk by walk: the count
+    bound, a missed witness, a translate target taken twice, and a hole
+    image that meets A or the hole images of the walks before it."""
+    m = p.m
+    flags = (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u
+    taken: dict[int, np.ndarray] = {}
+    holes = np.zeros(len(batch), dtype=np.int64)
+    for walk in walks:
+        _, stops, ended, bad = reference_walk_rows(batch, walk)
+        flags |= bad
+        for (_, off, _), stop in zip(walk.steps, stops):
+            flags |= stop & taken.get(off, False)
+            taken[off] = taken.get(off, False) | stop
+        if walk.end is None:
+            flags |= ended
+        else:
+            flags |= ended & (((batch.masks | holes) & walk.end) != 0)
+            holes |= ended * walk.end
+    return flags
 
 
 def brute_avoiding_masks(distances, n: int, require_zero: bool) -> list[int]:

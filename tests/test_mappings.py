@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from densitypack import (
     CanonicalParams,
+    InternalError,
     InvalidInput,
     LemmaViolation,
     NotInBand,
@@ -25,12 +26,12 @@ from densitypack import (
     verify_m1_inequality,
 )
 from densitypack.mappings import (
-    _k1_blocks,
     _k1_flags,
+    _k1_images,
     _k1_plan,
     _k1_steps,
-    _k1_union,
     _m1_flags,
+    _m1_images,
     _m1_plan,
     _m1_walk,
     build_chain_partition,
@@ -42,7 +43,15 @@ from densitypack.mappings import (
 )
 from densitypack.oracle import avoiding_mask_chunks
 from densitypack.profile import WindowBatch, _profile_masks, scan_windows
-from helpers import INTEGER_LIKE, canonical_instances, reference_walk_stop
+from helpers import (
+    INTEGER_LIKE,
+    canonical_instances,
+    reference_k1_flags,
+    reference_k1_plan,
+    reference_m1_flags,
+    reference_m1_plan,
+    reference_walk_stop,
+)
 
 # The package root re-exports the function `profile`, which shadows the
 # module of the same name as an attribute.
@@ -403,13 +412,13 @@ class TestTranslateWitness:
         for p in canonical_instances(max_n2=63, include_equal=True):
             walks = []
             if p.m == 1:
-                walks += [(walk, p.k - band) for walk, band, _ in _m1_plan(p)]
+                walks += [(alpha, steps, p.k - band) for alpha, band, steps, _, _ in _m1_images(p)]
             if p.k == 1:
-                walks += [(walk, None) for walk in _k1_plan(p)]
-            for walk, m1_size in walks:
-                for q, _, witness in walk.steps:
+                walks += [(alpha, steps, None) for alpha, steps, _ in _k1_images(p)]
+            for alpha, steps, m1_size in walks:
+                for q, _, witness in steps:
                     size = m1_size if q is None else q
-                    assert witness >> p.n2 == 0 and witness.bit_count() == size, (p, walk)
+                    assert witness >> p.n2 == 0 and witness.bit_count() == size, (p, alpha)
                     positions += size
         assert positions == 249_949
 
@@ -428,6 +437,23 @@ def harnesses(p):
     if p.k == 1:
         k1_walks = _k1_plan(p)
         out.append(("k1", k1_check(p), lambda b: _k1_flags(b, p, k1_walks), verify_k1_mapping))
+    return out
+
+
+def filter_pairs(p):
+    """(name, array filter, earlier filter) per regime of p: the filters
+    of `mappings` and the walk-by-walk ones kept in `helpers`."""
+    out = []
+    if p.m == 1:
+        m1_plan, m1_walks = _m1_plan(p), reference_m1_plan(p)
+        out.append(
+            ("m1", lambda b: _m1_flags(b, p, m1_plan), lambda b: reference_m1_flags(b, p, m1_walks))
+        )
+    if p.k == 1:
+        k1_plan, k1_walks = _k1_plan(p), reference_k1_plan(p)
+        out.append(
+            ("k1", lambda b: _k1_flags(b, p, k1_plan), lambda b: reference_k1_flags(b, p, k1_walks))
+        )
     return out
 
 
@@ -496,37 +522,96 @@ class TestArrayFilter:
         assert_matches_reference(p, np.array([w.mask], dtype=np.int64), 1)
 
     def test_m1_plans_end_in_the_top_interval(self):
-        # What `_m1_flags` reads off the plan, on every m = 1 family whose
+        # What `_m1_plan` reads off `_m1_images`, on every m = 1 family whose
         # windows fit an int64 mask, a = b = 1 included: v lies in (n1, n2),
         # every walk ends at a w in [n1, n2), and v is neither an offset of
-        # its walk nor its w.
+        # its walk nor its w.  `_m1_images` raises InternalError where one
+        # fails, so every plan builds.
         families = [p for p in canonical_instances(max_n2=63, include_equal=True) if p.m == 1]
         for p in families:
-            for walk, _, v in _m1_plan(p):
-                assert p.n1 < v < p.n2, (p, walk.alpha)
-                assert walk.end is not None and p.n1 <= walk.end < p.n2, (p, walk.alpha)
-                assert v not in [off for _, off, _ in walk.steps] + [walk.end], (p, walk.alpha)
+            for alpha, _, steps, v, w in _m1_images(p):
+                assert p.n1 < v < p.n2, (p, alpha)
+                assert w is not None and p.n1 <= w < p.n2, (p, alpha)
+                assert v not in [off for _, off, _ in steps] + [w], (p, alpha)
+            _m1_plan(p)
         assert len(families) == 613
 
     def test_k1_plans_end_in_the_top_interval(self):
-        # What `_k1_plan` reads off the walks, on every k = 1 family whose
-        # windows fit an int64 mask: no walk reaches the cap, and every union
-        # of m + 1 disjoint positions lies in [n1, n2).  Some unions overlap.
+        # What `_k1_plan` reads off `_k1_images`, on every k = 1 family
+        # whose windows fit an int64 mask: no walk reaches the cap, and every
+        # union of m + 1 disjoint positions lies in [n1, n2).  Some unions
+        # overlap.  `_k1_images` raises InternalError where one fails, so
+        # every plan builds.
         families = [p for p in canonical_instances(max_n2=63, include_equal=True) if p.k == 1]
         valid = overlapping = 0
         for p in families:
-            for alpha in range(p.b + 1, p.a):
-                j0 = gap_decompose(alpha, p).quotient
-                steps, nxt = _k1_steps(alpha, p) if j0 <= p.m else ((), p.m + 1)
-                assert nxt is not None, (p, alpha)
-                try:
-                    union = _k1_union(alpha, *_k1_blocks(alpha, j0, steps, p), p)
-                except LemmaViolation:
+            for alpha, steps, union in _k1_images(p):
+                if steps:
+                    assert _k1_steps(alpha, p)[1] is not None, (p, alpha)
+                if union is None:
                     overlapping += 1
                     continue
                 assert all(p.n1 <= u < p.n2 for u in union), (p, alpha)
                 valid += 1
+            _k1_plan(p)
         assert len(families) == 1787 and (valid, overlapping) == (10_031, 4_665)
+
+    @pytest.mark.parametrize(
+        "p, name, fake, message",
+        [
+            # A walk that runs past its cap, an end below n1, and a v that is
+            # also its own w.
+            (P741, "_m1_walk", lambda dec, p: ((), 16, None), "images v = 16, w = None"),
+            (P741, "_m1_walk", lambda dec, p: ((), 16, 3), "images v = 16, w = 3"),
+            (P741, "_m1_walk", lambda dec, p: ((), 16, 16), "images v = 16, w = 16"),
+            # A k = 1 walk past its cap, and a hole image outside [n1, n2).
+            (P512, "_k1_steps", lambda alpha, p: (((1, 1, 64),), None), "ran past its cap"),
+            (P512, "_k1_union", lambda alpha, *_: frozenset({3, 13, 14}), "image \\[3, 13, 14\\]"),
+        ],
+    )
+    def test_plans_refuse_images_the_filters_cannot_read(self, p, name, fake, message):
+        # The filters read these facts off the images without testing them
+        # per row, so a plan refuses to build on images that break one.
+        plan = _m1_plan if name == "_m1_walk" else _k1_plan
+        with mock.patch(f"densitypack.mappings.{name}", fake):
+            with pytest.raises(InternalError, match=message):
+                plan(p)
+
+    def test_flags_equal_the_earlier_filters_on_every_small_window(self):
+        # Every avoiding window of every proved family with n2 <= 26: the
+        # filters flag exactly the rows that the earlier filters flag.
+        rows = 0
+        for p in canonical_instances(max_n2=26, proved_only=True):
+            pairs = filter_pairs(p)
+            for masks in avoiding_mask_chunks(forbidden_differences(p), p.n2):
+                batch = WindowBatch(p, masks)
+                for name, flag_rows, earlier in pairs:
+                    assert np.array_equal(flag_rows(batch), earlier(batch)), (p, name)
+                    rows += len(masks)
+        assert rows == 131_214
+
+    def test_flags_equal_the_earlier_filters_on_random_masks(self):
+        # Seeded masks of [0, n2), avoiding or not, on every m = 1 and k = 1
+        # family with a < 40 whose windows fit an int64 mask: uniform ones,
+        # which the count bound flags often, and sparse ones of at most four
+        # positions, which single out the terms of one or two walks.
+        rng = np.random.default_rng(36)
+        families = list(canonical_instances(max_n2=63, max_a=39, include_equal=True))
+        families = [p for p in families if p.k == 1 or p.m == 1]
+        rows = flagged = 0
+        for p in families:
+            uniform = rng.integers(0, 1 << p.n2, 32, dtype=np.int64)
+            positions = rng.integers(0, p.n2, (96, 4), dtype=np.int64)
+            positions[:, 2:] = np.where(rng.random((96, 2)) < 0.5, positions[:, :1], positions[:, 2:])
+            sparse = np.bitwise_or.reduce(np.int64(1) << positions, axis=1)
+            batch = WindowBatch(p, np.concatenate([uniform, sparse]))
+            for name, flag_rows, earlier in filter_pairs(p):
+                flags = earlier(batch)
+                assert np.array_equal(flag_rows(batch), flags), (p, name)
+                rows += len(flags)
+                flagged += int(np.count_nonzero(flags))
+        # Both kinds of row are common: the flags have something to agree on.
+        assert len(families) == 2196 and rows == 307_200 and 0.2 < flagged / rows < 0.6
 
     def test_nothing_flagged_on_avoiding_windows(self):
         for p in [P511, P521, P741, P512, P532]:
