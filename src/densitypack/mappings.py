@@ -67,11 +67,15 @@ The plans evaluate the maps as array filters over a whole batch of window
 masks.  A filter flags a row when it holds a term: a conjunction of two
 facts, each either "A holds position x" or "the walk of alpha reaches
 step n" (meets I there, or passes every step).  Which terms exist is a
-fact of the family, so each plan lists them once: v or w in A, a hole
-image meeting A, and two images that coincide where the map forbids it
-(for m = 1 any coincidence but an edge down the bands, for k = 1 a
-shared translate target or hole).  A band position that takes no step
-(quotient >= 2 for m = 1, j0 > m for k = 1) ends at images fixed by
+fact of the family.  Each route lists the images of its map once, an
+image being the position x that alpha maps to on the rows that hold one
+fact, and one rule (`_plan`) turns them into terms: a hole image that A
+holds, an image the map refuses, and two images that coincide where the
+map forbids it.  For k = 1 no coincidence is allowed; for m = 1 only an
+edge down the bands, v(beta) = w(alpha) with band(beta) > band(alpha).
+No term tests the count bound: on a row with no term the images already
+imply it (see `_m1_plan` and `_k1_plan`).  A band position that takes no
+step (quotient >= 2 for m = 1, j0 > m for k = 1) ends at images fixed by
 alpha, so each of its terms joins two positions x and x + delta; all such
 terms at one distance delta are tested by one shifted AND,
 A & lo & (A >> delta), as in shift-and string matching (Baeza-Yates and
@@ -95,14 +99,13 @@ for the chain route, k = 1 for the block route) with UnsupportedRegime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InternalError, LemmaViolation, NotInBand, UnsupportedRegime
 from .family import CanonicalParams, as_int, require_type
-from .oracle import DEFAULT_ENUM_CAP, Window
+from .oracle import DEFAULT_ENUM_CAP, Window, check_enum_length
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 from .profile import VerificationReport, WindowBatch, WindowCheck, _scan_one, profile
 
@@ -285,10 +288,10 @@ def _k1_blocks(
     a walk stopped at the threshold, with eta_{N+1} clamped to m + 1.  A
     quotient j0 > m has no steps and the whole block 0 <= t <= m."""
     a, b, m = p.a, p.b, p.m
-    primary = frozenset(alpha + a + t * b for t in range(max(m + 1 - j0, 0), m + 1))
+    primary = frozenset(range(alpha + a + max(m + 1 - j0, 0) * b, alpha + a + (m + 1) * b, b))
     quots = [q for q, _, _ in steps] + [m + 1]
     blocks = tuple(
-        frozenset(off + 2 * a + t * b for t in range(m + quots[n] - quots[n + 1], m))
+        frozenset(range(off + 2 * a + (m + quots[n] - quots[n + 1]) * b, off + 2 * a + m * b, b))
         for n, (_, off, _) in enumerate(steps)
     )
     return primary, blocks
@@ -552,8 +555,7 @@ def verify_k1_mapping(window: Window, p: CanonicalParams) -> bool:
 # ──────────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
-class _Walk:
+class _Walk(NamedTuple):
     """The trajectory of one band position alpha that takes a step: the
     (quotient, offset, witness mask) triples of `_m1_walk` or `_k1_steps`,
     as the reference reads them."""
@@ -570,8 +572,7 @@ class _Walk:
 _Atom = int | tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class _Plan:
+class _Plan(NamedTuple):
     """The terms of an array filter, grouped by how a batch tests them.
 
     groups holds (delta, lo) per distance delta between the two positions
@@ -589,12 +590,27 @@ class _Plan:
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
-def _plan(walks: list[_Walk], terms: Iterable[tuple[_Atom, _Atom]]) -> _Plan:
-    """Group a filter's terms for `_plan_flags`."""
-    groups: dict[int, int] = {}
-    meets: dict[tuple[int, int], int] = {}
-    pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for s, t in terms:
+# An image is (x, alpha, atom, hole): band position alpha maps to x on the
+# rows that hold the atom, and x must then be a hole when hole is set (else
+# it is a translate target, in I).  x is None for an image the map refuses.
+_Image = tuple[int | None, int, _Atom, bool]
+
+
+def _plan(
+    walks: list[_Walk], images: list[_Image], allowed: Callable[[int, int, int], bool] | None = None
+) -> _Plan:
+    """The terms of a filter, from the images of its map listed in
+    increasing alpha, grouped for `_plan_flags`: a hole image in A, a
+    refused image, and two images of band positions alpha < beta at one
+    x, unless allowed(x, alpha, beta), if given.
+
+    Two images of one band position are never a term: `_m1_images` keeps
+    its v apart from every w, and a walk stops at one step only, even
+    where two of its offsets coincide, as those of a k = 1 walk can.
+    """
+    groups, meets, pairs = {}, {}, set()  # as in _Plan
+
+    def file(s: _Atom, t: _Atom) -> None:  # one term, by the kinds of its atoms
         if type(s) is int:
             s, t = t, s
         if type(s) is int:  # both positions
@@ -604,9 +620,34 @@ def _plan(walks: list[_Walk], terms: Iterable[tuple[_Atom, _Atom]]) -> _Plan:
             meets[s] = meets.get(s, 0) | 1 << t
         else:
             pairs.add((s, t) if s < t else (t, s))
+
+    at: dict[int, list[_Image]] = {}  # x -> the images at x so far
+    for image in images:
+        x, beta, atom, hole = image
+        if x is None:
+            file(atom, atom)
+            continue
+        if hole:
+            file(atom, x)
+        owners = at.setdefault(x, [])
+        for _, alpha, other, _ in owners:
+            if alpha != beta and not (allowed and allowed(x, alpha, beta)):
+                file(other, atom)
+        owners.append(image)
     return _Plan(
         tuple(sorted(groups.items())), tuple(walks), tuple(sorted(meets.items())), tuple(sorted(pairs))
     )
+
+
+def _walk_images(alpha: int, steps: tuple, walks: list[_Walk], images: list[_Image]) -> _Atom:
+    """Add the walk of alpha, if it takes a step, to walks and its offsets
+    to images as translate targets; the atom of the rows that pass every
+    step, alpha itself for a walk of no step."""
+    if not steps:
+        return alpha
+    images += [(off, alpha, (len(walks), n), False) for n, (_, off, _) in enumerate(steps)]
+    walks.append(_Walk(alpha, steps))
+    return len(walks) - 1, len(steps)
 
 
 def _walk_rows(batch: WindowBatch, walk: _Walk, flags: np.ndarray) -> list[np.ndarray]:
@@ -624,19 +665,18 @@ def _walk_rows(batch: WindowBatch, walk: _Walk, flags: np.ndarray) -> list[np.nd
     return reached
 
 
-def _plan_flags(batch: WindowBatch, plan: _Plan, flags: np.ndarray) -> np.ndarray:
-    """flags, ORed with every row of the batch that holds a term of the
-    plan.  Each distance costs one shift, one AND and one OR, whatever the
-    number of its terms; the masks are ANDed in once for all of them."""
+def _plan_flags(batch: WindowBatch, plan: _Plan) -> np.ndarray:
+    """The rows of the batch that hold a term of the plan.  Each distance
+    costs one shift, one AND and one OR, whatever the number of its terms;
+    the masks are ANDed in once for all of them."""
     masks = batch.masks
-    if plan.groups:
-        upper, shifted = np.zeros_like(masks), np.empty_like(masks)
-        for delta, lo in plan.groups:
-            np.right_shift(masks, delta, out=shifted)
-            shifted &= lo
-            upper |= shifted
-        upper &= masks
-        flags |= upper != 0
+    upper, shifted = np.zeros_like(masks), np.empty_like(masks)
+    for delta, lo in plan.groups:
+        np.right_shift(masks, delta, out=shifted)
+        shifted &= lo
+        upper |= shifted
+    upper &= masks
+    flags = upper != 0
     reached = [_walk_rows(batch, walk, flags) for walk in plan.walks]
     for (walk, step), bits in plan.meets:
         flags |= reached[walk][step] & ((masks & bits) != 0)
@@ -663,60 +703,38 @@ def _m1_images(p: CanonicalParams):
     for band in range(p.k):
         for alpha in range(band * p.a + p.b + 1, (band + 1) * p.a):
             steps, v, w = _m1_walk(gap_decompose(alpha, p), p)
-            if not (
-                n1 < v < n2
-                and w is not None
-                and n1 <= w < n2
-                and v != w
-                and all(off != v for _, off, _ in steps)
-            ):
+            ws = [off for _, off, _ in steps] + [w]  # every w alpha can map to
+            if w is None or not (n1 < v < n2 and n1 <= w < n2) or v in ws:
                 raise InternalError(f"m = 1 images v = {v}, w = {w} of alpha = {alpha} in {p}")
             yield alpha, band, steps, v, w
 
 
 def _m1_plan(p: CanonicalParams) -> _Plan:
-    """The terms on which `verify_m1_inequality` could raise, from
-    `_m1_images`: v in A, w in A (the end lies above b, so it is never in
-    I: w must be a hole), and the pairwise terms.
+    """The terms on which `verify_m1_inequality` could raise: the images of
+    `_m1_images`, v and w (a hole, or the offset where the walk meets I),
+    filed by `_plan`, where the one coincidence allowed is v(beta) = w(alpha)
+    with band(beta) > band(alpha), an edge down the bands.
 
-    Image pairs of alpha > beta may meet only as v(alpha) = w(beta), an
-    edge, and edges must descend bands.  Two edges out of one alpha would
-    meet as w = w, and two into one beta as v = v, so the degree bounds
-    hold; chains, their images and their sizes then need no check.  Which
-    rows' images can coincide is a fact of the family, found here once.
+    Two edges out of one beta would meet as w = w, and two into one alpha
+    as v = v, so on a row with no term the edges form chains, each at most
+    k long as it descends bands, whose images have |C| + 1 elements and are
+    disjoint from those of every other chain.  Every image is in I or U, so
+    the chains give sum(|C| + 1) <= |I| + |U|, and with |C| <= k,
+    (k+1)|T| <= k(|I| + |U|): the count bound, and the main inequality it
+    implies, need no term of their own.
     """
-    walks, terms = [], []
-    v_at: dict[int, list[tuple[int, int]]] = {}  # x -> (alpha, band) whose v is x
-    w_at: dict[int, list[tuple[int, int, _Atom]]] = {}  # x -> (alpha, band, atom) whose w is x
+    walks, images = [], []
+    v_of: dict[int, tuple[int, int]] = {}  # alpha -> (band, v)
     for alpha, band, steps, v, w in _m1_images(p):
-        end: _Atom = alpha
-        if steps:
-            end = (len(walks), len(steps))
-            for n, (_, off, _) in enumerate(steps):
-                w_at.setdefault(off, []).append((alpha, band, (len(walks), n)))
-            walks.append(_Walk(alpha, steps))
-        terms += [(alpha, v), (end, w)]
-        v_at.setdefault(v, []).append((alpha, band))
-        w_at.setdefault(w, []).append((alpha, band, end))
-    for x, owners in v_at.items():
-        terms += [(s, t) for (s, _), (t, _) in combinations(owners, 2)]
-        for alpha, band, atom in w_at.get(x, ()):
-            terms += [(atom, beta) for beta, band_b in owners if beta < alpha or band_b <= band]
-    for owners in w_at.values():
-        terms += [(s, t) for (a, _, s), (b, _, t) in combinations(owners, 2) if a != b]
-    return _plan(walks, terms)
+        end = _walk_images(alpha, steps, walks, images)
+        images += [(v, alpha, alpha, True), (w, alpha, end, True)]
+        v_of[alpha] = band, v
 
+    def edge(x: int, alpha: int, beta: int) -> bool:  # x = v(beta) = w(alpha)
+        (band_a, v_a), (band_b, v_b) = v_of[alpha], v_of[beta]
+        return v_b == x != v_a and band_b > band_a
 
-def _m1_flags(batch: WindowBatch, p: CanonicalParams, plan: _Plan) -> np.ndarray:
-    """Rows on which `verify_m1_inequality` could raise: the count bound,
-    then the terms of `_m1_plan`.  The positions paired with a band
-    position that takes no step are fixed, so their terms are grouped by
-    distance; `test_m1_plans_end_in_the_top_interval` checks the facts
-    the plan reads off `_m1_images` on every m = 1 family whose windows
-    fit an int64 mask."""
-    k = p.k
-    # The count bound; (k+1)|T| <= k(|I|+|U|) implies the main inequality.
-    return _plan_flags(batch, plan, (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u))
+    return _plan(walks, images, edge)
 
 
 def _k1_images(p: CanonicalParams):
@@ -750,65 +768,41 @@ def _k1_images(p: CanonicalParams):
 
 
 def _k1_plan(p: CanonicalParams) -> _Plan:
-    """The terms on which `verify_k1_mapping` could raise, from
-    `_k1_images`: a walk that ends where the union is refused, a hole image
-    that meets A, two walks that stop at one translate target, and two
-    hole images that share a position.  Distinct targets in I and disjoint
-    (m+1)-sets of U cannot outnumber them, so the image counts need no
-    term of their own."""
-    walks, terms = [], []
-    targets: dict[int, list[tuple[int, int]]] = {}  # offset -> atoms that stop there
-    holes: dict[int, list[_Atom]] = {}  # position -> atoms whose hole image holds it
+    """The terms on which `verify_k1_mapping` could raise: the images of
+    `_k1_images`, each offset where the walk meets I and each hole of the
+    union, filed by `_plan` with no coincidence allowed; a refused union
+    is a refused image.
+
+    On a row with no term, every band element maps to a translate target
+    in I or to m + 1 holes, no two to one target and no two to one hole.
+    With t_I of them on targets and t_U on holes, t_I <= |I| and
+    (m+1)t_U <= |U|, so (m+1)|T| <= (m+1)|I| + |U|: the image counts and
+    the count bound need no term of their own.
+    """
+    walks, images = [], []
     for alpha, steps, union in _k1_images(p):
-        end: _Atom = alpha
-        if steps:
-            end = (len(walks), len(steps))
-            for n, (_, off, _) in enumerate(steps):
-                targets.setdefault(off, []).append((len(walks), n))
-            walks.append(_Walk(alpha, steps))
-        if union is None:
-            terms.append((end, end))
-            continue
-        for u in union:
-            terms.append((end, u))
-            holes.setdefault(u, []).append(end)
-    for owners in targets.values():
-        terms += [(s, t) for s, t in combinations(owners, 2) if s[0] != t[0]]
-    for owners in holes.values():
-        terms += combinations(owners, 2)
-    return _plan(walks, terms)
-
-
-def _k1_flags(batch: WindowBatch, p: CanonicalParams, plan: _Plan) -> np.ndarray:
-    """Rows on which `verify_k1_mapping` could raise: the count bound, then
-    the terms of `_k1_plan`.  The hole block of a band position that takes
-    no step is fixed, so its terms are grouped by distance, among them the
-    overlaps of two such blocks at distances j*b;
-    `test_k1_plans_end_in_the_top_interval` checks the facts the plan reads
-    off `_k1_images` on every k = 1 family whose windows fit an int64
-    mask."""
-    m = p.m
-    return _plan_flags(batch, plan, (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u)
+        end = _walk_images(alpha, steps, walks, images)
+        images += [(u, alpha, end, True) for u in union or [None]]  # None: refused
+    return _plan(walks, images)
 
 
 def _machinery_check(
-    p: CanonicalParams,
-    flag_rows: Callable[[WindowBatch], np.ndarray],
-    check_window: Callable[[Window, CanonicalParams], bool],
+    p: CanonicalParams, plan: _Plan, check_window: Callable[[Window, CanonicalParams], bool]
 ) -> WindowCheck:
     """An array filter backed by a per-window reference, as a window check.
 
-    `flag_rows` marks a superset of the rows on which `check_window` raises.
-    The flagged rows are re-checked in order, one Window each, and only a
-    LemmaViolation there fails the window, with the violation as the
+    The plan's terms hold on a superset of the rows on which `check_window`
+    raises.  The flagged rows are re-checked in order, one Window each, and
+    only a LemmaViolation there fails the window, with the violation as the
     detail; so the first failure and its detail are the reference's own.
-    Only windows with |T| > 0 are ever flagged: one with no band element
-    has an empty chain partition or image map and a count bound of
-    0 <= ..., so it cannot fail; windows_checked still counts it.
+    Only windows with |T| > 0 are ever flagged, as every term needs a band
+    element in A: one with none has an empty chain partition or image map
+    and a count bound of 0 <= ..., so it cannot fail; windows_checked still
+    counts it.
     """
 
     def check(batch: WindowBatch):
-        for row in np.flatnonzero(flag_rows(batch)).tolist():
+        for row in np.flatnonzero(_plan_flags(batch, plan)).tolist():
             try:
                 check_window(batch.window(row), p)
             except LemmaViolation as exc:
@@ -821,15 +815,13 @@ def _machinery_check(
 def m1_check(p: CanonicalParams) -> WindowCheck:
     """The m = 1 harness of `check_m1_machinery`, as a window check."""
     _require_route(p, "m")
-    plan = _m1_plan(p)
-    return _machinery_check(p, lambda batch: _m1_flags(batch, p, plan), verify_m1_inequality)
+    return _machinery_check(p, _m1_plan(p), verify_m1_inequality)
 
 
 def k1_check(p: CanonicalParams) -> WindowCheck:
     """The k = 1 harness of `check_k1_machinery`, as a window check."""
     _require_route(p, "k")
-    plan = _k1_plan(p)
-    return _machinery_check(p, lambda batch: _k1_flags(batch, p, plan), verify_k1_mapping)
+    return _machinery_check(p, _k1_plan(p), verify_k1_mapping)
 
 
 def check_m1_machinery(
@@ -837,7 +829,10 @@ def check_m1_machinery(
 ) -> VerificationReport:
     """Exhaustive m = 1 harness: chains, their three properties, the count
     bound, and a translate witness at every trajectory step, over every
-    avoiding window of [0, n2) containing 0."""
+    avoiding window of [0, n2) containing 0.  The cap is checked before
+    the plan is built, as the plan grows with n2."""
+    _require_route(p, "m")
+    check_enum_length(p.n2, enum_cap)
     return _scan_one(p, m1_check(p), enum_cap)
 
 
@@ -846,5 +841,8 @@ def check_k1_machinery(
 ) -> VerificationReport:
     """Exhaustive k = 1 harness: block images, their disjointness and size,
     the count bound, and a translate witness at every trajectory step, over
-    every avoiding window of [0, n2) containing 0."""
+    every avoiding window of [0, n2) containing 0.  The cap is checked
+    before the plan is built, as the plan grows with n2."""
+    _require_route(p, "k")
+    check_enum_length(p.n2, enum_cap)
     return _scan_one(p, k1_check(p), enum_cap)

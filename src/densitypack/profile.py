@@ -76,7 +76,7 @@ from .family import (
     require_type,
     two_gap_set,
 )
-from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks
+from .oracle import DEFAULT_ENUM_CAP, Window, avoiding_mask_chunks, check_enum_length
 from .oracle import enumerate_avoiding_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 __all__ = [
@@ -458,6 +458,7 @@ def haralambis_certify(
         raise InvalidInput(f"candidates must be positive integers, got {candidates!r}")
     if (delta := as_fraction(delta, "delta")) <= 0:
         raise InvalidInput(f"delta must be a positive Fraction, got {delta!r}")
+    check_enum_length(cand[-1], enum_cap)  # before the span masks, which grow with it
     checks = {"certificate": _certificate(cand, delta, None)}
     found = _first_failures(M, cand[-1], lambda masks: masks, checks, enum_cap)["certificate"]
     count, window, _ = found

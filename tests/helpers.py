@@ -369,10 +369,12 @@ def reference_m1_plan(p: CanonicalParams) -> list[tuple[ReferenceWalk, int, int]
 
 
 def reference_m1_flags(batch, p: CanonicalParams, walks) -> np.ndarray:
-    """The rows `mappings._m1_flags` must flag, walk by walk: the count
-    bound, each walk's own terms (a missed witness, v or w in A), and the
-    pairwise terms of every two walks, found per chunk by intersecting
-    their dicts of w rows keyed by position."""
+    """The rows the m = 1 plan's `mappings._plan_flags` must flag, as the
+    earlier filter found them walk by walk: the count bound, each walk's
+    own terms (a missed witness, v or w in A), and the pairwise terms of
+    every two walks, found per chunk by intersecting their dicts of w rows
+    keyed by position.  The plan has no count-bound term, so the two agree
+    only because its images imply the bound."""
     k = p.k
     flags = (k + 1) * batch.n_t > k * (batch.n_i + batch.n_u)
     has, w_rows = [], []
@@ -417,9 +419,11 @@ def reference_k1_plan(p: CanonicalParams) -> list[ReferenceWalk]:
 
 
 def reference_k1_flags(batch, p: CanonicalParams, walks: list[ReferenceWalk]) -> np.ndarray:
-    """The rows `mappings._k1_flags` must flag, walk by walk: the count
-    bound, a missed witness, a translate target taken twice, and a hole
-    image that meets A or the hole images of the walks before it."""
+    """The rows the k = 1 plan's `mappings._plan_flags` must flag, as the
+    earlier filter found them walk by walk: the count bound, a missed
+    witness, a translate target taken twice, and a hole image that meets A
+    or the hole images of the walks before it.  As for m = 1, the plan has
+    no count-bound term of its own."""
     m = p.m
     flags = (m + 1) * batch.n_t > (m + 1) * batch.n_i + batch.n_u
     taken: dict[int, np.ndarray] = {}

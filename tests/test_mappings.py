@@ -2,6 +2,7 @@
 two per-regime counting harnesses."""
 
 import importlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from densitypack import (
     InvalidInput,
     LemmaViolation,
     NotInBand,
+    ResourceLimit,
     UnsupportedRegime,
     Window,
     check_k1_machinery,
@@ -26,14 +28,13 @@ from densitypack import (
     verify_m1_inequality,
 )
 from densitypack.mappings import (
-    _k1_flags,
     _k1_images,
     _k1_plan,
     _k1_steps,
-    _m1_flags,
     _m1_images,
     _m1_plan,
     _m1_walk,
+    _plan_flags,
     build_chain_partition,
     gap_decompose,
     image_pair,
@@ -356,6 +357,23 @@ class TestK1Mapping:
         assert profile(Window.from_members(16, [0]), P532).top_holes == frozenset({14, 15})
 
 
+@pytest.mark.parametrize("harness, other", [(check_m1_machinery, (1, 2)), (check_k1_machinery, (2, 1))])
+def test_harness_refuses_a_family_over_the_cap_before_its_plan(harness, other):
+    # (6001, 3000, 1, 1) has n2 = 15,002.  Its plan would take about 12 MB
+    # and a third of a second to build; the cap is checked first.  A family of the
+    # other regime is still refused as such, whatever its n2.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="window length 15002 exceeds enumeration cap 49"):
+            harness(CanonicalParams(a=6001, b=3000, k=1, m=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(UnsupportedRegime):
+        harness(CanonicalParams(6001, 3000, *other), enum_cap=0)
+
+
 @pytest.mark.parametrize(
     "func, args, message",
     [
@@ -432,11 +450,11 @@ def harnesses(p):
     """(name, window check, array filter, per-window reference) per regime of p."""
     out = []
     if p.m == 1:
-        m1_walks = _m1_plan(p)
-        out.append(("m1", m1_check(p), lambda b: _m1_flags(b, p, m1_walks), verify_m1_inequality))
+        m1_plan = _m1_plan(p)
+        out.append(("m1", m1_check(p), lambda b: _plan_flags(b, m1_plan), verify_m1_inequality))
     if p.k == 1:
-        k1_walks = _k1_plan(p)
-        out.append(("k1", k1_check(p), lambda b: _k1_flags(b, p, k1_walks), verify_k1_mapping))
+        k1_plan = _k1_plan(p)
+        out.append(("k1", k1_check(p), lambda b: _plan_flags(b, k1_plan), verify_k1_mapping))
     return out
 
 
@@ -447,12 +465,12 @@ def filter_pairs(p):
     if p.m == 1:
         m1_plan, m1_walks = _m1_plan(p), reference_m1_plan(p)
         out.append(
-            ("m1", lambda b: _m1_flags(b, p, m1_plan), lambda b: reference_m1_flags(b, p, m1_walks))
+            ("m1", lambda b: _plan_flags(b, m1_plan), lambda b: reference_m1_flags(b, p, m1_walks))
         )
     if p.k == 1:
         k1_plan, k1_walks = _k1_plan(p), reference_k1_plan(p)
         out.append(
-            ("k1", lambda b: _k1_flags(b, p, k1_plan), lambda b: reference_k1_flags(b, p, k1_walks))
+            ("k1", lambda b: _plan_flags(b, k1_plan), lambda b: reference_k1_flags(b, p, k1_walks))
         )
     return out
 
@@ -594,24 +612,36 @@ class TestArrayFilter:
         # Seeded masks of [0, n2), avoiding or not, on every m = 1 and k = 1
         # family with a < 40 whose windows fit an int64 mask: uniform ones,
         # which the count bound flags often, and sparse ones of at most four
-        # positions, which single out the terms of one or two walks.
+        # positions, which single out the terms of one or two walks.  The
+        # plans have no count-bound term: every row over the bound (m = 1:
+        # (k+1)|T| > k(|I|+|U|); k = 1: (m+1)|T| > (m+1)|I| + |U|) must
+        # hold a term of the images.
         rng = np.random.default_rng(36)
         families = list(canonical_instances(max_n2=63, max_a=39, include_equal=True))
         families = [p for p in families if p.k == 1 or p.m == 1]
-        rows = flagged = 0
+        rows = flagged = over_bound = 0
         for p in families:
             uniform = rng.integers(0, 1 << p.n2, 32, dtype=np.int64)
             positions = rng.integers(0, p.n2, (96, 4), dtype=np.int64)
             positions[:, 2:] = np.where(rng.random((96, 2)) < 0.5, positions[:, :1], positions[:, 2:])
             sparse = np.bitwise_or.reduce(np.int64(1) << positions, axis=1)
             batch = WindowBatch(p, np.concatenate([uniform, sparse]))
+            n_i, n_t, n_u = batch.n_i, batch.n_t, batch.n_u
             for name, flag_rows, earlier in filter_pairs(p):
-                flags = earlier(batch)
-                assert np.array_equal(flag_rows(batch), flags), (p, name)
+                flags = flag_rows(batch)
+                assert np.array_equal(flags, earlier(batch)), (p, name)
+                if name == "m1":
+                    over = (p.k + 1) * n_t > p.k * (n_i + n_u)
+                else:
+                    over = (p.m + 1) * n_t > (p.m + 1) * n_i + n_u
+                assert not (over & ~flags).any(), (p, name)
                 rows += len(flags)
                 flagged += int(np.count_nonzero(flags))
-        # Both kinds of row are common: the flags have something to agree on.
+                over_bound += int(np.count_nonzero(over))
+        # Both kinds of row are common: the flags have something to agree on,
+        # and about a quarter of the rows are over the count bound.
         assert len(families) == 2196 and rows == 307_200 and 0.2 < flagged / rows < 0.6
+        assert over_bound == 82_244
 
     def test_nothing_flagged_on_avoiding_windows(self):
         for p in [P511, P521, P741, P512, P532]:

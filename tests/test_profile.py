@@ -2,6 +2,7 @@
 and prefix-average certificates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -275,6 +276,18 @@ class TestHaralambis:
             haralambis_certify([1, 5, 6], Fraction(-1, 4), (7, 11))
         with pytest.raises(ResourceLimit):
             haralambis_certify([1, 5, 6], Fraction(1, 4), (DEFAULT_ENUM_CAP + 1,))
+
+    def test_a_candidate_over_the_cap_is_refused_before_its_span_mask(self):
+        # The span mask of a candidate of 10**8 alone takes 12.5 MB; the cap
+        # is checked first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="window length 100000000 exceeds enumeration cap"):
+                haralambis_certify([1, 5, 6], Fraction(1, 2), [3, 10**8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     @pytest.mark.parametrize("bad", [7.9, "x", Fraction(7), True])
     def test_non_integer_candidates_are_refused(self, bad):
